@@ -64,13 +64,16 @@ from .stochastic import (
     CoeffTable,
     EnsembleSpec,
     averaged_transfer,
+    averaged_transfer_direct,
     averaged_transfer_quadrature,
+    gaussian_draw_std,
     impulse_tail_coefficients,
     mean_inverse_a,
     monte_carlo_output,
     observed_output,
     sample_inverse_a,
     stochastic_impulse,
+    tail_decay_lengths,
 )
 
 __version__ = "0.1.0"

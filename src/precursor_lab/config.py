@@ -37,6 +37,7 @@ two-column (t, f) CSV and resamples it onto the grid by linear interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .grid import TimeGrid
@@ -112,9 +113,12 @@ def _split_sections(text: str):
 
 def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ConfigValidationError(key, f"not a number: {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigValidationError(key, "not a finite number")
+    return out
 
 
 def _as_int(key: str, value: str) -> int:
@@ -240,9 +244,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         z_values = (_as_float("z", root["z"]),)
     elif "z-list" in root:
         z_values = tuple(_as_float("z-list", p) for p in root["z-list"].replace(",", " ").split())
-    for zv in z_values:
+    for i, zv in enumerate(z_values):
         if zv <= 0:
             raise ConfigValidationError("z", f"depths must be positive, got {zv}")
+        if zv in z_values[:i]:
+            raise ConfigValidationError("z-list", f"duplicate depth {zv:g}")
 
     cfg = ExperimentConfig(
         experiment=experiment,

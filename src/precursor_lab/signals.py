@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,11 @@ class PulseSpec:
     def __post_init__(self):
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {self.kind!r}; expected one of {PULSE_KINDS}")
+        if not all(math.isfinite(x) for x in (self.T, self.omega0, self.alpha)):
+            raise ValueError(
+                f"pulse parameters must be finite, got T={self.T}, "
+                f"omega0={self.omega0}, alpha={self.alpha}"
+            )
         if self.T <= 0:
             raise ValueError(f"pulse width must be positive, got T={self.T}")
         if self.omega0 < 0:

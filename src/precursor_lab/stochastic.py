@@ -8,14 +8,21 @@ replaces the Gaussian frequency kernel by an algebraic one, which passes far
 more low-frequency content: the averaged impulse response has exponential
 (not Gaussian) tails.
 
-Two routes are provided and deliberately kept independent:
+Two averaged kernels are provided and deliberately kept apart:
 
 * the closed-form averaged kernel ``(1 + z w^2 / b)^-(m+1)`` and its exact
   impulse response (polynomial times exponential, integer coefficient table);
-* direct numerical averaging (quadrature over the gamma density, and seeded
-  Monte Carlo over sampled media).
+* the direct average of each draw's kernel ``exp(-z x w^2 / 2)`` over
+  x ~ Gamma(m+1, rate b).  That average is the gamma Laplace transform,
 
-The two disagree by a constant factor inside the kernel argument; both are
+      integral_0^inf exp(-z x w^2 / 2) b^(m+1) x^m e^(-b x) / m! dx
+          = (1 + z w^2 / (2 b))^-(m+1),
+
+  evaluated exactly by :func:`averaged_transfer_direct`.  Adaptive
+  quadrature over the density (:func:`averaged_transfer_quadrature`) and
+  seeded Monte Carlo over sampled media both converge to it.
+
+The two kernels differ by a factor of two inside the argument; both are
 exposed so the batch runner can report the ratio.  The closed-form pair is
 internally consistent (its impulse response really is the inverse transform
 of its kernel) and is used as the primary model.
@@ -38,7 +45,10 @@ __all__ = [
     "impulse_tail_coefficients",
     "stochastic_impulse",
     "averaged_transfer",
+    "averaged_transfer_direct",
     "averaged_transfer_quadrature",
+    "tail_decay_lengths",
+    "gaussian_draw_std",
     "mean_inverse_a",
     "sample_inverse_a",
     "observed_output",
@@ -46,6 +56,7 @@ __all__ = [
 ]
 
 MAX_TABLE_ORDER = 30  # (2m-1)!! outgrows float64 usefulness quickly past this
+TAIL_TOLERANCE = 1e-16  # share of the peak an automatic grid leaves at its edges
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,8 @@ class EnsembleSpec:
     v: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.b) and math.isfinite(self.v)):
+            raise ValueError(f"ensemble parameters must be finite, got b={self.b}, v={self.v}")
         if self.b <= 0:
             raise ValueError(f"scale parameter must be positive, got b={self.b}")
         if not isinstance(self.m, (int, np.integer)) or self.m < 0:
@@ -142,26 +155,41 @@ def stochastic_impulse(spec: EnsembleSpec, z: float, t):
     return (c / (2.0 ** (spec.m + 1) * math.factorial(spec.m))) * poly * np.exp(-x)
 
 
+def _algebraic_transfer(spec: EnsembleSpec, z: float, omega, scale: float):
+    if z < 0:
+        raise ValueError(f"depth must be >= 0, got z={z}")
+    omega = np.asarray(omega, dtype=np.float64)
+    kernel = (1.0 + z * omega**2 / (scale * spec.b)) ** (-(spec.m + 1))
+    return kernel * np.exp(1j * omega * z / spec.v)
+
+
 def averaged_transfer(spec: EnsembleSpec, z: float, omega):
     """Closed-form ensemble-averaged transfer function.
 
     (1 + z w^2 / b)^-(m+1) times the deterministic delay phase e^{i w z / v}.
     Unity at w = 0 for every depth: the ensemble always passes DC.  Compare
-    :func:`averaged_transfer_quadrature`, the direct average over the gamma
+    :func:`averaged_transfer_direct`, the direct average over the gamma
     density, which carries the same algebraic shape but half the argument.
     """
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
-    omega = np.asarray(omega, dtype=np.float64)
-    kernel = (1.0 + z * omega**2 / spec.b) ** (-(spec.m + 1))
-    return kernel * np.exp(1j * omega * z / spec.v)
+    return _algebraic_transfer(spec, z, omega, 1.0)
+
+
+def averaged_transfer_direct(spec: EnsembleSpec, z: float, omega):
+    """Direct ensemble average of exp(-z x w^2 / 2), in closed form.
+
+    The gamma Laplace transform (1 + z w^2 / (2 b))^-(m+1) times the delay
+    phase e^{i w z / v}: the limit of the Monte Carlo mean, and the value
+    :func:`averaged_transfer_quadrature` computes numerically.
+    """
+    return _algebraic_transfer(spec, z, omega, 2.0)
 
 
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
     """Direct quadrature of the ensemble average of exp(-z x w^2 / 2).
 
-    Integrates against the gamma density numerically; independent of the
-    closed form above, so the two can be compared.  Scalar or array omega.
+    Integrates against the gamma density numerically, one adaptive ``quad``
+    per distinct |omega|; independent of both closed forms above, so it
+    serves as their oracle.  Scalar or array omega.
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
@@ -192,6 +220,26 @@ def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
 def mean_inverse_a(spec: EnsembleSpec) -> float:
     """Mean of the inverse curvature parameter, (m + 1) / b."""
     return (spec.m + 1) / spec.b
+
+
+def tail_decay_lengths(m: int, eps: float = TAIL_TOLERANCE) -> float:
+    """Decay lengths x past the arrival at which x^m e^{-x} falls to ``eps``.
+
+    The larger root of x = ln(1/eps) + m ln x, found by fixed-point
+    iteration from above m (the map is increasing and concave, so the
+    iteration contracts onto that root).  It bounds the exponential tail of
+    the averaged impulse response, whose decay length is sqrt(z/b).
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"tolerance must lie in (0, 1), got eps={eps}")
+    log_inv = -math.log(eps)
+    x = max(log_inv, float(m), 1.0)
+    for _ in range(200):
+        x_next = log_inv + m * math.log(x)
+        if abs(x_next - x) <= 1e-12 * x_next:
+            return x_next
+        x = x_next
+    return x
 
 
 def sample_inverse_a(spec: EnsembleSpec, count: int, seed: int) -> np.ndarray:
@@ -241,28 +289,49 @@ def monte_carlo_output(
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     grid = f0.grid
-    omegas = grid.omegas()
     draws = sample_inverse_a(spec, n_samples, seed)
-    spectrum = forward_transform(f0)
-    shifted = spectrum.values * np.exp(1j * omegas * z / spec.v)
-    half_zw2 = 0.5 * z * omegas**2
-
     if not return_stderr:
-        kernel = _kernels.mean_exp_kernel(draws, half_zw2)
+        omegas = grid.omegas()
+        spectrum = forward_transform(f0)
+        shifted = spectrum.values * np.exp(1j * omegas * z / spec.v)
+        kernel = _kernels.mean_exp_kernel(draws, 0.5 * z * omegas**2)
         return inverse_transform(Spectrum(grid, shifted * kernel))
 
-    # slow path: per-draw inverse transforms, accumulated in fixed order
-    w_wrapped = grid._omegas_wrapped()
-    base = np.fft.ifftshift(shifted) * np.exp(-1j * w_wrapped * grid.t0)
-    half_wrapped = np.fft.ifftshift(half_zw2)
+    # slow path: per-draw inverse transforms, accumulated in fixed order.
+    # Each draw's output is real, so it is rebuilt from the Hermitian half
+    # spectrum with irfft; in numpy's sign convention the delay z/v is the
+    # factor e^{-i w z/v} on rfft(f0), and the grid origin cancels out.
+    w_half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dt)
+    base = np.fft.rfft(f0.values) * np.exp(-1j * w_half * z / spec.v)
+    half_zw2 = 0.5 * z * w_half**2
     mean = np.zeros(grid.n)
     sumsq = np.zeros(grid.n)
     for i0 in range(0, n_samples, _MC_BATCH):
-        block = np.exp(-np.outer(draws[i0 : i0 + _MC_BATCH], half_wrapped)) * base
-        signals = np.fft.fft(block, axis=1).real / (grid.n * grid.dt)
+        block = np.exp(-np.outer(draws[i0 : i0 + _MC_BATCH], half_zw2)) * base
+        signals = np.fft.irfft(block, n=grid.n, axis=1)
         mean += signals.sum(axis=0)
         sumsq += (signals * signals).sum(axis=0)
     mean /= n_samples
     var = np.maximum(sumsq / n_samples - mean**2, 0.0)
     stderr = np.sqrt(var / max(n_samples - 1, 1))
     return SampledSignal(grid, mean), stderr
+
+
+def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):
+    """Pointwise standard deviation over the ensemble of one draw's output.
+
+    A draw with inverse curvature x turns the unit Gaussian pulse
+    exp(-t^2 / 2T^2) into sqrt(T^2/(T^2+zx)) exp(-tau^2/(2(T^2+zx))), with
+    tau = t - z/v.  Its first two moments over x ~ Gamma(m+1, rate b) come
+    from 120-point Gauss-Laguerre quadrature.  Dividing by
+    sqrt(draws) gives the exact standard error of a Monte Carlo mean, which
+    the sample standard error underestimates in the tails, where the mean
+    rests on a few rare wide draws.
+    """
+    y, weights = np.polynomial.laguerre.laggauss(120)
+    weights = weights * y**spec.m / math.factorial(spec.m)
+    width2 = T * T + z * y / spec.b
+    tau = np.asarray(t, dtype=np.float64) - z / spec.v
+    draw = np.sqrt(T * T / width2) * np.exp(-(tau[..., None] ** 2) / (2.0 * width2))
+    mean, second = draw @ weights, (draw * draw) @ weights
+    return np.sqrt(np.maximum(second - mean * mean, 0.0))

@@ -8,6 +8,7 @@ from precursor_lab.config import (
     parse_config,
 )
 from precursor_lab.media import LayerStack, QuadraticMedium
+from precursor_lab.propagate import _edge_mass_ok
 
 MINIMAL = """
 experiment = propagate
@@ -171,10 +172,80 @@ class TestRunStochastic:
         summary = (tmp_path / "r1" / "summary.txt").read_text()
         assert "mc_max_deviation_sigmas[z=4]:" in summary
 
+    def test_summary_reports_laplace_identity_beside_quadrature(self, tmp_path):
+        cfg = parse_config(STOCHASTIC, {"output-dir": str(tmp_path)})
+        assert run(cfg) == 0
+        summary = _summary(tmp_path)
+        s = 0.05**2  # z w^2 / b at the probe frequency w = 0.05 sqrt(b / z)
+        identity = float(summary["ensemble_kernel_log_ratio_laplace_identity"])
+        assert identity == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
+        quadrature = float(summary["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
+        assert quadrature == pytest.approx(identity, abs=1e-9)
+
     def test_missing_ensemble_rejected(self):
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]
         with pytest.raises(ConfigValidationError, match="ensemble"):
             parse_config(text)
+
+
+AUTO_STOCHASTIC = """
+experiment = stochastic
+z-list = 0.5 2
+mc-samples = 400
+seed = 7
+
+[pulse]
+kind = gaussian
+T = 1
+
+[ensemble]
+b = 2
+m = {m}
+v = 1
+"""
+
+
+def _summary(out_dir):
+    return dict(line.split(": ", 1) for line in (out_dir / "summary.txt").read_text().splitlines())
+
+
+def _signal(path):
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    return data[:, 0], data[:, 1]
+
+
+class TestStochasticAutoGrid:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_matches_previous_grid_and_keeps_edges_clear(self, tmp_path, m):
+        # the grid this experiment used before: 40(m+1) decay lengths of
+        # margin, a span of ten margins past the arrival, t0 five margins back
+        text = AUTO_STOCHASTIC.format(m=m)
+        T, b, z_max, dt = 1.0, 2.0, 2.0, 0.1
+        margin = max(T, 40.0 * (m + 1) * np.sqrt(z_max / b))
+        n_old = 1 << int(np.ceil(np.log2((z_max + 10.0 * margin) / dt)))
+        old_text = text + f"\n[grid]\nn = {n_old}\ndt = {dt}\nt0 = {-5.0 * margin}\n"
+        assert run(parse_config(text, {"output-dir": str(tmp_path / "auto")})) == 0
+        assert run(parse_config(old_text, {"output-dir": str(tmp_path / "old")})) == 0
+        assert f"n={n_old} " in _summary(tmp_path / "old")["grid"]
+        for name in ("signal_0.5.csv", "signal_2.csv", "mc_signal_0.5.csv", "mc_signal_2.csv"):
+            t_new, f_new = _signal(tmp_path / "auto" / name)
+            t_old, f_old = _signal(tmp_path / "old" / name)
+            assert t_new.size < t_old.size
+            k = int(round((t_new[0] - t_old[0]) / dt))
+            assert np.abs(t_old[k : k + t_new.size] - t_new).max() < 1e-9
+            peak = np.abs(f_old).max()
+            assert np.abs(f_old[k : k + t_new.size] - f_new).max() < 1e-12 * peak
+            assert _edge_mass_ok(f_new)
+
+    def test_threads_do_not_change_output(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(AUTO_STOCHASTIC.format(m=1))
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"t{threads}")
+            assert main([str(path), "--output-dir", out, "--threads", threads]) == 0
+        for name in ("signal_0.5.csv", "signal_2.csv", "mc_signal_0.5.csv", "mc_signal_2.csv",
+                     "sweep.csv", "summary.txt"):
+            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 CHIRP = """
@@ -275,6 +346,55 @@ class TestMainEntry:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
         assert main([str(path), "--output-dir", str(blocker)]) == 1
+
+    def _one_line_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([str(path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: {message}"]
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "old,new,key",
+        [
+            ("z = 4", "z = inf", "z"),
+            ("z = 4", "z = nan", "z"),
+            ("b = 2", "b = nan", "ensemble.b"),
+            ("T = 1", "T = inf", "pulse.T"),
+        ],
+    )
+    def test_non_finite_input(self, tmp_path, capsys, old, new, key):
+        text = STOCHASTIC.replace(old, new)
+        assert text != STOCHASTIC
+        self._one_line_error(tmp_path, capsys, text, f"{key}: not a finite number")
+
+    def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
+        text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
+            "z = 100", "z-list = 100 100 200 400"
+        )
+        self._one_line_error(tmp_path, capsys, text, "z-list: duplicate depth 100")
+
+    def test_layered_auto_grid_needs_quadratic_layers(self, tmp_path, capsys):
+        text = MINIMAL.replace("z = 100", "z-list = 1 2").replace(
+            "variant = quadratic\na = 1\nv = 1",
+            "variant = layered\nlayer = 0.5 quadratic 1 1\n"
+            "layer = 0.5 exp-kernel 10 100\ntail = none",
+        )
+        assert "exp-kernel" in text
+        self._one_line_error(
+            tmp_path, capsys, text, "grid: automatic grid needs quadratic layers; give a [grid] section"
+        )
+
+    def test_verify_passes_at_seed_65(self, tmp_path):
+        # the sample standard error once made the Monte Carlo check fail here
+        path = tmp_path / "cfg.ini"
+        path.write_text("experiment = verify\nseed = 65\n")
+        assert main([str(path), "--output-dir", str(tmp_path / "v")]) == 0
+        summary = (tmp_path / "v" / "summary.txt").read_text()
+        assert "verify_monte_carlo_vs_quadrature: pass" in summary
+        assert "verify_direct_average_closed_form_vs_quadrature: pass" in summary
 
     def test_verify_experiment_passes(self, tmp_path):
         path = tmp_path / "cfg.ini"

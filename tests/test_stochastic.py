@@ -10,8 +10,10 @@ from precursor_lab import (
     Spectrum,
     TimeGrid,
     averaged_transfer,
+    averaged_transfer_direct,
     averaged_transfer_quadrature,
     forward_transform,
+    gaussian_draw_std,
     gaussian_pulse,
     impulse_tail_coefficients,
     inverse_transform,
@@ -21,6 +23,7 @@ from precursor_lab import (
     observed_output,
     sample_inverse_a,
     stochastic_impulse,
+    tail_decay_lengths,
 )
 
 
@@ -155,6 +158,43 @@ class TestAveragedTransfer:
         assert ratio == pytest.approx(0.5, abs=1e-3)
 
 
+class TestDirectAverage:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("z", [0.5, 4.0, 16.0])
+    @pytest.mark.parametrize("b", [0.5, 2.0])
+    def test_gamma_laplace_identity_matches_quadrature(self, m, z, b):
+        spec = EnsembleSpec(b=b, m=m, v=1.0)
+        w = np.array([0.0, 0.1, -0.7, 1.5, 4.0])
+        direct = averaged_transfer_direct(spec, z, w)
+        oracle = averaged_transfer_quadrature(spec, z, w)
+        assert np.abs(direct - oracle).max() < 1e-12
+
+    def test_half_the_closed_form_argument(self):
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        w = np.linspace(-3.0, 3.0, 13)
+        # halving z in the closed form halves the argument and the delay
+        expected = averaged_transfer(spec, 2.0, w) * np.exp(2j * w)
+        assert np.allclose(averaged_transfer_direct(spec, 4.0, w), expected, rtol=1e-14, atol=0)
+
+
+class TestTailDecayLengths:
+    @pytest.mark.parametrize("m", [0, 1, 3, 30])
+    def test_root_of_tail_equation(self, m):
+        eps = 1e-16
+        x = tail_decay_lengths(m, eps)
+        assert x > m
+        assert x == pytest.approx(-math.log(eps) + m * math.log(x), rel=1e-12)
+        assert m * math.log(x) - x == pytest.approx(math.log(eps), abs=1e-9)
+
+    def test_order_zero_is_log_inverse_tolerance(self):
+        assert tail_decay_lengths(0, 1e-10) == pytest.approx(10.0 * math.log(10.0), rel=1e-15)
+
+    def test_rejects_tolerance_outside_unit_interval(self):
+        for eps in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                tail_decay_lengths(1, eps)
+
+
 class TestSampling:
     def test_mean_inverse(self):
         assert mean_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0)) == 1.0
@@ -286,6 +326,44 @@ class TestMonteCarlo:
         g, f0 = _mc_fixture()
         with pytest.raises(ValueError):
             monte_carlo_output(f0, EnsembleSpec(b=1.0, m=0, v=1.0), 1.0, 50, seed=1)
+
+    def test_rfft_stderr_path_matches_complex_fft_loop(self):
+        # the per-draw complex-FFT loop the stderr path used before it moved
+        # to irfft on the Hermitian half spectrum
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        g = TimeGrid(n=512, dt=0.1, t0=-15.0)
+        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+        z, n_draws = 4.0, 600
+        mc, stderr = monte_carlo_output(f0, spec, z, n_draws, seed=5, return_stderr=True)
+
+        omegas = g.omegas()
+        shifted = forward_transform(f0).values * np.exp(1j * omegas * z / spec.v)
+        w_wrapped = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dt)
+        base = np.fft.ifftshift(shifted) * np.exp(-1j * w_wrapped * g.t0)
+        half_wrapped = np.fft.ifftshift(0.5 * z * omegas**2)
+        outputs = np.array(
+            [
+                np.fft.fft(np.exp(-x * half_wrapped) * base).real / (g.n * g.dt)
+                for x in sample_inverse_a(spec, n_draws, 5)
+            ]
+        )
+        ref_mean = outputs.mean(axis=0)
+        ref_stderr = outputs.std(axis=0) / np.sqrt(n_draws - 1)
+        peak = np.abs(ref_mean).max()
+        assert np.abs(mc.values - ref_mean).max() < 1e-12 * peak
+        assert np.abs(stderr - ref_stderr).max() < 1e-12 * peak
+
+    def test_exact_draw_std_matches_sample_std(self):
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        g, f0 = _mc_fixture(n=1024)
+        z, n_draws = 4.0, 20000
+        _, stderr = monte_carlo_output(f0, spec, z, n_draws, seed=11, return_stderr=True)
+        exact = gaussian_draw_std(spec, 1.0, z, g.times())
+        # near the peak many draws contribute and the sample spread is close
+        # to the exact one; further out it rests on a few rare wide draws
+        sel = exact > 0.1 * exact.max()
+        ratio = stderr[sel] * np.sqrt(n_draws) / exact[sel]
+        assert np.abs(ratio - 1.0).max() < 0.04
 
     def test_fast_and_stderr_paths_agree(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
