@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .grid import SampledSignal
 
@@ -91,8 +90,13 @@ def fit_decay_exponent(records) -> tuple[float, float]:
     amps = np.array([r.peak_amp for r in records])
     if np.any(amps <= 0):
         raise ValueError("peak amplitudes must be positive")
-    res = linregress(np.log(zs), np.log(amps))
-    return float(res.slope), float(res.stderr)
+    # scipy.stats.linregress's own formulas, so the values stay bit-identical
+    # without importing scipy.stats
+    ssxm, ssxym, _, ssym = np.cov(np.log(zs), np.log(amps), bias=1).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (zs.size - 2))
+    return float(slope), float(stderr)
 
 
 def energy_ratio(f_z: SampledSignal, f0: SampledSignal) -> float:

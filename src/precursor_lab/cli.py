@@ -55,11 +55,26 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+# rows formatted per write; keeps the transient strings and float objects
+# O(block) instead of O(file)
+_CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header: str, columns) -> None:
+    """Header line, then one ``%.17g`` field per column, ``,``-separated, per row.
+
+    The bytes equal ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``:
+    ``.tolist()`` yields Python floats, which ``%.17g`` formats exactly as
+    it formats the ``np.float64`` rows savetxt passes, but a whole block of
+    rows goes through one ``%`` instead of one Python call per row.
+    """
     data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(header + "\n")
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_summary(path: Path, entries) -> None:

@@ -244,11 +244,22 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         z_values = (_as_float("z", root["z"]),)
     elif "z-list" in root:
         z_values = tuple(_as_float("z-list", p) for p in root["z-list"].replace(",", " ").split())
-    for i, zv in enumerate(z_values):
+    # each depth names its output file and summary keys by its {z:g} label
+    labelled = {}
+    for zv in z_values:
         if zv <= 0:
             raise ConfigValidationError("z", f"depths must be positive, got {zv}")
-        if zv in z_values[:i]:
-            raise ConfigValidationError("z-list", f"duplicate depth {zv:g}")
+        label = f"{zv:g}"
+        if label not in labelled:
+            labelled[label] = zv
+            continue
+        prev = labelled[label]
+        if prev == zv:
+            raise ConfigValidationError("z-list", f"duplicate depth {label}")
+        shortest = [repr(x).removesuffix(".0") for x in (prev, zv)]
+        raise ConfigValidationError(
+            "z-list", f"depths {shortest[0]} and {shortest[1]} share the label {label}"
+        )
 
     cfg = ExperimentConfig(
         experiment=experiment,

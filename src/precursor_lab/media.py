@@ -47,6 +47,11 @@ class QuadraticMedium:
     ell_inv: float = 0.0
 
     def __post_init__(self):
+        if math.isnan(self.a) or not (math.isfinite(self.v) and math.isfinite(self.ell_inv)):
+            raise ValueError(
+                f"medium parameters must be finite (a may be inf), got a={self.a}, "
+                f"v={self.v}, ell_inv={self.ell_inv}"
+            )
         if self.a <= 0:
             raise ValueError(f"curvature scale must be positive, got a={self.a}")
         if self.v <= 0:
@@ -78,6 +83,8 @@ class ExpKernelMedium:
     Kp: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.K) and math.isfinite(self.Kp)):
+            raise ValueError(f"kernel parameters must be finite, got K={self.K}, Kp={self.Kp}")
         if self.K <= 0 or self.Kp <= 0:
             raise ValueError(f"kernel parameters must be positive, got K={self.K}, Kp={self.Kp}")
 

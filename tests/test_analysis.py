@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import precursor_lab
 from precursor_lab import (
     PulseSpec,
     QuadraticMedium,
@@ -119,6 +125,25 @@ class TestDecayFit:
         s2, _ = fit_decay_exponent(_records_from_power_law(-0.5, 137.0))
         assert s1 == pytest.approx(s2, abs=1e-12)
 
+    def test_bit_identical_to_linregress(self):
+        from scipy.stats import linregress
+
+        rng = np.random.default_rng(4)
+        fits = [_records_from_power_law(-0.5), _records_from_power_law(-1.0, 137.0)]
+        for _ in range(500):
+            n = int(rng.integers(3, 13))
+            zs = np.sort(rng.uniform(1.0, 2000.0, n))
+            amps = zs ** rng.uniform(-1.5, 0.0) * np.exp(rng.normal(0.0, 0.1, n))
+            fits.append(
+                [
+                    SweepRecord(z=z, t_peak=z, peak_amp=a, rms_width=1.0, energy_ratio=1.0)
+                    for z, a in zip(zs, amps)
+                ]
+            )
+        for recs in fits:
+            ref = linregress(np.log([r.z for r in recs]), np.log([r.peak_amp for r in recs]))
+            assert fit_decay_exponent(recs) == (float(ref.slope), float(ref.stderr))
+
     def test_needs_three_distinct_depths(self):
         recs = _records_from_power_law(-0.5)[:2]
         with pytest.raises(ValueError):
@@ -188,3 +213,14 @@ class TestShapeRmsDiff:
         h = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), _grid(n=2048))
         with pytest.raises(ValueError):
             shape_rms_diff(f, h)
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats alone costs most of the import; nothing in the package needs it
+    src = str(Path(precursor_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, precursor_lab; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

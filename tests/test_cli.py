@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from precursor_lab.cli import main, run
+from precursor_lab.cli import _write_csv, main, run
 from precursor_lab.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -330,6 +330,54 @@ class TestCsvPulseIngestion:
         assert (tmp_path / "out" / "signal_100.csv").exists()
 
 
+def _savetxt_bytes(path, header, columns):
+    """The reference the CSV writer must match byte for byte."""
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
+    return path.read_bytes()
+
+
+class TestCsvWriter:
+    SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1022, 1.7976931348623157e308,
+               -1.7976931348623157e308, 3.0, -42.0, 1e16, 2.0**53 + 2, 0.1, np.inf, np.nan]
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 32768])
+    def test_bytes_match_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        t = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        f = np.resize(np.array(self.SPECIAL), n)
+        f[len(self.SPECIAL)::3] = rng.integers(-10**6, 10**6, f[len(self.SPECIAL)::3].size)
+        _write_csv(tmp_path / "got.csv", "t,f", (t, f))
+        ref = _savetxt_bytes(tmp_path / "ref.csv", "t,f", (t, f))
+        assert (tmp_path / "got.csv").read_bytes() == ref
+
+    def test_sweep_layout_from_python_floats(self, tmp_path):
+        header = "z,t_peak,peak_amp,rms_width,energy_ratio"
+        columns = (
+            [100.0, 200.0, 400.0],
+            [100.5, 201.0, 402.25],
+            [0.1, -0.0, 5e-324],
+            [1.7976931348623157e308, 2.0, 3.0],
+            [1 / 3, 2 / 3, 1.0],
+        )
+        _write_csv(tmp_path / "sweep.csv", header, columns)
+        ref = _savetxt_bytes(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "sweep.csv").read_bytes() == ref
+
+    def test_sweep_run_matches_savetxt_rewrite(self, tmp_path):
+        text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
+            "z = 100", "z-list = 100 200 400"
+        )
+        assert run(parse_config(text, {"output-dir": str(tmp_path / "o")})) == 0
+        for name in ("signal_100.csv", "signal_200.csv", "signal_400.csv", "sweep.csv"):
+            got = (tmp_path / "o" / name).read_bytes()
+            header = got.split(b"\n", 1)[0].decode()
+            # %.17g round-trips, so the parsed columns are the written ones
+            data = np.loadtxt(tmp_path / "o" / name, delimiter=",", skiprows=1, ndmin=2)
+            assert got == _savetxt_bytes(tmp_path / "ref.csv", header, data.T)
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -375,6 +423,13 @@ class TestMainEntry:
             "z = 100", "z-list = 100 100 200 400"
         )
         self._one_line_error(tmp_path, capsys, text, "z-list: duplicate depth 100")
+
+    def test_depth_label_collision_exit_before_writing(self, tmp_path, capsys):
+        # both depths would write signal_100.csv and the same summary keys
+        text = MINIMAL.replace("z = 100", "z-list = 100 100.0000001")
+        self._one_line_error(
+            tmp_path, capsys, text, "z-list: depths 100 and 100.0000001 share the label 100"
+        )
 
     def test_layered_auto_grid_needs_quadratic_layers(self, tmp_path, capsys):
         text = MINIMAL.replace("z = 100", "z-list = 1 2").replace(

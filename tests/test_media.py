@@ -221,3 +221,24 @@ def test_quadratic_approximation_keeps_dc_absorption():
     assert q.ell_inv == pytest.approx(0.25, rel=1e-12)
     assert q.a == pytest.approx(2.0, rel=1e-8)
     assert q.v == pytest.approx(0.5, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuadraticMedium(a=np.nan, v=1.0),
+        lambda: QuadraticMedium(a=1.0, v=np.nan),
+        lambda: QuadraticMedium(a=1.0, v=np.inf),
+        lambda: QuadraticMedium(a=1.0, v=1.0, ell_inv=np.nan),
+        lambda: QuadraticMedium(a=1.0, v=1.0, ell_inv=np.inf),
+        lambda: ExpKernelMedium(K=np.nan, Kp=100.0),
+        lambda: ExpKernelMedium(K=np.inf, Kp=100.0),
+        lambda: ExpKernelMedium(K=10.0, Kp=np.nan),
+        lambda: ExpKernelMedium(K=10.0, Kp=np.inf),
+    ],
+    ids=["a-nan", "v-nan", "v-inf", "ell_inv-nan", "ell_inv-inf", "K-nan", "K-inf", "Kp-nan", "Kp-inf"],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
