@@ -48,11 +48,13 @@ from .propagate import (
     RegimeError,
     analytic_gaussian_output,
     analytic_rect_output_largez,
+    apply_transfer,
     chirp_dc_content,
     chirp_dc_numeric,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,
     impulse_response_fft,
+    input_spectrum,
     moment_expansion_output,
     propagate_fft,
     thin_slab_output,

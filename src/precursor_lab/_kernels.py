@@ -13,7 +13,7 @@ or the environment variable ``PRECURSOR_LAB_DISABLE_NUMBA`` is set to a
 non-empty value other than ``0``.  The two paths use identical summation
 order per output element, so they agree to floating-point rounding (not
 necessarily bit-for-bit: libm implementations of exp/log may differ in the
-last ulp).  ``benchmarks/bench_kernels.py`` times one against the other.
+last ulp).
 """
 
 from __future__ import annotations

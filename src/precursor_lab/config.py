@@ -33,6 +33,9 @@ Layered media list one ``layer`` line per layer, innermost first::
 
 A ``[pulse]`` section with ``kind = csv`` and ``file = path.csv`` reads a
 two-column (t, f) CSV and resamples it onto the grid by linear interpolation.
+
+A key may appear once per section (``layer`` lines excepted); a second one
+is an error that names both lines.
 """
 
 from __future__ import annotations
@@ -213,8 +216,16 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     sections: dict[str, dict] = {"grid": {}, "pulse": {}, "medium": {}, "ensemble": {}}
     layers: list = []
     seen_sections: set[str] = set()
+    first_line: dict[tuple[str, str], int] = {}
 
     for section, key, value, line_no in _split_sections(text):
+        if not (section == "medium" and key == "layer"):
+            first = first_line.setdefault((section, key), line_no)
+            if first != line_no:
+                where = f" in [{section}]" if section else ""
+                raise ConfigParseError(
+                    line_no, f"duplicate key {key!r}{where}; first given on line {first}"
+                )
         if section == "":
             root[key] = value
         elif section in sections:

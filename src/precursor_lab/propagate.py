@@ -1,9 +1,11 @@
 """Numerical pulse propagation and the matching closed-form outputs.
 
 The workhorse is :func:`propagate_fft`: multiply the input spectrum by the
-medium transfer function and invert.  Everything else in this module is an
-analytic expression for special cases (Gaussian input, rectangular input at
-long range, thin slabs, chirped inputs), kept separate so the two routes can
+medium transfer function and invert.  It is :func:`input_spectrum` followed
+by :func:`apply_transfer`; a run over many depths calls the first once and
+the second per depth.  Everything else in this module is an analytic
+expression for special cases (Gaussian input, rectangular input at long
+range, thin slabs, chirped inputs), kept separate so the two routes can
 cross-validate each other.  Where a standard closed form disagrees with the
 value rebuilt from first principles, both are exposed and the batch runner
 reports the ratio; nothing is silently corrected.
@@ -25,6 +27,8 @@ __all__ = [
     "PropagationResult",
     "GridAdequacyWarning",
     "RegimeError",
+    "input_spectrum",
+    "apply_transfer",
     "propagate_fft",
     "impulse_response_fft",
     "gaussian_impulse_response",
@@ -70,25 +74,34 @@ def _edge_mass_ok(values: np.ndarray, frac: float = 1e-6) -> bool:
     return edge <= frac * peak
 
 
-def propagate_fft(f0: SampledSignal, medium, z: float) -> PropagationResult:
-    """Propagate ``f0`` to depth ``z``: inverse transform of transfer * spectrum.
+def input_spectrum(f0: SampledSignal) -> Spectrum:
+    """Forward transform of an input pulse, checked once for every depth it serves.
 
-    Emits a :class:`GridAdequacyWarning` (never an error) when the input or
-    output carries visible amplitude at the grid edges, the symptom of a grid
-    too short for the travel time or too narrow for the broadened pulse.
+    Emits a :class:`GridAdequacyWarning` when ``f0`` carries visible
+    amplitude at the grid edges.
     """
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
-    grid = f0.grid
     if not _edge_mass_ok(f0.values):
         warnings.warn(
             "input signal has significant amplitude at the grid edges",
             GridAdequacyWarning,
             stacklevel=2,
         )
-    spectrum = forward_transform(f0)
-    transferred = Spectrum(grid, spectrum.values * transfer_function(medium, z, grid.omegas()))
-    out = inverse_transform(transferred)
+    return forward_transform(f0)
+
+
+def apply_transfer(spectrum: Spectrum, H) -> SampledSignal:
+    """Inverse transform of ``spectrum`` times the transfer values ``H``.
+
+    ``H`` is sampled on ``spectrum.grid.omegas()``.  Emits a
+    :class:`GridAdequacyWarning` when the output carries visible amplitude at
+    the grid edges, the symptom of a grid too short for the travel time or
+    too narrow for the broadened pulse.
+    """
+    # multiply by a fresh copy of H: numpy multiplies in place into a large
+    # fresh operand (temporary elision), which swaps the operands of the
+    # complex product and so its rounding; with the copy every caller rounds
+    # as ``spectrum.values * transfer_function(...)`` does
+    out = inverse_transform(Spectrum(spectrum.grid, spectrum.values * np.array(H)))
     if not _edge_mass_ok(out.values):
         warnings.warn(
             "propagated signal has significant amplitude at the grid edges; "
@@ -96,6 +109,21 @@ def propagate_fft(f0: SampledSignal, medium, z: float) -> PropagationResult:
             GridAdequacyWarning,
             stacklevel=2,
         )
+    return out
+
+
+def propagate_fft(f0: SampledSignal, medium, z: float) -> PropagationResult:
+    """Propagate ``f0`` to depth ``z``: inverse transform of transfer * spectrum.
+
+    Emits a :class:`GridAdequacyWarning` (never an error) when the input or
+    output carries visible amplitude at the grid edges.  A run over many
+    depths calls :func:`input_spectrum` once and :func:`apply_transfer` per
+    depth instead.
+    """
+    if z < 0:
+        raise ValueError(f"depth must be >= 0, got z={z}")
+    spectrum = input_spectrum(f0)
+    out = apply_transfer(spectrum, transfer_function(medium, z, f0.grid.omegas()))
     return PropagationResult(signal=out, z=float(z), medium=medium, method="fft")
 
 

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from precursor_lab.cli import _write_csv, main, run
+from precursor_lab import cli, propagate
+from precursor_lab.cli import _write_csv, _write_outputs, main, run
 from precursor_lab.config import (
     ConfigParseError,
     ConfigValidationError,
     parse_config,
 )
+from precursor_lab.grid import TimeGrid
 from precursor_lab.media import LayerStack, QuadraticMedium
-from precursor_lab.propagate import _edge_mass_ok
+from precursor_lab.propagate import GridAdequacyWarning, _edge_mass_ok
 
 MINIMAL = """
 experiment = propagate
@@ -74,6 +76,28 @@ class TestParseConfig:
         cfg = parse_config(MINIMAL, {"seed": 42, "output-dir": "elsewhere"})
         assert cfg.seed == 42
         assert cfg.output_dir == "elsewhere"
+
+    def test_duplicate_key_names_both_lines(self):
+        text = MINIMAL.replace("a = 1\n", "a = 1\na = 2\n")
+        lines = text.splitlines()
+        first = lines.index("a = 1") + 1
+        with pytest.raises(
+            ConfigParseError,
+            match=rf"^line {first + 1}: duplicate key 'a' in \[medium\]; first given on line {first}$",
+        ):
+            parse_config(text)
+
+    def test_duplicate_top_level_key(self):
+        with pytest.raises(ConfigParseError, match="line 4: duplicate key 'z'; first given on line 3"):
+            parse_config(MINIMAL.replace("z = 100", "z = 100\nz = 200"))
+
+    def test_same_key_in_two_sections_is_not_duplicate(self):
+        cfg = parse_config(MINIMAL.replace("omega0 = 2", "omega0 = 2\nv = 5"))
+        assert cfg.medium.v == 1.0
+
+    def test_override_is_not_duplicate(self):
+        cfg = parse_config(MINIMAL.replace("z = 100", "z = 100\nseed = 3"), {"seed": 42})
+        assert cfg.seed == 42
 
     def test_sweep_needs_three_depths(self):
         text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
@@ -271,6 +295,17 @@ class TestRunChirp:
         assert float(summary["chirp_enhancement_orders"]) > 10.0
         assert float(summary["chirp_dc_rel_err_stationary_phase"]) < 0.15
 
+    def test_zero_dc_ratio_is_computed(self, tmp_path, monkeypatch):
+        assert run(parse_config(CHIRP, {"output-dir": str(tmp_path / "a")})) == 0
+        assert _summary(tmp_path / "a")["zero_dc_closed_form_vs_series_ratio"] == "2"
+        closed_form = propagate.zero_dc_rect_output
+        monkeypatch.setattr(
+            propagate, "zero_dc_rect_output", lambda *args: 1.5 * closed_form(*args)
+        )
+        assert run(parse_config(CHIRP, {"output-dir": str(tmp_path / "b")})) == 0
+        ratio = float(_summary(tmp_path / "b")["zero_dc_closed_form_vs_series_ratio"])
+        assert ratio == pytest.approx(3.0, rel=1e-15)
+
     def test_wrong_pulse_kind_rejected(self):
         with pytest.raises(ConfigValidationError, match="chirp-gaussian"):
             parse_config(CHIRP.replace("kind = chirp-gaussian", "kind = gaussian"))
@@ -378,6 +413,73 @@ class TestCsvWriter:
             assert got == _savetxt_bytes(tmp_path / "ref.csv", header, data.T)
 
 
+class TestSignalWriter:
+    EDGE = [-0.0, 0.0, 5e-324, -5e-324, 2.0**-1022, 1.7976931348623157e308,
+            -1.7976931348623157e308, 3.0, -42.0, 1e16, 2.0**53 + 2, 0.1]
+
+    def _files(self, rng, n, count):
+        files = []
+        for k in range(count):
+            values = np.resize(np.array(self.EDGE), n)
+            values[k::count + 1] = rng.integers(-10**6, 10**6, values[k::count + 1].size)
+            values[k + 1::count + 2] = rng.standard_normal(values[k + 1::count + 2].size)
+            files.append((f"signal_{k}.csv", values))
+        return files
+
+    def _check(self, tmp_path, t, files):
+        _write_outputs(tmp_path, t, files)
+        for name, values in files:
+            ref = _savetxt_bytes(tmp_path / "ref.csv", "t,f", (t, values))
+            assert (tmp_path / name).read_bytes() == ref
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 32768])
+    def test_files_on_one_time_column_match_savetxt(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        t = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        self._check(tmp_path, t, self._files(rng, n, 3))
+
+    def test_grid_crossing_zero(self, tmp_path):
+        t = TimeGrid(n=5000, dt=0.1, t0=-250.0).times()
+        assert t[0] < 0 < t[-1]
+        self._check(tmp_path, t, self._files(np.random.default_rng(0), t.size, 2))
+
+    def test_stochastic_pair_written_in_one_pass(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(out_dir, t, files):
+            calls.append([name for name, _ in files])
+            return _write_outputs(out_dir, t, files)
+
+        monkeypatch.setattr(cli, "_write_outputs", spy)
+        text = STOCHASTIC.replace("z = 4", "z-list = 2 4")
+        assert run(parse_config(text, {"output-dir": str(tmp_path / "o")})) == 0
+        names = ["signal_2.csv", "signal_4.csv", "mc_signal_2.csv", "mc_signal_4.csv"]
+        assert calls == [names]
+        for name in names:
+            got = (tmp_path / "o" / name).read_bytes()
+            data = np.loadtxt(tmp_path / "o" / name, delimiter=",", skiprows=1)
+            assert got == _savetxt_bytes(tmp_path / "ref.csv", "t,f", data.T)
+
+
+SWEEP = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
+    "z = 100", "z-list = 100 200 400"
+)
+
+
+class TestSweepGridWarnings:
+    def test_edge_heavy_input(self, tmp_path):
+        # the pulse is cut three widths before its centre
+        text = SWEEP + "\n[grid]\nn = 8192\ndt = 0.1\nt0 = -3\n"
+        with pytest.warns(GridAdequacyWarning, match="input signal"):
+            assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+
+    def test_grid_too_short_for_output(self, tmp_path):
+        # the grid ends at t = 82, before the arrival at z = 400
+        text = SWEEP + "\n[grid]\nn = 1024\ndt = 0.1\nt0 = -20\n"
+        with pytest.warns(GridAdequacyWarning, match="propagated signal"):
+            assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+
+
 class TestMainEntry:
     def test_exit_codes(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -423,6 +525,15 @@ class TestMainEntry:
             "z = 100", "z-list = 100 100 200 400"
         )
         self._one_line_error(tmp_path, capsys, text, "z-list: duplicate depth 100")
+
+    def test_duplicate_key_exit_before_writing(self, tmp_path, capsys):
+        text = MINIMAL.replace("v = 1\n", "v = 1\nv = 2\n")
+        lines = text.splitlines()
+        first = lines.index("v = 1") + 1
+        self._one_line_error(
+            tmp_path, capsys, text,
+            f"line {first + 1}: duplicate key 'v' in [medium]; first given on line {first}",
+        )
 
     def test_depth_label_collision_exit_before_writing(self, tmp_path, capsys):
         # both depths would write signal_100.csv and the same summary keys

@@ -2,27 +2,34 @@ import numpy as np
 import pytest
 
 from precursor_lab import (
+    ExpKernelMedium,
     GridAdequacyWarning,
     LayerStack,
     PulseSpec,
     QuadraticMedium,
     RegimeError,
+    Spectrum,
     TimeGrid,
     analytic_gaussian_output,
     analytic_rect_output_largez,
+    apply_transfer,
     chirp_dc_content,
     chirp_dc_numeric,
     effective_params,
+    forward_transform,
     free_space,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,
     gaussian_pulse,
+    input_spectrum,
+    inverse_transform,
     moment,
     moment_expansion_output,
     propagate_fft,
     rect_pulse,
     recommend_grid,
     thin_slab_output,
+    transfer_function,
     zero_dc_rect_output,
     zero_dc_rect_output_series,
 )
@@ -61,6 +68,34 @@ class TestPropagateFFT:
         f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         with pytest.raises(ValueError):
             propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), -1.0)
+
+
+class TestApplyTransfer:
+    MEDIA = {
+        "quadratic": QuadraticMedium(a=1.0, v=1.0, ell_inv=0.1),
+        "exp_kernel": ExpKernelMedium(K=10.0, Kp=100.0),
+        "layered": LayerStack(
+            [(0.7, QuadraticMedium(a=1.0, v=1.0)), (0.8, ExpKernelMedium(K=10.0, Kp=100.0))]
+        ),
+    }
+
+    # 32768 complex samples are large enough for numpy to multiply in place
+    # into a temporary operand; 1024 are not
+    @pytest.mark.parametrize("n", [1024, 32768])
+    @pytest.mark.parametrize("name", sorted(MEDIA))
+    def test_shared_spectrum_equals_propagate_fft(self, name, n):
+        medium = self.MEDIA[name]
+        g = TimeGrid(n=n, dt=0.05, t0=-20.0)
+        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        spectrum = input_spectrum(f0)
+        for z in (0.5, 1.0, 2.0, 5.0):
+            got = apply_transfer(spectrum, transfer_function(medium, z, g.omegas())).values
+            assert np.array_equal(got, propagate_fft(f0, medium, z).signal.values)
+            # one transform pair per depth, the product taken with a fresh transfer
+            ref = inverse_transform(
+                Spectrum(g, forward_transform(f0).values * transfer_function(medium, z, g.omegas()))
+            )
+            assert np.array_equal(got, ref.values)
 
 
 class TestImpulseResponse:
