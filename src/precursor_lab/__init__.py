@@ -6,7 +6,6 @@ broadening, chirp-enhanced DC content, layered-media reduction, and
 stochastic-ensemble averaging with exponential tails.
 """
 
-from ._kernels import NUMBA_AVAILABLE, USING_NUMBA
 from .analysis import (
     SweepRecord,
     causality_metric,
@@ -68,6 +67,7 @@ from .stochastic import (
     averaged_transfer,
     averaged_transfer_direct,
     averaged_transfer_quadrature,
+    draw_std,
     gaussian_draw_std,
     impulse_tail_coefficients,
     mean_inverse_a,

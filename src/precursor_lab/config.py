@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
 from .signals import PulseSpec
-from .stochastic import EnsembleSpec
+from .stochastic import MAX_TABLE_ORDER, EnsembleSpec
 
 __all__ = [
     "ConfigError",
@@ -319,6 +319,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigValidationError("ensemble", str(exc)) from None
+        if cfg.ensemble.m > MAX_TABLE_ORDER:
+            raise ConfigValidationError(
+                "ensemble.m",
+                f"shape order {cfg.ensemble.m} exceeds the supported maximum {MAX_TABLE_ORDER}",
+            )
 
     _validate_for_experiment(cfg)
     return cfg

@@ -30,6 +30,7 @@ of its kernel) and is used as the primary model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ __all__ = [
     "averaged_transfer_quadrature",
     "tail_decay_lengths",
     "gaussian_draw_std",
+    "draw_std",
     "mean_inverse_a",
     "sample_inverse_a",
     "observed_output",
@@ -57,6 +59,7 @@ __all__ = [
 
 MAX_TABLE_ORDER = 30  # (2m-1)!! outgrows float64 usefulness quickly past this
 TAIL_TOLERANCE = 1e-16  # share of the peak an automatic grid leaves at its edges
+RULE_STEP = 0.05  # spacing of the exp-sinh rule that takes moments over the ensemble
 
 
 @dataclass(frozen=True)
@@ -254,17 +257,40 @@ def sample_inverse_a(spec: EnsembleSpec, count: int, seed: int) -> np.ndarray:
     return _kernels.gamma_draws(int(seed), int(count), spec.m + 1, spec.b)
 
 
-def observed_output(f0: SampledSignal, spec: EnsembleSpec, z: float) -> SampledSignal:
-    """Propagate through the ensemble using the closed-form averaged kernel."""
+def observed_output(
+    f0: SampledSignal, spec: EnsembleSpec, z: float, spectrum: Spectrum | None = None
+) -> SampledSignal:
+    """Propagate through the ensemble using the closed-form averaged kernel.
+
+    ``spectrum`` is ``forward_transform(f0)``, computed here when not given,
+    so that a run over many depths transforms its input once.
+    """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     grid = f0.grid
-    spectrum = forward_transform(f0)
+    if spectrum is None:
+        spectrum = forward_transform(f0)
     kernel = averaged_transfer(spec, z, grid.omegas())
     return inverse_transform(Spectrum(grid, spectrum.values * kernel))
 
 
 _MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
+
+
+def _delayed_half_spectrum(f0: SampledSignal, spec: EnsembleSpec, z: float, half_spectrum=None):
+    """Non-negative angular frequencies and the half spectrum of ``f0`` delayed by z/v.
+
+    Every draw's output is real, so it is rebuilt from the Hermitian half
+    spectrum with irfft; in numpy's sign convention the delay z/v is the
+    factor e^{-i w z/v} on rfft(f0), and the grid origin cancels out.
+    ``half_spectrum`` is ``np.fft.rfft(f0.values)``, computed here when not
+    given.
+    """
+    grid = f0.grid
+    w_half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dt)
+    if half_spectrum is None:
+        half_spectrum = np.fft.rfft(f0.values)
+    return w_half, half_spectrum * np.exp(-1j * w_half * z / spec.v)
 
 
 def monte_carlo_output(
@@ -274,15 +300,19 @@ def monte_carlo_output(
     n_samples: int,
     seed: int,
     return_stderr: bool = False,
+    half_spectrum=None,
 ):
     """Ensemble average by brute force: mean over sampled media of the FFT output.
 
     Each draw i propagates ``f0`` through a quadratic medium with inverse
     curvature x_i and velocity v; the returned signal is the sample mean.
-    Batches are processed in fixed order so the result is identical for any
-    degree of parallelism.  With ``return_stderr`` the pointwise standard
-    error of the mean is returned alongside (this path keeps per-draw
-    time-domain signals and is correspondingly slower).
+    The mean is linear in the spectrum, so it is one inverse transform of
+    the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
+    summed in fixed batches so the result is identical for any degree of
+    parallelism.  With ``return_stderr`` the pointwise sample standard error
+    of the mean is returned alongside; that path keeps every draw's
+    time-domain signal and is correspondingly slower.  ``half_spectrum`` is
+    ``np.fft.rfft(f0.values)``, computed here when not given.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples}")
@@ -290,20 +320,13 @@ def monte_carlo_output(
         raise ValueError(f"depth must be >= 0, got z={z}")
     grid = f0.grid
     draws = sample_inverse_a(spec, n_samples, seed)
-    if not return_stderr:
-        omegas = grid.omegas()
-        spectrum = forward_transform(f0)
-        shifted = spectrum.values * np.exp(1j * omegas * z / spec.v)
-        kernel = _kernels.mean_exp_kernel(draws, 0.5 * z * omegas**2)
-        return inverse_transform(Spectrum(grid, shifted * kernel))
-
-    # slow path: per-draw inverse transforms, accumulated in fixed order.
-    # Each draw's output is real, so it is rebuilt from the Hermitian half
-    # spectrum with irfft; in numpy's sign convention the delay z/v is the
-    # factor e^{-i w z/v} on rfft(f0), and the grid origin cancels out.
-    w_half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dt)
-    base = np.fft.rfft(f0.values) * np.exp(-1j * w_half * z / spec.v)
+    w_half, base = _delayed_half_spectrum(f0, spec, z, half_spectrum)
     half_zw2 = 0.5 * z * w_half**2
+    if not return_stderr:
+        kernel = _kernels.mean_exp_kernel(draws, half_zw2, chunk=_MC_BATCH)
+        return SampledSignal(grid, np.fft.irfft(base * kernel, n=grid.n))
+
+    # per-draw inverse transforms, accumulated in fixed order
     mean = np.zeros(grid.n)
     sumsq = np.zeros(grid.n)
     for i0 in range(0, n_samples, _MC_BATCH):
@@ -317,21 +340,77 @@ def monte_carlo_output(
     return SampledSignal(grid, mean), stderr
 
 
+@functools.lru_cache(maxsize=None)
+def _gamma_rule(m: int, step: float):
+    """Nodes y and weights of expectations over y ~ Gamma(m+1, rate 1).
+
+    An exp-sinh rule: the trapezoid rule with spacing ``step`` in t on
+    [-5, 5], where y = (m+1) exp(pi/2 sinh t), weighted by the density
+    y^m e^{-y} and by dy/dt.  Nodes below 1e-18 of the total weight are
+    dropped and the rest normalised to sum to 1.  The nodes crowd towards
+    y = 0 double-exponentially, so the rule integrates e^{-lambda y} to
+    (1 + lambda)^-(m+1) within 2e-12 for 0 <= lambda <= 1e10; a draw's
+    output is a sum of such exponentials, with lambda up to z w^2 / 2b at
+    the Nyquist frequency.  (A 120-node Gauss-Laguerre rule misses that
+    identity by 2.5e-3 at m = 0: its first node sits at y = 0.012.)
+    Computed on first use per (m, step); the arrays are shared, read-only.
+    """
+    t = step * np.arange(-round(5.0 / step), round(5.0 / step) + 1)
+    y = (m + 1) * np.exp(0.5 * np.pi * np.sinh(t))
+    log_w = np.log(step * 0.5 * np.pi * np.cosh(t)) + (m + 1) * np.log(y) - y
+    weights = np.exp(log_w - log_w.max())
+    keep = weights >= 1e-18 * weights.sum()
+    y, weights = y[keep], weights[keep] / weights[keep].sum()
+    y.flags.writeable = False
+    weights.flags.writeable = False
+    return y, weights
+
+
+def _std_over_rule(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Standard deviation over the rule of ``draws``, whose last axis runs over its nodes."""
+    mean = draws @ weights
+    dev = draws - mean[..., None]
+    return np.sqrt((dev * dev) @ weights)
+
+
+def draw_std(
+    f0: SampledSignal,
+    spec: EnsembleSpec,
+    z: float,
+    half_spectrum=None,
+) -> np.ndarray:
+    """Pointwise standard deviation over the ensemble of one draw's output.
+
+    A draw with inverse curvature x turns ``f0`` into the inverse transform
+    of its delayed spectrum times exp(-z x w^2 / 2).  The first two moments
+    of that output over x ~ Gamma(m+1, rate b) come from the exp-sinh rule
+    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), one irfft per
+    node, for any pulse.  Dividing by sqrt(draws) gives the exact
+    standard error of a Monte Carlo mean, which the sample standard error
+    underestimates in the tails, where the mean rests on a few rare wide
+    draws.  ``half_spectrum`` is ``np.fft.rfft(f0.values)``, computed here
+    when not given.
+    """
+    if z < 0:
+        raise ValueError(f"depth must be >= 0, got z={z}")
+    y, weights = _gamma_rule(spec.m, RULE_STEP)
+    w_half, base = _delayed_half_spectrum(f0, spec, z, half_spectrum)
+    block = np.exp(-np.outer(y / spec.b, 0.5 * z * w_half**2)) * base
+    outputs = np.fft.irfft(block, n=f0.grid.n, axis=1)
+    return _std_over_rule(outputs.T, weights)
+
+
 def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):
     """Pointwise standard deviation over the ensemble of one draw's output.
 
     A draw with inverse curvature x turns the unit Gaussian pulse
     exp(-t^2 / 2T^2) into sqrt(T^2/(T^2+zx)) exp(-tau^2/(2(T^2+zx))), with
     tau = t - z/v.  Its first two moments over x ~ Gamma(m+1, rate b) come
-    from 120-point Gauss-Laguerre quadrature.  Dividing by
-    sqrt(draws) gives the exact standard error of a Monte Carlo mean, which
-    the sample standard error underestimates in the tails, where the mean
-    rests on a few rare wide draws.
+    from the same rule as :func:`draw_std`, applied to this closed form
+    instead of to FFT outputs; it serves as that function's oracle.
     """
-    y, weights = np.polynomial.laguerre.laggauss(120)
-    weights = weights * y**spec.m / math.factorial(spec.m)
+    y, weights = _gamma_rule(spec.m, RULE_STEP)
     width2 = T * T + z * y / spec.b
     tau = np.asarray(t, dtype=np.float64) - z / spec.v
     draw = np.sqrt(T * T / width2) * np.exp(-(tau[..., None] ** 2) / (2.0 * width2))
-    mean, second = draw @ weights, (draw * draw) @ weights
-    return np.sqrt(np.maximum(second - mean * mean, 0.0))
+    return _std_over_rule(draw, weights)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from precursor_lab import cli, propagate
+from precursor_lab import cli, propagate, stochastic
 from precursor_lab.cli import _write_csv, _write_outputs, main, run
 from precursor_lab.config import (
     ConfigParseError,
@@ -210,6 +210,52 @@ class TestRunStochastic:
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]
         with pytest.raises(ConfigValidationError, match="ensemble"):
             parse_config(text)
+
+    def test_rect_pulse_deviation_in_exact_sigmas(self, tmp_path):
+        # the sample standard error of 100 draws read 525 and 514 sigma here
+        path = tmp_path / "cfg.ini"
+        path.write_text(RECT_STOCHASTIC)
+        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        summary = _summary(tmp_path / "o")
+        for z in ("1", "2"):
+            assert 0.0 < float(summary[f"mc_max_deviation_sigmas[z={z}]"]) < 4.0
+
+    def test_input_transformed_once(self, tmp_path, monkeypatch):
+        # one forward transform per run; per depth, one inverse for the
+        # closed-form output and one for the Monte Carlo reference
+        counts = {"forward": 0, "inverse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, propagate, stochastic):
+            for name, attr in (("forward", "forward_transform"), ("inverse", "inverse_transform")):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+        text = STOCHASTIC.replace("z = 4", "z-list = 1 2 4")
+        assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        assert counts == {"forward": 1, "inverse": 6}
+
+
+RECT_STOCHASTIC = """
+experiment = stochastic
+z-list = 1 2
+mc-samples = 100
+seed = -5
+
+[pulse]
+kind = rect
+T = 1
+
+[ensemble]
+b = 2
+m = 0
+v = 1
+"""
 
 
 AUTO_STOCHASTIC = """
@@ -519,6 +565,14 @@ class TestMainEntry:
         text = STOCHASTIC.replace(old, new)
         assert text != STOCHASTIC
         self._one_line_error(tmp_path, capsys, text, f"{key}: not a finite number")
+
+    @pytest.mark.parametrize("m", [31, 200])
+    def test_shape_order_beyond_table_exit_before_writing(self, tmp_path, capsys, m):
+        text = STOCHASTIC.replace("m = 1", f"m = {m}")
+        assert text != STOCHASTIC
+        self._one_line_error(
+            tmp_path, capsys, text, f"ensemble.m: shape order {m} exceeds the supported maximum 30"
+        )
 
     def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
         text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(

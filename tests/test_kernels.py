@@ -1,77 +1,28 @@
-"""The numba and numpy kernel paths must agree and stay deterministic."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels must stay deterministic."""
 
 import numpy as np
-import pytest
 
 from precursor_lab import _kernels as k
 
 
-def test_gamma_draws_paths_agree():
-    if not k.NUMBA_AVAILABLE:
-        pytest.skip("numba not installed")
-    a = k.gamma_draws_numba(42, 5000, 3, 2.0)
-    b = k.gamma_draws_numpy(42, 5000, 3, 2.0)
-    # libm log may differ in the last ulp between paths
-    assert np.allclose(a, b, rtol=1e-13, atol=0.0)
-
-
-def test_mean_exp_kernel_paths_agree():
-    if not k.NUMBA_AVAILABLE:
-        pytest.skip("numba not installed")
-    x = k.gamma_draws_numpy(7, 3000, 2, 1.0)
-    w = 0.5 * 2.0 * np.linspace(0.0, 40.0, 1024) ** 2
-    assert np.allclose(k.mean_exp_kernel_numba(x, w), k.mean_exp_kernel_numpy(x, w), rtol=1e-12)
-    m1, v1 = k.mean_var_exp_kernel_numba(x, w)
-    m2, v2 = k.mean_var_exp_kernel_numpy(x, w)
-    assert np.allclose(m1, m2, rtol=1e-12)
-    assert np.allclose(v1, v2, rtol=1e-9, atol=1e-18)
-
-
 def test_uniform_hash_is_in_unit_interval_and_deterministic():
-    u = k._u01_numpy(123, np.arange(100000, dtype=np.uint64))
+    u = k._u01(123, np.arange(100000, dtype=np.uint64))
     assert (u > 0.0).all() and (u <= 1.0).all()
-    assert np.array_equal(u, k._u01_numpy(123, np.arange(100000, dtype=np.uint64)))
+    assert np.array_equal(u, k._u01(123, np.arange(100000, dtype=np.uint64)))
     # crude uniformity: mean near 1/2, variance near 1/12
     assert abs(u.mean() - 0.5) < 0.005
     assert abs(u.var() - 1.0 / 12.0) < 0.005
 
 
 def test_gamma_draws_counter_based_slicing():
-    long = k.gamma_draws_numpy(99, 1000, 2, 3.0)
-    short = k.gamma_draws_numpy(99, 10, 2, 3.0)
+    long = k.gamma_draws(99, 1000, 2, 3.0)
+    short = k.gamma_draws(99, 10, 2, 3.0)
     assert np.array_equal(long[:10], short)
 
 
 def test_mean_exp_kernel_chunk_independent_results():
-    x = k.gamma_draws_numpy(5, 1000, 1, 1.0)
+    x = k.gamma_draws(5, 1000, 1, 1.0)
     w = np.linspace(0.0, 10.0, 257)
-    a = k.mean_exp_kernel_numpy(x, w, chunk=512)
-    b = k.mean_exp_kernel_numpy(x, w, chunk=512)
+    a = k.mean_exp_kernel(x, w, chunk=512)
+    b = k.mean_exp_kernel(x, w, chunk=512)
     assert np.array_equal(a, b)
-
-
-def test_selected_path_matches_env(monkeypatch):
-    # the module-level selection already happened at import; just confirm the
-    # selection flags are coherent
-    if k.USING_NUMBA:
-        assert k.NUMBA_AVAILABLE
-        assert k.gamma_draws is k.gamma_draws_numba
-    else:
-        assert k.gamma_draws is k.gamma_draws_numpy
-
-
-def test_env_flag_forces_numpy_path():
-    # selection happens at import time, so probe it in a fresh interpreter
-    env = dict(os.environ, PRECURSOR_LAB_DISABLE_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from precursor_lab import _kernels as k; print(k.USING_NUMBA, k.gamma_draws(1, 3, 1, 1.0)[0])"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    flag, value = out.stdout.split()
-    assert flag == "False"
-    assert float(value) == pytest.approx(k.gamma_draws_numpy(1, 3, 1, 1.0)[0], rel=1e-14)

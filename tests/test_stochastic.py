@@ -1,7 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from precursor_lab import (
@@ -12,6 +16,7 @@ from precursor_lab import (
     averaged_transfer,
     averaged_transfer_direct,
     averaged_transfer_quadrature,
+    draw_std,
     forward_transform,
     gaussian_draw_std,
     gaussian_pulse,
@@ -21,10 +26,13 @@ from precursor_lab import (
     moment,
     monte_carlo_output,
     observed_output,
+    rect_pulse,
     sample_inverse_a,
     stochastic_impulse,
     tail_decay_lengths,
 )
+from precursor_lab import stochastic
+from precursor_lab.cli import _stochastic_grid
 
 
 class TestCoefficientTable:
@@ -371,3 +379,96 @@ class TestMonteCarlo:
         fast = monte_carlo_output(f0, spec, 4.0, 800, seed=9)
         slow, _ = monte_carlo_output(f0, spec, 4.0, 800, seed=9, return_stderr=True)
         assert np.abs(fast.values - slow.values).max() < 1e-12 * np.abs(slow.values).max()
+
+    def test_mean_matches_per_draw_loop_on_workload_grid(self):
+        # one inverse transform of the averaged kernel against the mean of
+        # every draw's own output, on the grid of the stochastic benchmark
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        g = _stochastic_grid(1.0, 0.0, spec, 2.0)
+        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+        for z in (0.5, 1.0, 2.0):
+            fast = monte_carlo_output(f0, spec, z, 2000, seed=1)
+            slow, _ = monte_carlo_output(f0, spec, z, 2000, seed=1, return_stderr=True)
+            assert np.abs(fast.values - slow.values).max() < 2e-15 * np.abs(slow.values).max()
+
+    def test_given_spectra_change_nothing(self):
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        g, f0 = _mc_fixture(n=1024)
+        half = np.fft.rfft(f0.values)
+        assert np.array_equal(
+            monte_carlo_output(f0, spec, 4.0, 300, seed=2, half_spectrum=half).values,
+            monte_carlo_output(f0, spec, 4.0, 300, seed=2).values,
+        )
+        assert np.array_equal(draw_std(f0, spec, 4.0, half_spectrum=half), draw_std(f0, spec, 4.0))
+        assert np.array_equal(
+            observed_output(f0, spec, 4.0, spectrum=forward_transform(f0)).values,
+            observed_output(f0, spec, 4.0).values,
+        )
+
+
+def _pulse_on_auto_grid(kind, T, spec, z):
+    g = _stochastic_grid(T, 0.0, spec, z)
+    pulse = PulseSpec(kind=kind, T=T, omega0=0.0)
+    return (gaussian_pulse if kind == "gaussian" else rect_pulse)(pulse, g)
+
+
+class TestDrawStd:
+    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    def test_rule_integrates_every_exponential(self, m):
+        # a draw's output is a sum of exp(-lambda y) terms; the gamma Laplace
+        # transform is the exact expectation of each, for any lambda
+        y, weights = stochastic._gamma_rule(m, stochastic.RULE_STEP)
+        lam = np.concatenate([[0.0], np.logspace(-3, 10, 300)])
+        approx = np.exp(-np.outer(lam, y)) @ weights
+        assert np.abs(approx - (1.0 + lam) ** -(m + 1)).max() < 2e-12
+
+    def test_rule_is_cached_read_only_and_not_built_at_import(self):
+        y, weights = stochastic._gamma_rule(3, stochastic.RULE_STEP)
+        assert stochastic._gamma_rule(3, stochastic.RULE_STEP)[0] is y
+        assert not y.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        code = (
+            "import precursor_lab; from precursor_lab import stochastic; "
+            "print(stochastic._gamma_rule.cache_info().currsize)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        b=st.floats(0.5, 4.0),
+        z=st.floats(0.1, 16.0),
+        T=st.floats(0.5, 2.0),
+        m=st.integers(0, 30),
+    )
+    def test_fft_std_equals_gaussian_closed_form(self, b, z, T, m):
+        assume(z / (b * T * T) <= 64.0)
+        spec = EnsembleSpec(b=b, m=m, v=1.0)
+        f0 = _pulse_on_auto_grid("gaussian", T, spec, z)
+        exact = gaussian_draw_std(spec, T, z, f0.grid.times())
+        got = draw_std(f0, spec, z)
+        assert np.abs(got - exact).max() < 1e-10 * exact.max()
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    @pytest.mark.parametrize("kind", ["gaussian", "rect"])
+    @pytest.mark.parametrize("b,z", [(2.0, 0.5), (2.0, 2.0), (1.0, 16.0), (1.0, 64.0)])
+    def test_converged_in_the_step(self, m, kind, b, z, monkeypatch):
+        # 1.5 times the nodes; a standard deviation needs 1e-3 at most
+        spec = EnsembleSpec(b=b, m=m, v=1.0)
+        f0 = _pulse_on_auto_grid(kind, 1.0, spec, z)
+        coarse = draw_std(f0, spec, z)
+        monkeypatch.setattr(stochastic, "RULE_STEP", stochastic.RULE_STEP / 1.5)
+        fine = draw_std(f0, spec, z)
+        assert not np.array_equal(coarse, fine)
+        sel = fine > 1e-6 * fine.max()
+        assert (np.abs(coarse - fine)[sel] / fine[sel]).max() < 1e-3
+
+    def test_exact_std_matches_sample_std_for_rect_pulse(self):
+        spec = EnsembleSpec(b=2.0, m=0, v=1.0)
+        f0 = _pulse_on_auto_grid("rect", 1.0, spec, 2.0)
+        n_draws = 20000
+        _, stderr = monte_carlo_output(f0, spec, 2.0, n_draws, seed=4, return_stderr=True)
+        exact = draw_std(f0, spec, 2.0)
+        sel = exact > 0.1 * exact.max()
+        ratio = stderr[sel] * np.sqrt(n_draws) / exact[sel]
+        assert np.abs(ratio - 1.0).max() < 0.05
