@@ -26,6 +26,8 @@ __all__ = [
     "NonHermitianSpectrumWarning",
     "forward_transform",
     "inverse_transform",
+    "sample_spacing",
+    "covering_grid",
     "recommend_grid",
     "grid_is_adequate",
 ]
@@ -160,6 +162,17 @@ def inverse_transform(spectrum: Spectrum, imag_tol: float = 1e-8) -> SampledSign
     return SampledSignal(g, f.real)
 
 
+def sample_spacing(T: float, omega0: float) -> float:
+    """Largest spacing the grid rule allows: 0.1*T, and 0.1*pi/omega0 under a carrier."""
+    return min(0.1 * T, 0.1 * np.pi / omega0) if omega0 > 0 else 0.1 * T
+
+
+def covering_grid(dt: float, t0: float, span: float) -> TimeGrid:
+    """Grid of spacing ``dt`` from ``t0`` whose power-of-two length (at least 2) covers ``span``."""
+    n = 1 << int(np.ceil(np.log2(span / dt)))
+    return TimeGrid(n=max(n, 2), dt=dt, t0=t0)
+
+
 def recommend_grid(
     T: float,
     omega0: float,
@@ -170,26 +183,18 @@ def recommend_grid(
 ) -> TimeGrid:
     """Pick a grid adequate for propagating a pulse of width ``T`` to depth ``z``.
 
-    Ensures dt <= min(0.1*T, 0.1*pi/omega0) and a span covering the shifted
-    pulse center z/v plus ``2*margin_sigmas`` times the larger of the input
-    width and the broadened output width sqrt(z/a).  n is rounded up to a
-    power of two.
+    Spacing :func:`sample_spacing`; the span covers the shifted pulse center
+    z/v plus ``2*margin_sigmas`` times the larger of the input width and the
+    broadened output width sqrt(z/a).
     """
     if T <= 0 or v <= 0 or a <= 0 or z < 0:
         raise ValueError("recommend_grid needs T > 0, a > 0, v > 0, z >= 0")
-    dt = 0.1 * T
-    if omega0 > 0:
-        dt = min(dt, 0.1 * np.pi / omega0)
     margin = max(T, np.sqrt(z / a))
     span = z / v + 2.0 * margin_sigmas * margin
-    n = 1 << int(np.ceil(np.log2(span / dt)))
-    return TimeGrid(n=max(n, 2), dt=dt, t0=-margin_sigmas * margin)
+    return covering_grid(sample_spacing(T, omega0), -margin_sigmas * margin, span)
 
 
 def grid_is_adequate(grid: TimeGrid, T: float, omega0: float, a: float, v: float, z: float) -> bool:
     """Check a grid against the same spacing/span rule used by :func:`recommend_grid`."""
-    dt_max = 0.1 * T
-    if omega0 > 0:
-        dt_max = min(dt_max, 0.1 * np.pi / omega0)
     margin = max(T, np.sqrt(z / a)) if a > 0 else T
-    return grid.dt <= dt_max and grid.span >= z / v + 10.0 * margin
+    return grid.dt <= sample_spacing(T, omega0) and grid.span >= z / v + 10.0 * margin

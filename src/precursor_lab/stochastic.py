@@ -190,26 +190,23 @@ def averaged_transfer_direct(spec: EnsembleSpec, z: float, omega):
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
     """Direct quadrature of the ensemble average of exp(-z x w^2 / 2).
 
-    Integrates against the gamma density numerically, one adaptive ``quad``
-    per distinct |omega|; independent of both closed forms above, so it
-    serves as their oracle.  Scalar or array omega.
+    Integrates over y = b x, whose density y^m e^{-y} / m! is taken in log
+    form so that it stays finite for any scale b, one adaptive ``quad`` per
+    distinct |omega|; independent of both closed forms above, so it serves
+    as their oracle.  Scalar or array omega.
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     scalar = np.ndim(omega) == 0
     omega = np.atleast_1d(np.asarray(omega, dtype=np.float64))
     b, m = spec.b, spec.m
-    norm = b ** (m + 1) / math.factorial(m)
-
-    def density(x):
-        return norm * x**m * np.exp(-b * x)
-
+    log_factorial = math.lgamma(m + 1)
     # kernel is even in omega: integrate unique |omega| values only
     mags, inverse = np.unique(np.abs(omega), return_inverse=True)
     vals = np.empty_like(mags)
     for i, wm in enumerate(mags):
         vals[i] = quad(
-            lambda x: density(x) * np.exp(-z * x * wm * wm / 2.0),
+            lambda y: np.exp(m * np.log(y) - y - log_factorial - z * (y / b) * wm * wm / 2.0),
             0.0,
             np.inf,
             epsabs=1e-12,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from precursor_lab import cli, propagate, stochastic
+from precursor_lab import experiments, media, verify
 from precursor_lab.cli import _write_csv, _write_outputs, main, run
 from precursor_lab.config import (
     ConfigParseError,
@@ -607,6 +608,61 @@ class TestMainEntry:
             tmp_path, capsys, text, "grid: automatic grid needs quadratic layers; give a [grid] section"
         )
 
+    def test_layered_depth_past_stack_without_tail(self, tmp_path, capsys):
+        text = SWEEP.replace("z-list = 100 200 400", "z-list = 2 3 5").replace(
+            "variant = quadratic\na = 1\nv = 1",
+            "variant = layered\nlayer = 0.5 quadratic 1 1\n"
+            "layer = 1.0 quadratic 3 1.2\ntail = none",
+        )
+        assert "tail = none" in text and "z-list = 2 3 5" in text
+        self._one_line_error(
+            tmp_path, capsys, text, "z: depth 5 lies past the stack thickness 1.5, and tail = none"
+        )
+
+    def test_csv_pulse_non_finite_sample(self, tmp_path, capsys):
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n-1,0\n0,nan\n1,0\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
+
+    @pytest.mark.parametrize("base", ["sweep-z", "stochastic"])
+    @pytest.mark.parametrize(
+        "rows", ["-1,0\n0,0\n1,0\n", "1000,1\n1001,2\n"], ids=["all-zero", "off-grid"]
+    )
+    def test_csv_pulse_zero_on_grid(self, tmp_path, capsys, base, rows):
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n" + rows)
+        csv = f"kind = csv\nfile = {src}"
+        if base == "sweep-z":
+            text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", csv)
+        else:
+            text = STOCHASTIC.replace("kind = gaussian\nT = 1", csv)
+        assert csv in text
+        self._zero_pulse_error(tmp_path, capsys, text)
+
+    def test_rect_narrower_than_sample_spacing(self, tmp_path, capsys):
+        # samples sit at +-0.05 around the pulse, which spans +-0.005
+        text = STOCHASTIC.replace("kind = gaussian\nT = 1", "kind = rect\nT = 0.01")
+        text = text.replace("t0 = -30", "t0 = -30.05")
+        assert "T = 0.01" in text and "t0 = -30.05" in text
+        self._zero_pulse_error(tmp_path, capsys, text)
+
+    def _zero_pulse_error(self, tmp_path, capsys, text):
+        t = experiments.plan_grid(parse_config(text)).times()
+        message = f"pulse: zero at every sample of the grid (t from {t[0]:g} to {t[-1]:g})"
+        self._one_line_error(tmp_path, capsys, text, message)
+
+    def test_large_scale_high_order_ensemble(self, tmp_path):
+        # the quadrature's density normalisation b^(m+1)/m! overflowed here
+        path = tmp_path / "cfg.ini"
+        path.write_text(RECT_STOCHASTIC.replace("b = 2", "b = 1e12").replace("m = 0", "m = 30"))
+        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        summary = _summary(tmp_path / "o")
+        assert summary["ensemble"] == "b=1e+12 m=30 v=1"
+        for key, value in summary.items():
+            if key not in ("experiment", "ensemble", "grid"):
+                assert np.isfinite(float(value)), key
+
     def test_verify_passes_at_seed_65(self, tmp_path):
         # the sample standard error once made the Monte Carlo check fail here
         path = tmp_path / "cfg.ini"
@@ -623,3 +679,75 @@ class TestMainEntry:
         summary = (tmp_path / "v" / "summary.txt").read_text()
         assert "verify_gaussian_closed_form_oracle: pass" in summary
         assert "verify_monte_carlo_vs_quadrature: pass" in summary
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "text,experiment",
+        [
+            (SWEEP, experiments.run_propagation),
+            (STOCHASTIC, experiments.run_stochastic),
+            (CHIRP, experiments.run_chirp),
+            (SLAB, experiments.run_slab),
+        ],
+    )
+    def test_entries_are_the_summary(self, tmp_path, text, experiment):
+        cfg = parse_config(text, {"output-dir": str(tmp_path / "o")})
+        grid = experiments.plan_grid(cfg)
+        record = experiment(cfg, grid, experiments.load_pulse(cfg, grid))
+        assert not (tmp_path / "o").exists()
+        assert run(cfg) == record.status == 0
+        written = sorted(p.name for p in (tmp_path / "o").iterdir())
+        sweep = ["sweep.csv"] if record.records else []
+        assert written == sorted([name for name, _ in record.files] + sweep + ["summary.txt"])
+        expected = [("experiment", cfg.experiment), *record.entries]
+        expected += experiments.discrepancy_entries(cfg)
+        lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert lines == [f"{key}: {value}" for key, value in expected]
+
+    @pytest.mark.parametrize(
+        "experiment", ["propagate", "sweep-z", "stochastic", "chirp", "slab", "verify"]
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch, experiment):
+        texts = {
+            "propagate": MINIMAL,
+            "sweep-z": SWEEP,
+            "stochastic": STOCHASTIC,
+            "chirp": CHIRP,
+            "slab": SLAB,
+            "verify": "experiment = verify\nseed = 3\n",
+        }
+
+        def refuse(*args):
+            raise ConfigValidationError("ensemble", "quadrature refused")
+
+        monkeypatch.setattr(stochastic, "averaged_transfer_quadrature", refuse)
+        path = tmp_path / "cfg.ini"
+        path.write_text(texts[experiment])
+        out = tmp_path / "o"
+        assert main([str(path), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config error: ensemble: quadrature refused"]
+        assert not out.exists()
+
+
+class TestVerifyChecks:
+    def test_passivity_check_catches_gain(self, monkeypatch):
+        from precursor_lab.verify import passivity
+
+        assert passivity(np.random.default_rng(0))[0]
+        transfer = media.transfer_function
+        monkeypatch.setattr(media, "transfer_function", lambda *args: 1.01 * transfer(*args))
+        passed, detail = passivity(np.random.default_rng(0))
+        assert not passed
+        assert float(detail.removeprefix("max |transfer| ")) > 1.0 + 1e-15
+
+    def test_failing_check_sets_status_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "coefficient_recurrence", lambda: (False, "forced"))
+        path = tmp_path / "cfg.ini"
+        path.write_text("experiment = verify\nseed = 3\n")
+        assert main([str(path), "--output-dir", str(tmp_path / "v")]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "CHECK coefficient_recurrence: FAIL (forced)" in out
+        assert out[-1] == "verify: 1 failure(s)"
+        summary = _summary(tmp_path / "v")
+        assert summary["verify_coefficient_recurrence"] == "fail (forced)"

@@ -32,7 +32,7 @@ from precursor_lab import (
     tail_decay_lengths,
 )
 from precursor_lab import stochastic
-from precursor_lab.cli import _stochastic_grid
+from precursor_lab.experiments import _stochastic_grid
 
 
 class TestCoefficientTable:
