@@ -67,6 +67,7 @@ from .stochastic import (
     averaged_transfer,
     averaged_transfer_direct,
     averaged_transfer_quadrature,
+    averaged_transfer_rule,
     draw_std,
     gaussian_draw_std,
     impulse_tail_coefficients,

@@ -66,7 +66,9 @@ def _equivalent_quadratic(medium) -> media.QuadraticMedium:
     if isinstance(medium, media.QuadraticMedium):
         return medium
     if isinstance(medium, media.ExpKernelMedium):
-        return media.quadratic_approximation(medium, medium.K / 100.0)
+        # a K whose square underflows gives nan, which QuadraticMedium rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return media.quadratic_approximation(medium, medium.K / 100.0)
     raise ValueError(f"no quadratic reduction for {type(medium).__name__}")
 
 
@@ -122,7 +124,13 @@ def plan_grid(cfg: config.ExperimentConfig) -> timegrid.TimeGrid | None:
         dt = timegrid.sample_spacing(T, omega0)
         return timegrid.covering_grid(dt, -5.0 * margin, arrival + 10.0 * margin)
     if cfg.medium is not None:
-        q = _equivalent_quadratic(cfg.medium)
+        try:
+            q = _equivalent_quadratic(cfg.medium)
+        except ValueError as exc:
+            raise config.ConfigValidationError(
+                "grid", f"automatic grid needs a quadratic reduction of the medium ({exc}); "
+                "give a [grid] section"
+            ) from None
         return timegrid.recommend_grid(T, omega0, q.a, q.v, z_max)
     return timegrid.recommend_grid(T, omega0, 1.0, 1.0, z_max)
 
@@ -209,16 +217,22 @@ def _sweep_records(outputs, f0):
     return records
 
 
-def monte_carlo_deviation(f0, spec, z: float, draws: int, seed: int, spectrum, half_spectrum):
+def monte_carlo_deviation(
+    f0, spec, z: float, draws: int, seed: int, spectrum, half_spectrum, inverse_a=None
+):
     """The Monte Carlo mean at depth ``z`` and its largest deviation in standard errors.
 
     The largest |mean - limit| where the exact limit (``spectrum``, the
     forward transform of ``f0``, times the directly averaged kernel) exceeds
     1e-6 of its peak, over the exact standard error, sigma / sqrt(draws): the
     sample standard error is too small in the tails, where the mean rests on
-    a few rare wide draws.  ``half_spectrum`` is ``np.fft.rfft(f0.values)``.
+    a few rare wide draws.  ``half_spectrum`` is ``np.fft.rfft(f0.values)``;
+    ``inverse_a`` is ``stochastic.sample_inverse_a(spec, draws, seed)``,
+    drawn here when not given.
     """
-    mc = stochastic.monte_carlo_output(f0, spec, z, draws, seed, half_spectrum=half_spectrum)
+    mc = stochastic.monte_carlo_output(
+        f0, spec, z, draws, seed, half_spectrum=half_spectrum, inverse_a=inverse_a
+    )
     kernel = stochastic.averaged_transfer_direct(spec, z, f0.grid.omegas())
     ref = propagate.apply_transfer(spectrum, kernel).values
     stderr = stochastic.draw_std(f0, spec, z, half_spectrum=half_spectrum) / np.sqrt(draws)
@@ -237,8 +251,10 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
     * ``ensemble_kernel_log_ratio_quadrature_vs_closed_form``: log of the
       directly averaged ensemble kernel over the log of the closed-form
       kernel at a low probe frequency (0.5 means the closed-form argument is
-      twice the directly averaged one).  The direct average comes from a
-      real ``quad``, never from the gamma Laplace closed form.
+      twice the directly averaged one).  The direct average is a quadrature
+      over the gamma density on the exp-sinh rule of the ensemble moments
+      (``stochastic.averaged_transfer_rule``), never the gamma Laplace
+      closed form.
     * ``ensemble_kernel_log_ratio_laplace_identity``: the same ratio from
       the gamma Laplace identity, log(1 + s/2) / log(1 + s) with
       s = z w^2 / b, which tends to 0.5 as s goes to 0.
@@ -249,7 +265,7 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
     spec = cfg.ensemble if cfg.ensemble is not None else stochastic.EnsembleSpec(b=1.0, m=1, v=1.0)
     z_probe = max(cfg.z_values) if cfg.z_values else 1.0
     w_probe = 0.05 * np.sqrt(spec.b / z_probe)
-    quad_k = np.abs(stochastic.averaged_transfer_quadrature(spec, z_probe, w_probe))
+    quad_k = np.abs(stochastic.averaged_transfer_rule(spec, z_probe, w_probe))
     closed_k = np.abs(stochastic.averaged_transfer(spec, z_probe, w_probe))
     ratio = np.log(quad_k) / np.log(closed_k)
     entries.append(("ensemble_kernel_log_ratio_quadrature_vs_closed_form", _fmt(ratio)))
@@ -286,10 +302,14 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
     spec = cfg.ensemble
     spectrum = propagate.input_spectrum(f0)
     half = np.fft.rfft(f0.values)
+    # every depth averages over the same media
+    inverse_a = stochastic.sample_inverse_a(spec, cfg.mc_samples, cfg.seed)
 
     def one(z):
         observed = stochastic.observed_output(f0, spec, z, spectrum=spectrum)
-        mc, dev = monte_carlo_deviation(f0, spec, z, cfg.mc_samples, cfg.seed, spectrum, half)
+        mc, dev = monte_carlo_deviation(
+            f0, spec, z, cfg.mc_samples, cfg.seed, spectrum, half, inverse_a
+        )
         return (z, observed), (z, mc), dev
 
     observed, mc, devs = zip(*_map_over_z(one, cfg.z_values, cfg.threads))

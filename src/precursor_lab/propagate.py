@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import SampledSignal, Spectrum, forward_transform, inverse_transform
 from .media import SPEED_OF_LIGHT, transfer_function
@@ -346,6 +345,8 @@ def chirp_dc_content(T: float, omega0: float, alpha: float) -> ChirpDCContent:
 
 def chirp_dc_numeric(T: float, omega0: float, alpha: float) -> float:
     """Zero-frequency content by direct quadrature; the oracle for the estimates."""
+    from scipy.integrate import quad  # only this oracle needs scipy
+
     if alpha < 0:
         raise ValueError(f"chirp rate must be >= 0, got alpha={alpha}")
     span = 12.0 * T

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import analysis, experiments, media, propagate, signals, stochastic
 from . import grid as timegrid
@@ -90,6 +89,8 @@ def coefficient_recurrence():
 
 
 def impulse_normalization():
+    from scipy.integrate import quad
+
     # adaptive quadrature: the averaged impulse has a kink at the arrival
     # time, where a uniform-grid sum stalls at O((c*dt)^2) accuracy
     areas = [
@@ -108,6 +109,8 @@ def impulse_normalization():
 
 
 def stochastic_closed_form_vs_quadrature():
+    from scipy.integrate import quad
+
     worst = 0.0
     for m in range(0, 4):
         spec = stochastic.EnsembleSpec(b=1.0, m=m, v=1.0)
@@ -140,14 +143,15 @@ def causality_regimes():
 
 
 def direct_average_closed_form_vs_quadrature():
+    # relative error: at (m=3, z=16, w=20) the kernel itself is 1.5e-13
     worst = 0.0
     w = np.array([0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0])
     for m, z in ((0, 0.5), (1, 4.0), (3, 16.0)):
         spec = stochastic.EnsembleSpec(b=2.0, m=m, v=1.0)
         direct = stochastic.averaged_transfer_direct(spec, z, w)
         oracle = stochastic.averaged_transfer_quadrature(spec, z, w)
-        worst = max(worst, float(np.abs(direct - oracle).max()))
-    return worst < 1e-12, f"max abs err {worst:.3e}"
+        worst = max(worst, float((np.abs(direct - oracle) / np.abs(direct)).max()))
+    return worst < 1e-10, f"max rel err {worst:.3e}"
 
 
 def monte_carlo_vs_quadrature(seed: int):

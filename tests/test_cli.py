@@ -241,6 +241,19 @@ class TestRunStochastic:
         assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
         assert counts == {"forward": 1, "inverse": 6}
 
+    def test_media_drawn_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        sample = stochastic.sample_inverse_a
+
+        def counted(*args):
+            calls.append(args[1:])
+            return sample(*args)
+
+        monkeypatch.setattr(stochastic, "sample_inverse_a", counted)
+        text = STOCHASTIC.replace("z = 4", "z-list = 1 2 4")
+        assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        assert calls == [(400, 42)]
+
 
 RECT_STOCHASTIC = """
 experiment = stochastic
@@ -608,6 +621,18 @@ class TestMainEntry:
             tmp_path, capsys, text, "grid: automatic grid needs quadratic layers; give a [grid] section"
         )
 
+    def test_exp_kernel_auto_grid_without_quadratic_reduction(self, tmp_path, capsys):
+        # K^2 underflows, so the reduction's probe reads nan
+        text = MINIMAL.replace(
+            "variant = quadratic\na = 1\nv = 1", "variant = exp-kernel\nK = 1e-300\nKp = 1"
+        )
+        assert "K = 1e-300" in text
+        self._one_line_error(
+            tmp_path, capsys, text,
+            "grid: automatic grid needs a quadratic reduction of the medium (medium parameters "
+            "must be finite (a may be inf), got a=nan, v=0.0, ell_inv=nan); give a [grid] section",
+        )
+
     def test_layered_depth_past_stack_without_tail(self, tmp_path, capsys):
         text = SWEEP.replace("z-list = 100 200 400", "z-list = 2 3 5").replace(
             "variant = quadratic\na = 1\nv = 1",
@@ -721,7 +746,7 @@ class TestRunRecord:
         def refuse(*args):
             raise ConfigValidationError("ensemble", "quadrature refused")
 
-        monkeypatch.setattr(stochastic, "averaged_transfer_quadrature", refuse)
+        monkeypatch.setattr(stochastic, "averaged_transfer_rule", refuse)
         path = tmp_path / "cfg.ini"
         path.write_text(texts[experiment])
         out = tmp_path / "o"
@@ -740,6 +765,22 @@ class TestVerifyChecks:
         passed, detail = passivity(np.random.default_rng(0))
         assert not passed
         assert float(detail.removeprefix("max |transfer| ")) > 1.0 + 1e-15
+
+    def test_direct_average_check_catches_a_wrong_small_kernel(self, monkeypatch):
+        # at (m=3, z=16, w=20) the kernel is 1.5e-13, below any absolute limit
+        assert verify.direct_average_closed_form_vs_quadrature()[0]
+        oracle = stochastic.averaged_transfer_quadrature
+
+        def scaled(spec, z, w):
+            out = oracle(spec, z, w)
+            if spec.m == 3 and z == 16.0:
+                out = np.where(w == 20.0, 1.1 * out, out)
+            return out
+
+        monkeypatch.setattr(stochastic, "averaged_transfer_quadrature", scaled)
+        passed, detail = verify.direct_average_closed_form_vs_quadrature()
+        assert not passed
+        assert float(detail.removeprefix("max rel err ")) > 0.09
 
     def test_failing_check_sets_status_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "coefficient_recurrence", lambda: (False, "forced"))

@@ -177,6 +177,22 @@ class TestDirectAverage:
         oracle = averaged_transfer_quadrature(spec, z, w)
         assert np.abs(direct - oracle).max() < 1e-12
 
+    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    @pytest.mark.parametrize("b", [1e-3, 2.0, 1e12])
+    def test_rule_matches_quadrature(self, m, b):
+        # the discrepancy probe sits at z w^2 / 2b = 1.25e-3
+        spec = EnsembleSpec(b=b, m=m, v=1.0)
+        lam = np.array([0.0, 1e-6, 1.25e-3, 0.05, 0.2, 0.5])
+        for z in (0.5, 4.0, 1600.0):
+            w = np.sqrt(2.0 * b * lam / z) * np.array([1, -1, 1, -1, 1, 1])
+            rule = stochastic.averaged_transfer_rule(spec, z, w)
+            oracle = averaged_transfer_quadrature(spec, z, w)
+            assert (np.abs(rule - oracle) / np.abs(oracle)).max() < 1e-13
+        w = np.sqrt(2.0 * b * 1.25e-3 / 4.0)
+        assert stochastic.averaged_transfer_rule(spec, 4.0, w) == pytest.approx(
+            averaged_transfer_quadrature(spec, 4.0, w), rel=1e-13
+        )
+
     def test_half_the_closed_form_argument(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         w = np.linspace(-3.0, 3.0, 13)
@@ -400,10 +416,54 @@ class TestMonteCarlo:
             monte_carlo_output(f0, spec, 4.0, 300, seed=2).values,
         )
         assert np.array_equal(draw_std(f0, spec, 4.0, half_spectrum=half), draw_std(f0, spec, 4.0))
+        draws = sample_inverse_a(spec, 300, seed=2)
+        assert np.array_equal(
+            monte_carlo_output(f0, spec, 4.0, 300, seed=2, inverse_a=draws).values,
+            monte_carlo_output(f0, spec, 4.0, 300, seed=2).values,
+        )
+        mean, stderr = monte_carlo_output(f0, spec, 4.0, 300, 2, True, inverse_a=draws)
+        mean_drawn, stderr_drawn = monte_carlo_output(f0, spec, 4.0, 300, 2, True)
+        assert np.array_equal(mean.values, mean_drawn.values)
+        assert np.array_equal(stderr, stderr_drawn)
         assert np.array_equal(
             observed_output(f0, spec, 4.0, spectrum=forward_transform(f0)).values,
             observed_output(f0, spec, 4.0).values,
         )
+
+    def test_given_draws_must_match_the_count(self):
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        _, f0 = _mc_fixture(n=1024)
+        with pytest.raises(ValueError, match="got 299 draws for n_samples=300"):
+            monte_carlo_output(f0, spec, 4.0, 300, 2, inverse_a=sample_inverse_a(spec, 299, 2))
+
+
+class TestLazyQuad:
+    def test_import_loads_no_scipy(self):
+        # scipy.integrate was most of the import; only the oracles need it
+        code = (
+            "import sys, precursor_lab, precursor_lab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_quad_resolves_and_every_call_goes_through_it(self, monkeypatch):
+        assert stochastic.quad is quad
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(stochastic, "quad", counted)
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        out = averaged_transfer_quadrature(spec, 4.0, np.array([0.0, 1.0, -1.0, 2.0]))
+        assert calls == [(0.0, np.inf)] * 3  # one per distinct |omega|
+        assert np.allclose(out, averaged_transfer_direct(spec, 4.0, [0.0, 1.0, -1.0, 2.0]))
+
+    def test_other_missing_attributes_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'quadrature'"):
+            stochastic.quadrature
 
 
 def _pulse_on_auto_grid(kind, T, spec, z):
