@@ -21,7 +21,6 @@ from .grid import (
     Spectrum,
     TimeGrid,
     forward_transform,
-    grid_is_adequate,
     inverse_transform,
     recommend_grid,
 )

@@ -88,8 +88,9 @@ def _write_outputs(out_dir: Path, t: np.ndarray, files) -> None:
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute an experiment and write its record; returns the process exit status."""
-    grid = experiments.plan_grid(cfg)
-    f0 = experiments.load_pulse(cfg, grid)
+    rows = experiments.read_pulse_csv(cfg)
+    grid = experiments.plan_grid(cfg, rows)
+    f0 = experiments.load_pulse(cfg, grid, rows)
     record = _EXPERIMENTS[cfg.experiment](cfg, grid, f0)
     entries = [("experiment", cfg.experiment), *record.entries]
     entries.extend(experiments.discrepancy_entries(cfg))

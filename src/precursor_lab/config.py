@@ -287,20 +287,17 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     if "grid" in seen_sections:
         g = sections["grid"]
-        if g.get("auto", "false") in ("true", "yes", "1"):
-            cfg.grid = None
-        else:
-            for k in ("n", "dt", "t0"):
-                if k not in g:
-                    raise ConfigValidationError(f"grid.{k}", "missing")
-            try:
-                cfg.grid = TimeGrid(
-                    n=_as_int("grid.n", g["n"]),
-                    dt=_as_float("grid.dt", g["dt"]),
-                    t0=_as_float("grid.t0", g["t0"]),
-                )
-            except ValueError as exc:
-                raise ConfigValidationError("grid", str(exc)) from None
+        for k in ("n", "dt", "t0"):
+            if k not in g:
+                raise ConfigValidationError(f"grid.{k}", "missing")
+        try:
+            cfg.grid = TimeGrid(
+                n=_as_int("grid.n", g["n"]),
+                dt=_as_float("grid.dt", g["dt"]),
+                t0=_as_float("grid.t0", g["t0"]),
+            )
+        except ValueError as exc:
+            raise ConfigValidationError("grid", str(exc)) from None
 
     if "pulse" in seen_sections:
         cfg.pulse, cfg.pulse_csv = _build_pulse(sections["pulse"])

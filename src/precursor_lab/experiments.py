@@ -21,8 +21,8 @@ from . import analysis, config, media, propagate, signals, stochastic
 from . import grid as timegrid
 
 __all__ = [
-    "Run", "plan_grid", "load_pulse", "discrepancy_entries", "monte_carlo_deviation",
-    "run_propagation", "run_stochastic", "run_chirp", "run_slab",
+    "Run", "plan_grid", "read_pulse_csv", "load_pulse", "discrepancy_entries",
+    "monte_carlo_deviation", "run_propagation", "run_stochastic", "run_chirp", "run_slab",
 ]
 
 
@@ -61,81 +61,84 @@ def _describe_medium(medium) -> str:
     return repr(medium)
 
 
-def _equivalent_quadratic(medium) -> media.QuadraticMedium:
-    """Reduce any homogeneous medium to its low-frequency quadratic parameters."""
-    if isinstance(medium, media.QuadraticMedium):
-        return medium
-    if isinstance(medium, media.ExpKernelMedium):
-        # a K whose square underflows gives nan, which QuadraticMedium rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return media.quadratic_approximation(medium, medium.K / 100.0)
-    raise ValueError(f"no quadratic reduction for {type(medium).__name__}")
+def _arrival_and_width(medium, z: float) -> tuple[float, float]:
+    """Arrival and width sqrt(z/a) at depth ``z`` of the medium's quadratic reduction.
 
-
-def _stochastic_grid(T: float, omega0: float, spec: stochastic.EnsembleSpec, z_max: float):
-    """Grid whose edges sit where the averaged output has fallen to TAIL_TOLERANCE.
-
-    The one-sided tail is the pulse's Gaussian tail, sqrt(2 ln 1/eps) widths
-    T, plus the ensemble's exponential tail, x_eps decay lengths sqrt(z/b)
-    (the closed-form output's; the Monte Carlo limit's, sqrt(z/2b), is shorter).
-    t0 is a whole number of samples before zero.
+    A stack's is over its layers above ``z``; without a medium or depth, 0 and 0.
     """
-    eps = stochastic.TAIL_TOLERANCE
-    x_eps = stochastic.tail_decay_lengths(spec.m, eps)
-    tail = np.sqrt(2.0 * np.log(1.0 / eps)) * T + x_eps * np.sqrt(z_max / spec.b)
-    dt = timegrid.sample_spacing(T, omega0)
-    t0 = -np.ceil(tail / dt) * dt
-    return timegrid.covering_grid(dt, t0, z_max / spec.v + tail - t0)
-
-
-def plan_grid(cfg: config.ExperimentConfig) -> timegrid.TimeGrid | None:
-    """The config's ``[grid]``, else the automatic grid; None without a pulse.
-
-    The automatic grid resolves the pulse and its carrier (for a chirp, its
-    instantaneous frequency six widths out) and spans the arrival at the
-    deepest depth plus the broadened width on either side; a ``stochastic``
-    run sizes the span by its tail tolerance instead.
-    """
-    if cfg.grid is not None:
-        return cfg.grid
-    pulse = cfg.pulse
-    if pulse is None and cfg.pulse_csv is None:
-        return None
-    T, omega0 = (1.0, 0.0) if pulse is None else (pulse.T, pulse.omega0)
-    if pulse is not None:
-        omega0 += 6.0 * pulse.alpha * T  # alpha is 0 but for a chirp
-    z_max = max(cfg.z_values) if cfg.z_values else 0.0
-
-    if cfg.experiment == "stochastic":
-        return _stochastic_grid(T, omega0, cfg.ensemble, z_max)
-    if isinstance(cfg.medium, media.LayerStack):
-        ell = cfg.medium.total_thickness
+    if medium is None or z == 0.0:
+        return 0.0, 0.0
+    if isinstance(medium, media.LayerStack):
+        depth = min(z, medium.total_thickness)
         try:
-            a_eff, v_eff = media.effective_params(cfg.medium, ell)
+            a, v = media.effective_params(medium, depth)
         except ValueError:
             raise config.ConfigValidationError(
                 "grid", "automatic grid needs quadratic layers; give a [grid] section"
             ) from None
-        margin = 2.0 * (max(T, np.sqrt(ell / a_eff)) if np.isfinite(a_eff) else T)
-        if z_max > ell:
-            arrival = (z_max - ell) / media.SPEED_OF_LIGHT + ell / v_eff
-        else:
-            arrival = z_max / v_eff
-        dt = timegrid.sample_spacing(T, omega0)
-        return timegrid.covering_grid(dt, -5.0 * margin, arrival + 10.0 * margin)
-    if cfg.medium is not None:
+        return depth / v + (z - depth) / media.SPEED_OF_LIGHT, np.sqrt(depth / a)
+    if isinstance(medium, media.ExpKernelMedium):
+        # a probe whose square under- or overflows gives a, v or ell_inv out of range
         try:
-            q = _equivalent_quadratic(cfg.medium)
+            with np.errstate(all="ignore"):
+                medium = media.quadratic_approximation(medium, np.float64(medium.K) / 100.0)
         except ValueError as exc:
             raise config.ConfigValidationError(
                 "grid", f"automatic grid needs a quadratic reduction of the medium ({exc}); "
                 "give a [grid] section"
             ) from None
-        return timegrid.recommend_grid(T, omega0, q.a, q.v, z_max)
-    return timegrid.recommend_grid(T, omega0, 1.0, 1.0, z_max)
+    return z / medium.v, np.sqrt(z / medium.a)
 
 
-def _read_two_column_csv(path: Path) -> np.ndarray:
+MAX_AUTO_SAMPLES = 1 << 20  # 16 MB per complex array; a longer grid must be given
+
+
+def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
+    """The config's ``[grid]``, else the automatic grid; None without a pulse.
+
+    The automatic grid leaves eps = ``stochastic.TAIL_TOLERANCE`` of the peak
+    at each edge: from a whole number of samples before zero to past the
+    deepest arrival, each side holds the pulse's tail (sqrt(2 ln 1/eps)
+    widths T, or a ``csv`` file's times) plus the medium's (sqrt(2 ln 1/eps)
+    widths sqrt(z/a), or the ensemble's ``tail_decay_lengths`` decay lengths
+    sqrt(z/b)).  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of more than
+    ``MAX_AUTO_SAMPLES`` samples is a config error.
+    """
+    if cfg.grid is not None:
+        return cfg.grid
+    if cfg.pulse is None and cfg.pulse_csv is None:
+        return None
+    eps = stochastic.TAIL_TOLERANCE
+    gaussian_tail = np.sqrt(2.0 * np.log(1.0 / eps))  # widths at which exp(-x^2/2) is eps
+    z_max = max(cfg.z_values, default=0.0)
+    if cfg.pulse is None:
+        T, omega0 = 1.0, 0.0
+        lead, trail = max(0.0, -rows[0, 0]), max(0.0, rows[-1, 0])
+    else:
+        # a chirp's instantaneous frequency six widths out
+        T, omega0 = cfg.pulse.T, cfg.pulse.omega0 + 6.0 * cfg.pulse.alpha * cfg.pulse.T
+        lead = trail = gaussian_tail * T
+    if cfg.experiment == "stochastic":
+        spec = cfg.ensemble
+        arrival = z_max / spec.v
+        spread = stochastic.tail_decay_lengths(spec.m, eps) * np.sqrt(z_max / spec.b)
+    else:
+        arrival, width = _arrival_and_width(cfg.medium, z_max)
+        spread = gaussian_tail * width
+    dt = timegrid.sample_spacing(T, omega0)
+    t0 = -np.ceil((lead + spread) / dt) * dt
+    grid = timegrid.covering_grid(dt, t0, arrival + (trail + spread) - t0)
+    if grid.n > MAX_AUTO_SAMPLES:
+        needs = f"{grid.n} samples, more than {MAX_AUTO_SAMPLES}"
+        raise config.ConfigValidationError("grid", f"automatic grid needs {needs}; give a [grid] section")
+    return grid
+
+
+def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:
+    """The ``(t, f)`` rows of a ``csv`` pulse's file, sorted by t; None for any other pulse."""
+    if cfg.pulse_csv is None:
+        return None
+    path = Path(cfg.pulse_csv)
     rows = []
     with path.open() as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -157,15 +160,15 @@ def _read_two_column_csv(path: Path) -> np.ndarray:
     return data[np.argsort(data[:, 0])]
 
 
-def load_pulse(cfg: config.ExperimentConfig, grid) -> timegrid.SampledSignal | None:
+def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSignal | None:
     """The input pulse sampled on ``grid``; None for an experiment without one.
 
-    A pulse that is zero at every grid sample, such as a CSV whose times
-    miss the grid or a ``rect`` narrower than ``dt``, is a config error.
+    ``rows`` is ``read_pulse_csv(cfg)``.  A pulse that is zero at every grid
+    sample, such as a CSV whose times miss a given grid or a ``rect``
+    narrower than ``dt``, is a config error.
     """
     if cfg.pulse_csv is not None:
-        data = _read_two_column_csv(Path(cfg.pulse_csv))
-        vals = np.interp(grid.times(), data[:, 0], data[:, 1], left=0.0, right=0.0)
+        vals = np.interp(grid.times(), rows[:, 0], rows[:, 1], left=0.0, right=0.0)
         f0 = timegrid.SampledSignal(grid, vals)
     elif cfg.pulse is None:
         return None
@@ -289,11 +292,10 @@ def run_propagation(cfg: config.ExperimentConfig, grid, f0) -> Run:
         slope, stderr = analysis.fit_decay_exponent(records)
         entries.append(("decay_slope", _fmt(slope)))
         entries.append(("decay_slope_stderr", _fmt(stderr)))
-    if not isinstance(cfg.medium, media.LayerStack):
-        q = _equivalent_quadratic(cfg.medium)
-        if np.isfinite(q.a):
-            resp = propagate.impulse_response_fft(cfg.medium, max(cfg.z_values), grid)
-            entries.append(("causality_metric", _fmt(analysis.causality_metric(resp))))
+    delay_line = isinstance(cfg.medium, media.QuadraticMedium) and np.isinf(cfg.medium.a)
+    if not (delay_line or isinstance(cfg.medium, media.LayerStack)):
+        resp = propagate.impulse_response_fft(cfg.medium, max(cfg.z_values), grid)
+        entries.append(("causality_metric", _fmt(analysis.causality_metric(resp))))
     return Run(entries, _signal_files("signal", outputs), records)
 
 

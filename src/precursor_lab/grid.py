@@ -29,7 +29,6 @@ __all__ = [
     "sample_spacing",
     "covering_grid",
     "recommend_grid",
-    "grid_is_adequate",
 ]
 
 
@@ -192,9 +191,3 @@ def recommend_grid(
     margin = max(T, np.sqrt(z / a))
     span = z / v + 2.0 * margin_sigmas * margin
     return covering_grid(sample_spacing(T, omega0), -margin_sigmas * margin, span)
-
-
-def grid_is_adequate(grid: TimeGrid, T: float, omega0: float, a: float, v: float, z: float) -> bool:
-    """Check a grid against the same spacing/span rule used by :func:`recommend_grid`."""
-    margin = max(T, np.sqrt(z / a)) if a > 0 else T
-    return grid.dt <= sample_spacing(T, omega0) and grid.span >= z / v + 10.0 * margin

@@ -10,6 +10,7 @@ time-domain signals forces ``gamma(-w) = conj(gamma(w))``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +78,25 @@ class ExpKernelMedium:
     analytic in the upper half plane, hence a causal impulse response.  For
     |w| << K it reduces to a QuadraticMedium with a = K^3/(2*Kp) and
     v = K^2/Kp (so a = K*v/2).
+
+    It is evaluated as (Kp/K) w/(w + iK), which has no square to over- or
+    underflow and is finite for every (K, Kp) the constructor accepts.
     """
 
     K: float
     Kp: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.K) and math.isfinite(self.Kp)):
-            raise ValueError(f"kernel parameters must be finite, got K={self.K}, Kp={self.Kp}")
-        if self.K <= 0 or self.Kp <= 0:
-            raise ValueError(f"kernel parameters must be positive, got K={self.K}, Kp={self.Kp}")
+        normal_K = sys.float_info.min <= self.K < math.inf
+        if not (normal_K and self.Kp > 0 and math.isfinite(self.Kp / self.K)):
+            raise ValueError(
+                f"kernel parameters need K >= {sys.float_info.min:g}, Kp > 0 and a finite "
+                f"Kp/K, got K={self.K}, Kp={self.Kp}"
+            )
 
     def propagation_constant(self, omega):
         omega = np.asarray(omega, dtype=np.float64)
-        den = self.K**2 + omega**2
-        return self.Kp * omega**2 / (self.K * den) - 1j * self.Kp * omega / den
+        return self.Kp / self.K * (omega / (omega + 1j * self.K))
 
 
 def free_space(v: float = SPEED_OF_LIGHT) -> QuadraticMedium:
@@ -212,25 +217,26 @@ def quadratic_approximation(medium, omega_probe: float) -> QuadraticMedium:
 
 
 def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
-    """Depth-harmonic-mean reduction of a lossless-at-DC quadratic stack.
+    """Depth-harmonic-mean reduction of a lossless-at-DC quadratic stack down to ``ell``.
 
     Returns (a_eff, v_eff) with 1/a_eff and 1/v_eff the thickness-weighted
-    means of the per-layer inverses.  ``ell`` must equal the total stack
-    thickness.  Layers with DC absorption have no such reduction and are
-    rejected.
+    means of the per-layer inverses over the depths [0, ell], a partial layer
+    pro rata.  ``ell`` may not exceed the total stack thickness.  Layers with
+    DC absorption have no such reduction and are rejected.
     """
     total = stack.total_thickness
-    if not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(f"ell={ell} does not match total stack thickness {total}")
-    inv_a = 0.0
-    inv_v = 0.0
+    if ell <= 0 or (ell > total and not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0)):
+        raise ValueError(f"ell={ell} does not lie within the stack thickness {total}")
+    inv_a = inv_v = top = 0.0
     for thickness, medium in stack.layers:
         if not isinstance(medium, QuadraticMedium):
             raise ValueError("effective parameters are defined for quadratic layers only")
         if medium.ell_inv != 0.0:
             raise ValueError("layers with DC absorption have no quadratic reduction")
-        inv_a += thickness / medium.a
-        inv_v += thickness / medium.v
+        seg = thickness if top + thickness <= ell else max(ell - top, 0.0)
+        inv_a += seg / medium.a
+        inv_v += seg / medium.v
+        top += thickness
     a_eff = ell / inv_a if inv_a > 0 else math.inf
     v_eff = ell / inv_v
     return a_eff, v_eff

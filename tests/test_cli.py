@@ -424,6 +424,33 @@ class TestCsvPulseIngestion:
         assert run(cfg) == 0
         assert (tmp_path / "out" / "signal_100.csv").exists()
 
+    @pytest.mark.filterwarnings("error::precursor_lab.propagate.GridAdequacyWarning")
+    def test_wide_pulse_on_the_automatic_grid(self, tmp_path, monkeypatch):
+        # two hundred times the width T = 1 that sets a csv pulse's spacing
+        src = tmp_path / "wave.csv"
+        rows = "".join(f"{t},{np.exp(-0.5 * (t / 50) ** 2):.17g}\n" for t in range(-200, 201))
+        src.write_text("t,f\n" + rows)
+        text = MINIMAL.replace("z = 100", "z-list = 10 40").replace(
+            "kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}"
+        )
+        reads = []
+        read = experiments.read_pulse_csv
+        monkeypatch.setattr(experiments, "read_pulse_csv", lambda cfg: reads.append(cfg) or read(cfg))
+        assert run(parse_config(text, {"output-dir": str(tmp_path / "out")})) == 0
+        assert len(reads) == 1
+        t, _ = _signal(tmp_path / "out" / "signal_40.csv")
+        assert t[0] < -200 and t[-1] > 240
+
+    def test_automatic_grid_holds_the_file_times(self, tmp_path):
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n1000,1\n1001,2\n")
+        text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        cfg = parse_config(text)
+        rows = experiments.read_pulse_csv(cfg)
+        grid = experiments.plan_grid(cfg, rows)
+        assert grid.t0 < 0 and grid.t0 + grid.span > 1101
+        assert experiments.load_pulse(cfg, grid, rows).values.max() > 1.5
+
 
 def _savetxt_bytes(path, header, columns):
     """The reference the CSV writer must match byte for byte."""
@@ -622,15 +649,43 @@ class TestMainEntry:
         )
 
     def test_exp_kernel_auto_grid_without_quadratic_reduction(self, tmp_path, capsys):
-        # K^2 underflows, so the reduction's probe reads nan
+        # the reduction's probe frequency K/100 squares to 0, so a reads 0
         text = MINIMAL.replace(
             "variant = quadratic\na = 1\nv = 1", "variant = exp-kernel\nK = 1e-300\nKp = 1"
         )
         assert "K = 1e-300" in text
         self._one_line_error(
             tmp_path, capsys, text,
-            "grid: automatic grid needs a quadratic reduction of the medium (medium parameters "
-            "must be finite (a may be inf), got a=nan, v=0.0, ell_inv=nan); give a [grid] section",
+            "grid: automatic grid needs a quadratic reduction of the medium (curvature scale "
+            "must be positive, got a=0.0); give a [grid] section",
+        )
+
+    @pytest.mark.parametrize("K", ["1e-300", "1e-160", "1e200"])
+    def test_exp_kernel_extreme_K_on_a_given_grid(self, tmp_path, K):
+        # K^2, the rational form's denominator at w = 0, under- or overflows
+        text = MINIMAL.replace(
+            "variant = quadratic\na = 1\nv = 1", f"variant = exp-kernel\nK = {K}\nKp = 1"
+        ) + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n"
+        assert f"K = {K}" in text
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        summary = _summary(tmp_path / "o")
+        for key, value in summary.items():
+            if key not in ("experiment", "medium", "grid"):
+                assert np.isfinite(float(value)), key
+        assert np.isfinite(_signal(tmp_path / "o" / "signal_100.csv")[1]).all()
+
+    @pytest.mark.parametrize("K,Kp", [("1e-310", "1"), ("1e-300", "1e10")])
+    def test_exp_kernel_out_of_range(self, tmp_path, capsys, K, Kp):
+        text = MINIMAL.replace(
+            "variant = quadratic\na = 1\nv = 1", f"variant = exp-kernel\nK = {K}\nKp = {Kp}"
+        ) + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n"
+        assert f"K = {K}" in text
+        self._one_line_error(
+            tmp_path, capsys, text,
+            f"medium: kernel parameters need K >= 2.22507e-308, Kp > 0 and a finite Kp/K, "
+            f"got K={float(K)}, Kp={float(Kp)}",
         )
 
     def test_layered_depth_past_stack_without_tail(self, tmp_path, capsys):
@@ -650,6 +705,18 @@ class TestMainEntry:
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
 
+    def test_csv_pulse_far_out_needs_a_given_grid(self, tmp_path, capsys):
+        # an automatic grid from zero to t = 1e9 at dt = 0.1 would hold 2^34 samples
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n1e9,1\n1.000000001e9,2\n")
+        text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(
+            tmp_path, capsys, text,
+            f"grid: automatic grid needs {1 << 34} samples, more than {1 << 20}; "
+            "give a [grid] section",
+        )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("base", ["sweep-z", "stochastic"])
     @pytest.mark.parametrize(
         "rows", ["-1,0\n0,0\n1,0\n", "1000,1\n1001,2\n"], ids=["all-zero", "off-grid"]
@@ -660,6 +727,9 @@ class TestMainEntry:
         csv = f"kind = csv\nfile = {src}"
         if base == "sweep-z":
             text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", csv)
+            if rows.startswith("1000"):
+                # the automatic grid holds the file's times; only a given grid misses them
+                text += "\n[grid]\nn = 8192\ndt = 0.1\nt0 = -100\n"
         else:
             text = STOCHASTIC.replace("kind = gaussian\nT = 1", csv)
         assert csv in text
@@ -673,7 +743,8 @@ class TestMainEntry:
         self._zero_pulse_error(tmp_path, capsys, text)
 
     def _zero_pulse_error(self, tmp_path, capsys, text):
-        t = experiments.plan_grid(parse_config(text)).times()
+        cfg = parse_config(text)
+        t = experiments.plan_grid(cfg, experiments.read_pulse_csv(cfg)).times()
         message = f"pulse: zero at every sample of the grid (t from {t[0]:g} to {t[-1]:g})"
         self._one_line_error(tmp_path, capsys, text, message)
 
@@ -718,8 +789,8 @@ class TestRunRecord:
     )
     def test_entries_are_the_summary(self, tmp_path, text, experiment):
         cfg = parse_config(text, {"output-dir": str(tmp_path / "o")})
-        grid = experiments.plan_grid(cfg)
-        record = experiment(cfg, grid, experiments.load_pulse(cfg, grid))
+        grid = experiments.plan_grid(cfg, None)
+        record = experiment(cfg, grid, experiments.load_pulse(cfg, grid, None))
         assert not (tmp_path / "o").exists()
         assert run(cfg) == record.status == 0
         written = sorted(p.name for p in (tmp_path / "o").iterdir())

@@ -200,6 +200,16 @@ class TestEffectiveParams:
         with pytest.raises(ValueError):
             effective_params(stack, 1.0)
 
+    def test_partial_depth_cuts_the_layer_it_ends_in(self):
+        stack = LayerStack(
+            [(1.0, QuadraticMedium(a=1.0, v=1.0)), (2.0, QuadraticMedium(a=3.0, v=0.5)),
+             (1.0, QuadraticMedium(a=0.1, v=2.0))]
+        )
+        cut = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0)), (0.5, QuadraticMedium(a=3.0, v=0.5))])
+        assert effective_params(stack, 1.5) == pytest.approx(effective_params(cut, 1.5), rel=1e-15)
+        with pytest.raises(ValueError):
+            effective_params(stack, 0.0)
+
     def test_thickness_mismatch_rejected(self):
         stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))])
         with pytest.raises(ValueError):

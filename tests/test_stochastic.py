@@ -32,7 +32,8 @@ from precursor_lab import (
     tail_decay_lengths,
 )
 from precursor_lab import stochastic
-from precursor_lab.experiments import _stochastic_grid
+from precursor_lab.config import ExperimentConfig
+from precursor_lab.experiments import plan_grid
 
 
 class TestCoefficientTable:
@@ -400,8 +401,8 @@ class TestMonteCarlo:
         # one inverse transform of the averaged kernel against the mean of
         # every draw's own output, on the grid of the stochastic benchmark
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        g = _stochastic_grid(1.0, 0.0, spec, 2.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+        pulse = PulseSpec(kind="gaussian", T=1.0, omega0=0.0)
+        f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, 2.0))
         for z in (0.5, 1.0, 2.0):
             fast = monte_carlo_output(f0, spec, z, 2000, seed=1)
             slow, _ = monte_carlo_output(f0, spec, z, 2000, seed=1, return_stderr=True)
@@ -466,10 +467,15 @@ class TestLazyQuad:
             stochastic.quadrature
 
 
+def _auto_grid(pulse, spec, z):
+    """The automatic grid of a ``stochastic`` run of ``pulse`` to depth ``z``."""
+    cfg = ExperimentConfig(experiment="stochastic", z_values=(z,), pulse=pulse, ensemble=spec)
+    return plan_grid(cfg, None)
+
+
 def _pulse_on_auto_grid(kind, T, spec, z):
-    g = _stochastic_grid(T, 0.0, spec, z)
     pulse = PulseSpec(kind=kind, T=T, omega0=0.0)
-    return (gaussian_pulse if kind == "gaussian" else rect_pulse)(pulse, g)
+    return (gaussian_pulse if kind == "gaussian" else rect_pulse)(pulse, _auto_grid(pulse, spec, z))
 
 
 class TestDrawStd:

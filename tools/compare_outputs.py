@@ -9,7 +9,8 @@ on it and once on the working tree, as ``python -m precursor_lab.cli`` with
 that tree's ``src`` on ``PYTHONPATH``.  The cases are the two benchmark
 workload configs (``perfbench/workloads/*.ini``, read and never written) at
 seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
-an exp-kernel propagate, a csv-pulse propagate and a ``verify`` run.
+an exp-kernel propagate, two csv-pulse propagates (a narrow pulse and one
+spanning t = -200 to 200) and a ``verify`` run.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte; standard error is not, since a warning names the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
 import subprocess
 import sys
@@ -88,15 +90,23 @@ def pulse_csv(path: Path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
+def wide_pulse_csv(path: Path) -> None:
+    """A Gaussian pulse of width 50 sampled at t = -200, -199, ..., 200."""
+    rows = ["t,f"] + [f"{t},{math.exp(-0.5 * (t / 50) ** 2):.17g}" for t in range(-200, 201)]
+    path.write_text("\n".join(rows) + "\n")
+
+
 def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
     """Case name -> (config file, extra CLI arguments)."""
-    csv = inputs / "pulse.csv"
+    csv, wide = inputs / "pulse.csv", inputs / "wide-pulse.csv"
     pulse_csv(csv)
+    wide_pulse_csv(wide)
     texts = {
         "chirp": CHIRP,
         "slab": SLAB,
         "exp-kernel": EXP_KERNEL,
         "csv-pulse": CSV_PULSE.format(csv=csv),
+        "wide-csv-pulse": CSV_PULSE.format(csv=wide),
         "verify": VERIFY,
     }
     out = {}
