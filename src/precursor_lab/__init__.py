@@ -16,7 +16,6 @@ from .analysis import (
     shape_rms_diff,
 )
 from .grid import (
-    NonHermitianSpectrumWarning,
     SampledSignal,
     Spectrum,
     TimeGrid,

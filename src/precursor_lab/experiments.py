@@ -220,25 +220,23 @@ def _sweep_records(outputs, f0):
     return records
 
 
-def monte_carlo_deviation(
-    f0, spec, z: float, draws: int, seed: int, spectrum, half_spectrum, inverse_a=None
-):
+def monte_carlo_deviation(f0, spec, z: float, draws: int, seed: int, spectrum=None, inverse_a=None):
     """The Monte Carlo mean at depth ``z`` and its largest deviation in standard errors.
 
-    The largest |mean - limit| where the exact limit (``spectrum``, the
-    forward transform of ``f0``, times the directly averaged kernel) exceeds
-    1e-6 of its peak, over the exact standard error, sigma / sqrt(draws): the
-    sample standard error is too small in the tails, where the mean rests on
-    a few rare wide draws.  ``half_spectrum`` is ``np.fft.rfft(f0.values)``;
-    ``inverse_a`` is ``stochastic.sample_inverse_a(spec, draws, seed)``,
-    drawn here when not given.
+    The largest |mean - limit| where the exact limit (the spectrum of ``f0``
+    times the directly averaged kernel) exceeds 1e-6 of its peak, over the
+    exact standard error, sigma / sqrt(draws): the sample standard error is
+    too small in the tails, where the mean rests on a few rare wide draws.
+    ``spectrum`` is ``propagate.input_spectrum(f0)`` and ``inverse_a`` is
+    ``stochastic.sample_inverse_a(spec, draws, seed)``, each computed here
+    when not given.
     """
-    mc = stochastic.monte_carlo_output(
-        f0, spec, z, draws, seed, half_spectrum=half_spectrum, inverse_a=inverse_a
-    )
+    if spectrum is None:
+        spectrum = propagate.input_spectrum(f0)
+    mc = stochastic.monte_carlo_output(f0, spec, z, draws, seed, spectrum=spectrum, inverse_a=inverse_a)
     kernel = stochastic.averaged_transfer_direct(spec, z, f0.grid.omegas())
     ref = propagate.apply_transfer(spectrum, kernel).values
-    stderr = stochastic.draw_std(f0, spec, z, half_spectrum=half_spectrum) / np.sqrt(draws)
+    stderr = stochastic.draw_std(f0, spec, z, spectrum=spectrum) / np.sqrt(draws)
     peak = np.abs(ref).max()
     sel = np.abs(ref) > 1e-6 * peak
     return mc, float((np.abs(mc.values - ref)[sel] / (stderr[sel] + 1e-12 * peak)).max())
@@ -253,11 +251,13 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
       form as written is twice the series; the FFT route sides with the series.
     * ``ensemble_kernel_log_ratio_quadrature_vs_closed_form``: log of the
       directly averaged ensemble kernel over the log of the closed-form
-      kernel at a low probe frequency (0.5 means the closed-form argument is
-      twice the directly averaged one).  The direct average is a quadrature
-      over the gamma density on the exp-sinh rule of the ensemble moments
-      (``stochastic.averaged_transfer_rule``), never the gamma Laplace
-      closed form.
+      kernel, -(m+1) log(1 + s), at a low probe frequency (0.5 means the
+      closed-form argument is twice the directly averaged one).  The direct
+      average is a quadrature over the gamma density on the exp-sinh rule of
+      the ensemble moments, never the gamma Laplace closed form; its log is
+      ``stochastic.averaged_log_kernel_rule``, because the kernel is close
+      to 1 at the probe (s = 2.5e-3), where the log of the rounded kernel
+      would carry up to 4e-14 of rounding noise into the ratio.
     * ``ensemble_kernel_log_ratio_laplace_identity``: the same ratio from
       the gamma Laplace identity, log(1 + s/2) / log(1 + s) with
       s = z w^2 / b, which tends to 0.5 as s goes to 0.
@@ -268,11 +268,9 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
     spec = cfg.ensemble if cfg.ensemble is not None else stochastic.EnsembleSpec(b=1.0, m=1, v=1.0)
     z_probe = max(cfg.z_values) if cfg.z_values else 1.0
     w_probe = 0.05 * np.sqrt(spec.b / z_probe)
-    quad_k = np.abs(stochastic.averaged_transfer_rule(spec, z_probe, w_probe))
-    closed_k = np.abs(stochastic.averaged_transfer(spec, z_probe, w_probe))
-    ratio = np.log(quad_k) / np.log(closed_k)
-    entries.append(("ensemble_kernel_log_ratio_quadrature_vs_closed_form", _fmt(ratio)))
     s = z_probe * w_probe**2 / spec.b
+    ratio = stochastic.averaged_log_kernel_rule(spec, z_probe, w_probe) / (-(spec.m + 1) * np.log1p(s))
+    entries.append(("ensemble_kernel_log_ratio_quadrature_vs_closed_form", _fmt(ratio)))
     identity = np.log1p(s / 2.0) / np.log1p(s)
     entries.append(("ensemble_kernel_log_ratio_laplace_identity", _fmt(identity)))
     return entries
@@ -303,15 +301,12 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
     """The closed-form ensemble output at each depth, and the Monte Carlo mean beside it."""
     spec = cfg.ensemble
     spectrum = propagate.input_spectrum(f0)
-    half = np.fft.rfft(f0.values)
     # every depth averages over the same media
     inverse_a = stochastic.sample_inverse_a(spec, cfg.mc_samples, cfg.seed)
 
     def one(z):
         observed = stochastic.observed_output(f0, spec, z, spectrum=spectrum)
-        mc, dev = monte_carlo_deviation(
-            f0, spec, z, cfg.mc_samples, cfg.seed, spectrum, half, inverse_a
-        )
+        mc, dev = monte_carlo_deviation(f0, spec, z, cfg.mc_samples, cfg.seed, spectrum, inverse_a)
         return (z, observed), (z, mc), dev
 
     observed, mc, devs = zip(*_map_over_z(one, cfg.z_values, cfg.threads))

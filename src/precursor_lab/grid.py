@@ -5,16 +5,17 @@ All spectra in this package use the convention
     F(w) = integral e^{+i w t} f(t) dt,
     f(t) = (1/2pi) integral e^{-i w t} F(w) dw,
 
-i.e. the *plus* sign in the forward kernel.  numpy's ``fft`` uses the
-opposite sign, so the forward transform here maps onto ``numpy.fft.ifft``
-(scaled by ``n*dt`` and a phase accounting for the grid origin ``t0``) and
-the inverse maps onto ``numpy.fft.fft``.  Spectra are stored in natural
-signed-frequency order (-Nyquist ... +Nyquist), not FFT wrap-around order.
+i.e. the *plus* sign in the forward kernel.  Every signal is real, so
+F(-w) = conj F(w) and a :class:`Spectrum` holds only the half w >= 0: the
+``n//2 + 1`` bins 0 ... Nyquist of :meth:`TimeGrid.omegas`.  numpy's ``fft``
+uses the opposite sign, so the forward transform maps onto
+``numpy.fft.ihfft`` (scaled by ``n*dt``, with a phase for the grid origin
+``t0``) and the inverse onto ``numpy.fft.irfft`` of the conjugate.  This
+module is the only place that calls ``numpy.fft``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,17 +24,13 @@ __all__ = [
     "TimeGrid",
     "SampledSignal",
     "Spectrum",
-    "NonHermitianSpectrumWarning",
     "forward_transform",
     "inverse_transform",
+    "inverse_rows",
     "sample_spacing",
     "covering_grid",
     "recommend_grid",
 ]
-
-
-class NonHermitianSpectrumWarning(UserWarning):
-    """Inverse transform discarded a non-negligible imaginary part."""
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,11 @@ class TimeGrid:
         return self.t0 + self.dt * np.arange(self.n)
 
     def omegas(self) -> np.ndarray:
-        """Angular frequencies in natural signed order, -Nyquist ... +Nyquist."""
-        return np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(self.n, self.dt))
+        """Angular frequencies of the half spectrum, 0 ... Nyquist (``n//2 + 1`` bins).
 
-    def _omegas_wrapped(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, self.dt)
+        For odd ``n`` the last bin lies half a bin below Nyquist.
+        """
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, self.dt)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -110,55 +107,56 @@ class SampledSignal:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Complex frequency series on the signed-frequency bins of a grid."""
+    """Half spectrum of a real signal: complex values on the bins of :meth:`TimeGrid.omegas`."""
 
     grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
         vals = _frozen_array(self.values, np.complex128)
-        if vals.ndim != 1 or vals.size != self.grid.n:
+        bins = self.grid.n // 2 + 1
+        if vals.ndim != 1 or vals.size != bins:
             raise ValueError(
-                f"spectrum length {vals.size} does not match grid n={self.grid.n}"
+                f"spectrum length {vals.size} does not match the {bins} bins of grid n={self.grid.n}"
             )
         object.__setattr__(self, "values", vals)
 
 
 def forward_transform(signal: SampledSignal) -> Spectrum:
-    """Riemann-sum Fourier transform, F(w_k) = dt * sum_j e^{+i w_k t_j} f(t_j).
+    """Riemann-sum Fourier transform, F(w_k) = dt * sum_j e^{+i w_k t_j} f(t_j), w_k >= 0.
 
-    The +i kernel maps to ``numpy.fft.ifft`` scaled by ``n*dt`` plus a phase
-    ramp carrying the grid origin; the result is then reordered to natural
-    signed-frequency layout.
+    The +i kernel maps to ``numpy.fft.ihfft`` scaled by ``n*dt``, times a
+    phase ramp carrying the grid origin.
     """
     g = signal.grid
-    w = g._omegas_wrapped()
-    vals = np.fft.ifft(signal.values) * (g.n * g.dt)
-    vals *= np.exp(1j * w * g.t0)
-    return Spectrum(g, np.fft.fftshift(vals))
+    vals = np.fft.ihfft(signal.values) * (g.n * g.dt)
+    vals *= np.exp(1j * g.omegas() * g.t0)
+    return Spectrum(g, vals)
 
 
-def inverse_transform(spectrum: Spectrum, imag_tol: float = 1e-8) -> SampledSignal:
-    """Inverse transform, f(t_j) = (dw/2pi) * sum_k e^{-i w_k t_j} F(w_k).
+def inverse_rows(spectrum: Spectrum, rows=1.0) -> np.ndarray:
+    """Inverse transforms of ``spectrum`` times each real row of ``rows``.
 
-    Returns the real part.  Warns (``NonHermitianSpectrumWarning``) when the
-    discarded imaginary part exceeds ``imag_tol`` of the real-part norm,
-    which signals a spectrum without Hermitian symmetry.
+    f(t_j) = (dw/2pi) * sum_k e^{-i w_k t_j} F(w_k), summed over both signs
+    of w, is ``irfft(conj(F e^{-i w t0}) / dt, n)``.  The origin phase, the
+    conjugate and the 1/dt are applied to the spectrum once; each row of
+    ``rows`` (real, last axis on the bins of ``spectrum``) then costs one
+    real-by-complex product and one ``irfft``.  ``rows = 1`` is the plain
+    inverse.  Returns an array of shape ``rows.shape[:-1] + (n,)``.
     """
     g = spectrum.grid
-    w = g._omegas_wrapped()
-    wrapped = np.fft.ifftshift(spectrum.values)
-    f = np.fft.fft(wrapped * np.exp(-1j * w * g.t0)) / (g.n * g.dt)
-    real_norm = np.linalg.norm(f.real)
-    imag_norm = np.linalg.norm(f.imag)
-    if imag_norm > imag_tol * max(real_norm, np.finfo(float).tiny):
-        warnings.warn(
-            f"discarded imaginary part ({imag_norm:.3e}) exceeds {imag_tol:g} "
-            f"of the real-part norm ({real_norm:.3e}); spectrum is not Hermitian",
-            NonHermitianSpectrumWarning,
-            stacklevel=2,
-        )
-    return SampledSignal(g, f.real)
+    base = np.conj(spectrum.values * np.exp(-1j * g.omegas() * g.t0)) / g.dt
+    return np.fft.irfft(rows * base, n=g.n)
+
+
+def inverse_transform(spectrum: Spectrum) -> SampledSignal:
+    """Inverse transform, f(t_j) = (dw/2pi) * sum_k e^{-i w_k t_j} F(w_k).
+
+    Real by construction: the half spectrum stands for F(-w) = conj F(w).
+    On an even grid the Nyquist bin is its own mirror, and only the real
+    part of conj(F e^{-i w t0}) there, its Hermitian projection, counts.
+    """
+    return SampledSignal(spectrum.grid, inverse_rows(spectrum))
 
 
 def sample_spacing(T: float, omega0: float) -> float:

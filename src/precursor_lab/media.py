@@ -176,10 +176,7 @@ def transfer_function(medium, z: float, omega):
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    omega = np.asarray(omega, dtype=np.float64)
-    if isinstance(medium, LayerStack):
-        return np.exp(-medium._depth_exponent(0.0, float(z), omega))
-    return np.exp(-float(z) * medium.propagation_constant(omega))
+    return transfer_between(medium, 0.0, z, omega)
 
 
 def transfer_between(medium, z_from: float, z_to: float, omega):

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .grid import SampledSignal, Spectrum, forward_transform, inverse_transform
+from . import _kernels, propagate
+from .grid import SampledSignal, Spectrum, forward_transform, inverse_rows
 
 __all__ = [
     "EnsembleSpec",
@@ -49,6 +49,7 @@ __all__ = [
     "averaged_transfer",
     "averaged_transfer_direct",
     "averaged_transfer_rule",
+    "averaged_log_kernel_rule",
     "averaged_transfer_quadrature",
     "tail_decay_lengths",
     "gaussian_draw_std",
@@ -221,6 +222,19 @@ def averaged_transfer_rule(spec: EnsembleSpec, z: float, omega):
     return kernel * np.exp(1j * omega * z / spec.v)
 
 
+def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega):
+    """Log of the kernel of :func:`averaged_transfer_rule`, log1p(weights @ expm1(-lambda y)).
+
+    With lambda = z w^2 / 2b.  Accurate to rounding near w = 0, where the
+    kernel is close to 1 and the log of the rounded kernel would be off by
+    that rounding over the kernel's distance from 1.
+    """
+    if z < 0:
+        raise ValueError(f"depth must be >= 0, got z={z}")
+    y, weights = _gamma_rule(spec.m, RULE_STEP)
+    return np.log1p(np.expm1(-np.multiply.outer(z * np.square(omega) / (2.0 * spec.b), y)) @ weights)
+
+
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
     """Direct quadrature of the ensemble average of exp(-z x w^2 / 2).
 
@@ -301,30 +315,12 @@ def observed_output(
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    grid = f0.grid
     if spectrum is None:
         spectrum = forward_transform(f0)
-    kernel = averaged_transfer(spec, z, grid.omegas())
-    return inverse_transform(Spectrum(grid, spectrum.values * kernel))
+    return propagate.apply_transfer(spectrum, averaged_transfer(spec, z, f0.grid.omegas()))
 
 
 _MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
-
-
-def _delayed_half_spectrum(f0: SampledSignal, spec: EnsembleSpec, z: float, half_spectrum=None):
-    """Non-negative angular frequencies and the half spectrum of ``f0`` delayed by z/v.
-
-    Every draw's output is real, so it is rebuilt from the Hermitian half
-    spectrum with irfft; in numpy's sign convention the delay z/v is the
-    factor e^{-i w z/v} on rfft(f0), and the grid origin cancels out.
-    ``half_spectrum`` is ``np.fft.rfft(f0.values)``, computed here when not
-    given.
-    """
-    grid = f0.grid
-    w_half = 2.0 * np.pi * np.fft.rfftfreq(grid.n, grid.dt)
-    if half_spectrum is None:
-        half_spectrum = np.fft.rfft(f0.values)
-    return w_half, half_spectrum * np.exp(-1j * w_half * z / spec.v)
 
 
 def monte_carlo_output(
@@ -334,7 +330,7 @@ def monte_carlo_output(
     n_samples: int,
     seed: int,
     return_stderr: bool = False,
-    half_spectrum=None,
+    spectrum: Spectrum | None = None,
     inverse_a=None,
 ):
     """Ensemble average by brute force: mean over sampled media of the FFT output.
@@ -346,8 +342,8 @@ def monte_carlo_output(
     summed in fixed batches so the result is identical for any degree of
     parallelism.  With ``return_stderr`` the pointwise sample standard error
     of the mean is returned alongside; that path keeps every draw's
-    time-domain signal and is correspondingly slower.  ``half_spectrum`` is
-    ``np.fft.rfft(f0.values)`` and ``inverse_a`` is
+    time-domain signal and is correspondingly slower.  ``spectrum`` is
+    ``forward_transform(f0)`` and ``inverse_a`` is
     ``sample_inverse_a(spec, n_samples, seed)``, each computed here when not
     given, so that a run over many depths computes them once.
     """
@@ -359,18 +355,21 @@ def monte_carlo_output(
     draws = sample_inverse_a(spec, n_samples, seed) if inverse_a is None else inverse_a
     if len(draws) != n_samples:
         raise ValueError(f"got {len(draws)} draws for n_samples={n_samples}")
-    w_half, base = _delayed_half_spectrum(f0, spec, z, half_spectrum)
-    half_zw2 = 0.5 * z * w_half**2
+    if spectrum is None:
+        spectrum = forward_transform(f0)
+    # the delay z/v is common to every draw: folded into the spectrum, it
+    # leaves each draw's kernel a real row for ``inverse_rows``
+    delayed = Spectrum(grid, spectrum.values * np.exp(1j * grid.omegas() * z / spec.v))
+    half_zw2 = 0.5 * z * grid.omegas() ** 2
     if not return_stderr:
         kernel = _kernels.mean_exp_kernel(draws, half_zw2, chunk=_MC_BATCH)
-        return SampledSignal(grid, np.fft.irfft(base * kernel, n=grid.n))
+        return SampledSignal(grid, inverse_rows(delayed, kernel))
 
     # per-draw inverse transforms, accumulated in fixed order
     mean = np.zeros(grid.n)
     sumsq = np.zeros(grid.n)
     for i0 in range(0, n_samples, _MC_BATCH):
-        block = np.exp(-np.outer(draws[i0 : i0 + _MC_BATCH], half_zw2)) * base
-        signals = np.fft.irfft(block, n=grid.n, axis=1)
+        signals = inverse_rows(delayed, np.exp(-np.outer(draws[i0 : i0 + _MC_BATCH], half_zw2)))
         mean += signals.sum(axis=0)
         sumsq += (signals * signals).sum(axis=0)
     mean /= n_samples
@@ -416,26 +415,28 @@ def draw_std(
     f0: SampledSignal,
     spec: EnsembleSpec,
     z: float,
-    half_spectrum=None,
+    spectrum: Spectrum | None = None,
 ) -> np.ndarray:
     """Pointwise standard deviation over the ensemble of one draw's output.
 
     A draw with inverse curvature x turns ``f0`` into the inverse transform
     of its delayed spectrum times exp(-z x w^2 / 2).  The first two moments
     of that output over x ~ Gamma(m+1, rate b) come from the exp-sinh rule
-    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), one irfft per
-    node, for any pulse.  Dividing by sqrt(draws) gives the exact
-    standard error of a Monte Carlo mean, which the sample standard error
-    underestimates in the tails, where the mean rests on a few rare wide
-    draws.  ``half_spectrum`` is ``np.fft.rfft(f0.values)``, computed here
+    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), one inverse
+    transform per node, for any pulse.  Dividing by sqrt(draws) gives the
+    exact standard error of a Monte Carlo mean, which the sample standard
+    error underestimates in the tails, where the mean rests on a few rare
+    wide draws.  ``spectrum`` is ``forward_transform(f0)``, computed here
     when not given.
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
+    if spectrum is None:
+        spectrum = forward_transform(f0)
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    w_half, base = _delayed_half_spectrum(f0, spec, z, half_spectrum)
-    block = np.exp(-np.outer(y / spec.b, 0.5 * z * w_half**2)) * base
-    outputs = np.fft.irfft(block, n=f0.grid.n, axis=1)
+    w = f0.grid.omegas()
+    delayed = Spectrum(f0.grid, spectrum.values * np.exp(1j * w * z / spec.v))
+    outputs = inverse_rows(delayed, np.exp(-np.outer(y / spec.b, 0.5 * z * w**2)))
     return _std_over_rule(outputs.T, weights)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,15 @@ class TestRunStochastic:
         assert identity == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
         quadrature = float(summary["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
         assert quadrature == pytest.approx(identity, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    @pytest.mark.parametrize("b", ["1e-3", "2", "1e12"])
+    def test_quadrature_log_ratio_is_the_identity_to_rounding(self, m, b):
+        text = STOCHASTIC.replace("m = 1", f"m = {m}").replace("b = 2", f"b = {b}")
+        entries = dict(experiments.discrepancy_entries(parse_config(text)))
+        identity = float(entries["ensemble_kernel_log_ratio_laplace_identity"])
+        quadrature = float(entries["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
+        assert abs(quadrature - identity) < 5e-16
 
     def test_missing_ensemble_rejected(self):
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]
@@ -676,6 +687,22 @@ class TestMainEntry:
                 assert np.isfinite(float(value)), key
         assert np.isfinite(_signal(tmp_path / "o" / "signal_100.csv")[1]).all()
 
+    def test_exp_kernel_run_is_silent(self, tmp_path, capsys):
+        # the transfer is far from 0 at Nyquist, where a spectrum with an
+        # unpaired bin would invert to a visibly complex signal
+        text = (
+            "experiment = propagate\nz-list = 0.5 1\n"
+            "[pulse]\nkind = gaussian\nT = 1\nomega0 = 1\n"
+            "[medium]\nvariant = exp-kernel\nK = 5\nKp = 25\n"
+        )
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("K,Kp", [("1e-310", "1"), ("1e-300", "1e10")])
     def test_exp_kernel_out_of_range(self, tmp_path, capsys, K, Kp):
         text = MINIMAL.replace(
@@ -817,7 +844,7 @@ class TestRunRecord:
         def refuse(*args):
             raise ConfigValidationError("ensemble", "quadrature refused")
 
-        monkeypatch.setattr(stochastic, "averaged_transfer_rule", refuse)
+        monkeypatch.setattr(stochastic, "averaged_log_kernel_rule", refuse)
         path = tmp_path / "cfg.ini"
         path.write_text(texts[experiment])
         out = tmp_path / "o"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from precursor_lab import (
-    NonHermitianSpectrumWarning,
     SampledSignal,
     Spectrum,
     TimeGrid,
@@ -72,14 +71,25 @@ def test_forward_transform_sign_convention():
     assert F.values[k].imag > 0
 
 
-def test_hermitian_symmetry_of_real_signal_spectrum():
-    rng = np.random.default_rng(11)
-    g = TimeGrid(n=512, dt=0.1, t0=-25.6)
-    F = forward_transform(SampledSignal(g, rng.standard_normal(g.n))).values
-    # natural order: bin 0 is -Nyquist (no positive partner); mirror the rest
-    scale = np.abs(F).max()
-    sym = F[1:][::-1] - np.conj(F[1:])
-    assert np.abs(sym).max() < 1e-12 * scale
+@pytest.mark.parametrize("n", [2, 3, 5, 1023, 1024])
+def test_transform_is_the_riemann_sum_on_any_n(n):
+    # t0 off the sample lattice, so the origin phase matters
+    rng = np.random.default_rng(n)
+    g = TimeGrid(n=n, dt=0.1, t0=-0.05 * n + 0.0371)
+    f = SampledSignal(g, rng.standard_normal(n))
+    assert g.omegas().size == n // 2 + 1
+    direct = g.dt * np.exp(1j * np.outer(g.omegas(), g.times())) @ f.values
+    F = forward_transform(f)
+    assert np.abs(F.values - direct).max() < 1e-11
+    back = inverse_transform(F)
+    assert np.abs(back.values - f.values).max() < 1e-14
+
+
+def test_spectrum_length_is_the_half_spectrum():
+    g = TimeGrid(n=8, dt=1.0, t0=0.0)
+    Spectrum(g, np.zeros(5))
+    with pytest.raises(ValueError, match="5 bins"):
+        Spectrum(g, np.zeros(8))
 
 
 def test_round_trip_identity():
@@ -92,7 +102,7 @@ def test_round_trip_identity():
 
 def test_inverse_of_flat_spectrum_is_unit_impulse():
     g = _impulse_grid()
-    f = inverse_transform(Spectrum(g, np.ones(g.n, dtype=complex)))
+    f = inverse_transform(Spectrum(g, np.ones(g.n // 2 + 1, dtype=complex)))
     i0 = np.argmin(np.abs(g.times()))
     assert f.values[i0] == pytest.approx(1.0 / g.dt, rel=1e-12)
     mask = np.ones(g.n, bool)
@@ -113,16 +123,12 @@ def test_parseval():
     f = SampledSignal(g, rng.standard_normal(g.n))
     F = forward_transform(f)
     lhs = g.dt * np.sum(f.values**2)
-    rhs = g.domega / (2 * np.pi) * np.sum(np.abs(F.values) ** 2)
+    # the half spectrum stands for both signs of w: every bin but DC and
+    # Nyquist (n is even) counts twice
+    weights = np.full(F.values.size, 2.0)
+    weights[[0, -1]] = 1.0
+    rhs = g.domega / (2 * np.pi) * np.sum(weights * np.abs(F.values) ** 2)
     assert rhs == pytest.approx(lhs, rel=1e-10)
-
-
-def test_non_hermitian_spectrum_warns():
-    g = TimeGrid(n=64, dt=0.25, t0=-8.0)
-    vals = np.zeros(g.n, dtype=complex)
-    vals[40] = 1.0  # single positive-frequency bin, no mirror
-    with pytest.warns(NonHermitianSpectrumWarning):
-        inverse_transform(Spectrum(g, vals))
 
 
 def test_recommend_grid_satisfies_adequacy_rule():

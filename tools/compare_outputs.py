@@ -9,13 +9,16 @@ on it and once on the working tree, as ``python -m precursor_lab.cli`` with
 that tree's ``src`` on ``PYTHONPATH``.  The cases are the two benchmark
 workload configs (``perfbench/workloads/*.ini``, read and never written) at
 seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
-an exp-kernel propagate, two csv-pulse propagates (a narrow pulse and one
+two exp-kernel propagates (the second passes much of its spectrum up to
+Nyquist), two csv-pulse propagates (a narrow pulse and one
 spanning t = -200 to 200) and a ``verify`` run.
 
 Every output file, the exit status and ``verify``'s standard output are
-compared byte for byte; standard error is not, since a warning names the
-source line that raised it.  One line is printed per differing file, with
-its first differing lines.  Exit status: 0 when everything is identical,
+compared byte for byte, and so are the warnings on standard error, as one
+``Category: message`` line each: the ``path:line:`` prefix and the echoed
+source line that follows it are dropped, since they name where the warning
+was raised.  One line is printed per differing file, with its first
+differing lines.  Exit status: 0 when everything is identical,
 1 on any difference, 2 when a tree cannot be unpacked.
 """
 
@@ -25,6 +28,7 @@ import argparse
 import difflib
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads"
 SHOWN_LINES = 3  # differing lines printed per file
+WARNING_LINE = re.compile(r"^\S.*?:\d+: (\w+): (.*)$")  # path:line: Category: message
 
 CHIRP = """
 experiment = chirp
@@ -67,6 +72,19 @@ omega0 = 1
 variant = exp-kernel
 K = 10
 Kp = 100
+"""
+
+WEAK_EXP_KERNEL = """
+experiment = propagate
+z-list = 0.5 1
+[pulse]
+kind = gaussian
+T = 1
+omega0 = 1
+[medium]
+variant = exp-kernel
+K = 5
+Kp = 25
 """
 
 CSV_PULSE = """
@@ -105,6 +123,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "chirp": CHIRP,
         "slab": SLAB,
         "exp-kernel": EXP_KERNEL,
+        "weak-exp-kernel": WEAK_EXP_KERNEL,
         "csv-pulse": CSV_PULSE.format(csv=csv),
         "wide-csv-pulse": CSV_PULSE.format(csv=wide),
         "verify": VERIFY,
@@ -129,14 +148,24 @@ def unpack(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, capture_output=True, check=True)
 
 
+def warnings_of(stderr: bytes) -> bytes:
+    """One ``Category: message`` line per warning printed in ``stderr``."""
+    matches = map(WARNING_LINE.match, stderr.decode(errors="replace").splitlines())
+    return "".join(f"{m[1]}: {m[2]}\n" for m in matches if m).encode()
+
+
 def run_case(tree: Path, config: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
-    """Every output file of one run, plus its exit status and standard output."""
+    """Every output file of one run, plus its exit status, standard output and warnings."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "precursor_lab.cli", str(config), "--output-dir", str(out_dir), *args],
         env=env, cwd=out_dir.parent, capture_output=True,
     )
-    files = {"<exit status>": str(proc.returncode).encode(), "<stdout>": proc.stdout}
+    files = {
+        "<exit status>": str(proc.returncode).encode(),
+        "<stdout>": proc.stdout,
+        "<warnings>": warnings_of(proc.stderr),
+    }
     if out_dir.is_dir():
         files.update((p.name, p.read_bytes()) for p in sorted(out_dir.iterdir()))
     return files
