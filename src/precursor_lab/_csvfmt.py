@@ -1,0 +1,192 @@
+"""Vectorised ``%.17g`` text of float64 columns, byte for byte what ``'%.17g' % x`` gives.
+
+``layout(values, sep)`` lays out one column as a ``(30, rows)`` uint8
+block: character position ``i`` of every value's text is row ``i``, and a
+byte that a value's text does not use is 0.  ``join(blocks)`` puts the
+blocks of one table's columns side by side and drops the zero bytes, which
+leaves the rows of the table as text.
+
+The 17 significant digits of x come from an exact product.  With
+k = floor(log10|x|) and 10^(16-k) = (hi + lo) 2^s taken from a table of
+double-double pairs, y = |x| 2^s is exact and y*hi = p + err exactly (Dekker's
+product), so D = p + rint(err + y*lo) is |x| 10^(16-k) rounded to an integer,
+with an error near 1e-14 units before the rounding.  A value falls back to
+Python's own ``'%.17g' % x`` when that is not conclusive: when the fraction
+lies within 1e-6 of one half (a tie, or too close to one to tell), when the
+guess of k was off (p <= 1e16 or D >= 1e17), and when x is not finite.  Every
+step is float64 or integer arithmetic, so there is one code path on every
+platform.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+__all__ = ["layout", "join"]
+
+# bytes per value: sign, "0." and up to three zeros, 17 digits with the one
+# point among them, "e", the exponent's sign and three digits, the separator
+_WIDTH = 30
+_LEAD, _DIGITS, _EXP, _SEP = 1, 6, 24, 29
+
+_JMIN, _JMAX = -292, 340  # 10^j for every j = 16 - k of a finite nonzero double
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
+_TIE = 0.499999  # a fraction this close to one half falls back
+
+_PAIR_DIVISORS = np.array([10**8, 10**6, 10**4, 100, 1, 10**6, 10**4, 100, 1], np.uint32)[:, None]
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+_LEAD_ZEROS = np.array([-1, -2, -3], np.int16)[:, None]  # k below these needs 1, 2, 3 zeros
+_U8 = np.uint8
+_MINUS, _PLUS, _POINT, _ZERO, _E = (_U8(ord(c)) for c in "-+.0e")
+
+
+@functools.cache
+def _powers():
+    """Tables of 10^j = (hi + lo) 2^s for j = _JMIN ... _JMAX: hi's halves, hi, lo, s.
+
+    hi is an integer in [2^52, 2^53) and lo the rest, rounded to a double;
+    built from Python integers on first use.
+    """
+    rows, shifts = [], []
+    for j in range(_JMIN, _JMAX + 1):
+        if j >= 0:
+            n = 10**j
+            s = n.bit_length() - 53
+            hi = n >> s if s > 0 else n << -s
+            lo = (n - (hi << s)) / (1 << s) if s > 0 else 0.0
+        else:
+            q = 10**-j
+            s = -(52 + q.bit_length())
+            hi, rest = divmod(1 << -s, q)
+            lo = rest / q
+        rows.append((float(hi), lo))
+        shifts.append(s)
+    hi, lo = np.array(rows).T
+    t = hi * _SPLIT
+    hh = t - (t - hi)
+    return hh, hi - hh, hi, lo, np.array(shifts, dtype=np.int32)
+
+
+def _digits(x: np.ndarray):
+    """``(D, k, fallback)``: |x| rounds to D 10^(k-16), D of 17 digits; D = k = 0 for a zero.
+
+    ``fallback`` marks the values whose D and k are not conclusive.
+    """
+    a = np.abs(x)
+    finite = (a > 0.0) & (a < np.inf)
+    special = not finite.all()
+    if special:
+        a[~finite] = 1.0
+    k = np.log10(a)
+    np.floor(k, out=k)
+    j = (16 - _JMIN - k).astype(np.intp)
+    hh, hl, hi, lo, shifts = _powers()
+    y = np.ldexp(a, shifts.take(j))  # exact: y lies in [1, 23)
+    p = y * hi.take(j)
+    yh = y * _SPLIT
+    yh -= yh - y
+    yl = y - yh
+    h, l = hh.take(j), hl.take(j)
+    err = yh * h  # err = y*hi - p, exactly, then + y*lo
+    err -= p
+    t = yh * l
+    err += t
+    np.multiply(yl, h, out=t)
+    err += t
+    np.multiply(yl, l, out=t)
+    err += t
+    np.multiply(y, lo.take(j), out=t)
+    err += t
+    units = np.rint(err)
+    D = p.astype(np.int64)
+    D += units.astype(np.int64)
+    err -= units
+    fallback = np.abs(err) > _TIE
+    fallback |= p <= 1e16
+    fallback |= D >= 10**17
+    k = k.astype(np.int16)
+    if special:
+        zero = x == 0.0
+        fallback |= ~(finite | zero)
+        D[zero] = 0
+        k[zero] = 0
+    return D, k, fallback
+
+
+def layout(values, sep: str) -> np.ndarray:
+    """The ``(30, rows)`` uint8 block of ``'%.17g' % v + sep`` for each of ``values``.
+
+    Row i holds character i of every value's text; unused bytes are 0.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    n = x.size
+    out = np.empty((_WIDTH, n), np.uint8)
+    with np.errstate(all="ignore"):
+        D, k, fallback = _digits(x)
+    sci = (k < -4) | (k > 16)
+    lead = (k < 0) & ~sci  # "0." and -k-1 zeros before the digits
+    lead8, sci8 = lead.view(np.uint8), sci.view(np.uint8)
+    out[0] = np.signbit(x).view(np.uint8) * _MINUS
+    out[_LEAD] = lead8 * _ZERO
+    out[_LEAD + 1] = lead8 * _POINT
+    np.multiply(lead & (k < _LEAD_ZEROS), _ZERO, out=out[_LEAD + 2 : _DIGITS])
+
+    # the digits in pairs: a leading 0 and d0, then d1 d2, ..., d15 d16
+    hi = D // 10**8
+    q = np.empty((9, n), np.uint32)
+    np.floor_divide(hi.astype(np.uint32), _PAIR_DIVISORS[:5], out=q[:5])
+    np.floor_divide((D - hi * 10**8).astype(np.uint32), _PAIR_DIVISORS[5:], out=q[5:])
+    q -= (q // 100) * 100  # q %= 100; numpy's % is several times slower
+    q = q.astype(np.uint8)
+    tens = q // _U8(10)
+    q -= tens * _U8(10)
+    digits = np.zeros((19, n), np.uint8)  # digit i in row i + 1; rows 0 and 18 stay 0
+    np.add(tens[1:], _ZERO, out=digits[2:18:2])
+    np.add(q, _ZERO, out=digits[1:19:2])
+
+    # keep digit i when a non-zero digit follows, or when it is an integer
+    # digit; d0 always is one
+    keep = digits[1:18] != _ZERO
+    for i in range(15, 0, -1):
+        keep[i] |= keep[i + 1]
+    last = np.where(lead | sci, 0, k).astype(np.uint8)  # the last integer digit
+    keep |= _SLOT[:17] <= last
+    digits[1:18] *= keep
+    kept = keep.view(np.uint8).sum(axis=0, dtype=np.uint8)
+    # the point follows digit `last` when a kept digit follows it: slot i
+    # holds digit i up to the point, the point, then digit i - 1
+    point = np.where(lead | (kept <= last + _U8(1)), _U8(17), last)
+    shifted = digits[:-1]
+    region = digits[1:] - shifted
+    region *= (_SLOT <= point).view(np.uint8)
+    region += shifted
+    region += (_POINT - shifted) * (_SLOT == point + _U8(1)).view(np.uint8)
+    out[_DIGITS:_EXP] = region
+
+    e = np.abs(k)
+    hundreds = (e // 100).astype(np.uint8)
+    e -= hundreds * np.int16(100)
+    e = e.astype(np.uint8)
+    tens = e // _U8(10)
+    out[_EXP] = sci8 * _E
+    out[_EXP + 1] = sci8 * np.where(k < 0, _MINUS, _PLUS)
+    out[_EXP + 2] = (hundreds + _ZERO) * (sci8 & (hundreds > 0).view(np.uint8))
+    out[_EXP + 3] = (tens + _ZERO) * sci8
+    out[_EXP + 4] = (e - tens * _U8(10) + _ZERO) * sci8
+    out[_SEP] = ord(sep)
+
+    if fallback.any():
+        rows = np.flatnonzero(fallback)
+        text = "".join(("%.17g" % v).ljust(_SEP, "\0") for v in x[rows].tolist())
+        out[:_SEP, rows] = np.frombuffer(text.encode(), np.uint8).reshape(rows.size, _SEP).T
+    return out
+
+
+def join(blocks) -> bytes:
+    """The text of the rows whose columns ``blocks`` lays out, left to right."""
+    # one row per table row, left in the blocks' memory order: the boolean
+    # index below reads it row by row, which costs less than a copy first
+    chars = np.concatenate([block.T for block in blocks], axis=1)
+    return chars[chars != 0].tobytes()

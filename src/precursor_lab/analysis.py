@@ -80,7 +80,10 @@ def rms_width(signal: SampledSignal) -> float:
 
 
 def fit_decay_exponent(records) -> tuple[float, float]:
-    """Least-squares slope of log(peak amplitude) against log(depth), with stderr."""
+    """Least-squares slope of log(peak amplitude) against log(depth), with stderr.
+
+    When every amplitude is equal the fit is exact: slope 0 and stderr 0.
+    """
     records = list(records)
     if len(records) < 3:
         raise ValueError(f"need at least 3 records, got {len(records)}")
@@ -93,6 +96,9 @@ def fit_decay_exponent(records) -> tuple[float, float]:
     # scipy.stats.linregress's own formulas, so the values stay bit-identical
     # without importing scipy.stats
     ssxm, ssxym, _, ssym = np.cov(np.log(zs), np.log(amps), bias=1).flat
+    if ssym == 0.0:
+        # linregress's correlation would be 0/0; the residual is zero
+        return float(ssxym / ssxm), 0.0
     r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     slope = ssxym / ssxm
     stderr = np.sqrt((1 - r**2) * ssym / ssxm / (zs.size - 2))

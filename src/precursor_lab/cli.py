@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, verify
+from . import _csvfmt, experiments, verify
 from .config import ConfigError, ExperimentConfig, parse_config
 
 __all__ = ["main", "run"]
@@ -43,47 +43,41 @@ _EXPERIMENTS = {
 
 _SWEEP_COLUMNS = ("z", "t_peak", "peak_amp", "rms_width", "energy_ratio")
 
-# rows formatted per write; keeps the transient strings and float objects
-# O(block) instead of O(file)
+# rows formatted per write; keeps the character blocks O(block) instead of O(file)
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, header: str, columns) -> None:
-    """Header line, then one ``%.17g`` field per column, ``,``-separated, per row.
+def _write_tables(header: str, shared, files) -> None:
+    """Write each ``(path, columns)`` of ``files`` as a CSV whose rows are ``shared`` then ``columns``.
 
-    The bytes equal ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``:
-    ``.tolist()`` yields Python floats, which ``%.17g`` formats exactly as
-    it formats the ``np.float64`` rows savetxt passes, but a whole block of
-    rows goes through one ``%`` instead of one Python call per row.
-    """
-    data = np.column_stack(columns)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start : start + _CSV_BLOCK_ROWS]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _write_outputs(out_dir: Path, t: np.ndarray, files) -> None:
-    """Write each ``(name, values)`` of ``files`` as a ``t,f`` CSV on the shared times ``t``.
-
-    Each file holds the bytes ``_write_csv`` writes for ``(t, values)``.  Each
-    block of ``t`` is formatted once into a row template, ``"<t>,%.17g\\n"``
-    per row, which every file fills with its own values in one ``%``.  Blocks
-    are the outer loop, so one template is alive at a time.
+    A header line, then one ``%.17g`` field per column, ``,``-separated, per
+    row: the bytes ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``
+    writes (:mod:`precursor_lab._csvfmt`).  Blocks of rows are the outer
+    loop, and each block of the ``shared`` columns is laid out once for
+    every file.
     """
     with contextlib.ExitStack() as stack:
         handles = []
-        for name, values in files:
-            fh = stack.enter_context((out_dir / name).open("w"))
-            fh.write("t,f\n")
-            handles.append((fh, values))
-        for start in range(0, len(t), _CSV_BLOCK_ROWS):
-            tb = t[start : start + _CSV_BLOCK_ROWS]
-            rows = ("%.17g,%%.17g\n" * len(tb)) % tuple(tb.tolist())
-            for fh, values in handles:
-                fh.write(rows % tuple(values[start : start + _CSV_BLOCK_ROWS].tolist()))
+        for path, columns in files:
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(header.encode() + b"\n")
+            handles.append((fh, columns))
+        for start in range(0, len(files[0][1][0]), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            head = [_csvfmt.layout(column[rows], ",") for column in shared]
+            for fh, (*body, last) in handles:
+                blocks = head + [_csvfmt.layout(column[rows], ",") for column in body]
+                fh.write(_csvfmt.join(blocks + [_csvfmt.layout(last[rows], "\n")]))
+
+
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One CSV of ``columns``, each a sequence of floats."""
+    _write_tables(header, [], [(path, columns)])
+
+
+def _write_outputs(out_dir: Path, t: np.ndarray, files) -> None:
+    """Write each ``(name, values)`` of ``files`` as a ``t,f`` CSV on the shared times ``t``."""
+    _write_tables("t,f", [t], [(out_dir / name, [values]) for name, values in files])
 
 
 def run(cfg: ExperimentConfig) -> int:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,16 @@ class TestDecayFit:
         for recs in fits:
             ref = linregress(np.log([r.z for r in recs]), np.log([r.peak_amp for r in recs]))
             assert fit_decay_exponent(recs) == (float(ref.slope), float(ref.stderr))
+
+    def test_equal_amplitudes_fit_exactly(self):
+        # linregress's correlation is 0/0 here and its stderr nan
+        recs = [
+            SweepRecord(z=z, t_peak=1.0, peak_amp=0.25, rms_width=1.0, energy_ratio=1.0)
+            for z in (7.54422, 107.286, 125.133, 233.894)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_decay_exponent(recs) == (0.0, 0.0)
 
     def test_needs_three_distinct_depths(self):
         recs = _records_from_power_law(-0.5)[:2]

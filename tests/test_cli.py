@@ -703,6 +703,53 @@ class TestMainEntry:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == ""
 
+    def test_equal_peak_amplitudes_give_a_zero_stderr(self, tmp_path):
+        # every depth's output is the same DC plateau, so the decay fit is exact
+        text = (
+            "experiment = sweep-z\nz-list = 7.54422 107.286 125.133 233.894\n"
+            "[pulse]\nkind = rect\nT = 0.628025\n"
+            "[medium]\nvariant = exp-kernel\nK = 0.537929\nKp = 237.855\n"
+            "[grid]\nn = 256\ndt = 0.118317\nt0 = -26.3598\n"
+        )
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert {w.category for w in caught} == {GridAdequacyWarning}
+        summary = _summary(tmp_path / "o")
+        assert summary["decay_slope"] == "0"
+        assert summary["decay_slope_stderr"] == "0"
+
+    @pytest.mark.parametrize(
+        "text,depth",
+        [
+            # the pulse's largest sample is 5e-323 and its output is identically zero
+            (
+                "experiment = propagate\nz = 161.492\n"
+                "[pulse]\nkind = gaussian\nT = 0.567025\nomega0 = 0\n"
+                "[medium]\nvariant = exp-kernel\nK = 15.3623\nKp = 0.176393\n"
+                "[grid]\nn = 64\ndt = 0.0299421\nt0 = -23.732\n",
+                "161.492",
+            ),
+            # the pulse's largest sample is 2.1e-208, and every output sample squares to 0
+            (
+                "experiment = sweep-z\nz-list = 0.170386 7.46421 22.0418 159.868\n"
+                "[pulse]\nkind = gaussian\nT = 0.746605\nomega0 = 13.0966\n"
+                "[medium]\nvariant = exp-kernel\nK = 23.1156\nKp = 129.004\n"
+                "[grid]\nn = 64\ndt = 0.38152\nt0 = -47.1183\n",
+                "0.170386",
+            ),
+        ],
+    )
+    def test_output_of_zero_energy_exits_before_writing(self, tmp_path, capsys, text, depth):
+        with pytest.warns(GridAdequacyWarning):
+            self._one_line_error(
+                tmp_path, capsys, text,
+                f"z: the output at depth {depth} has zero energy (every sample squares to 0)",
+            )
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("K,Kp", [("1e-310", "1"), ("1e-300", "1e10")])
     def test_exp_kernel_out_of_range(self, tmp_path, capsys, K, Kp):
         text = MINIMAL.replace(

@@ -11,7 +11,9 @@ workload configs (``perfbench/workloads/*.ini``, read and never written) at
 seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
 two exp-kernel propagates (the second passes much of its spectrum up to
 Nyquist), two csv-pulse propagates (a narrow pulse and one
-spanning t = -200 to 200) and a ``verify`` run.
+spanning t = -200 to 200), a propagate on a given grid whose times cross
+``%g``'s switch to exponent notation and hold an exact 0, and a ``verify``
+run.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte, and so are the warnings on standard error, as one
@@ -99,6 +101,24 @@ a = 1
 v = 1
 """
 
+# a given grid whose t column runs from -3e-4 through an exact 0 at dt = 1e-6,
+# so the shared times cross %g's switch to exponent notation below 1e-4
+FORMAT_EDGES = """
+experiment = propagate
+z = 1e-4
+[pulse]
+kind = gaussian
+T = 2e-5
+[medium]
+variant = quadratic
+a = 1e8
+v = 10
+[grid]
+n = 512
+dt = 1e-6
+t0 = -3e-4
+"""
+
 VERIFY = "experiment = verify\nseed = 3\n"
 
 
@@ -126,6 +146,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "weak-exp-kernel": WEAK_EXP_KERNEL,
         "csv-pulse": CSV_PULSE.format(csv=csv),
         "wide-csv-pulse": CSV_PULSE.format(csv=wide),
+        "format-edges": FORMAT_EDGES,
         "verify": VERIFY,
     }
     out = {}
