@@ -1,20 +1,16 @@
-"""Hot numeric kernels of the ensemble runs, in vectorised numpy.
+"""Counter-based gamma sampling for the ensemble runs, in vectorised numpy.
 
-* ``gamma_draws`` -- counter-based gamma sampling (sum of exponentials driven
-  by a splitmix64 hash, so draw ``i`` depends only on ``(seed, i)``);
-* ``mean_exp_kernel`` -- the per-frequency average of exp(-x_i * w) over all
-  draws, the ensemble-averaged transfer kernel.
-
-Each kernel has one implementation with a fixed reduction order: draws are
-summed in fixed chunks, in index order, so a result depends only on its
-inputs and the chunk size, never on the thread count.
+``gamma_draws`` sums exponentials driven by a splitmix64 hash, so draw ``i``
+depends only on ``(seed, i)``, never on the thread count or on which slice
+of the sequence is asked for.  The kernels averaged over those draws are
+formed in :mod:`precursor_lab.stochastic`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gamma_draws", "mean_exp_kernel"]
+__all__ = ["gamma_draws"]
 
 # splitmix64 constants
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -49,12 +45,3 @@ def gamma_draws(seed: int, count: int, shape_k: int, rate: float) -> np.ndarray:
             acc -= np.log(_u01(seed, counter))
     return acc / rate
 
-
-def mean_exp_kernel(x: np.ndarray, w: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Mean over draws i of exp(-x[i] * w[k]), evaluated per frequency point k."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    acc = np.zeros_like(w)
-    for i0 in range(0, x.size, chunk):
-        acc += np.exp(-np.outer(x[i0 : i0 + chunk], w)).sum(axis=0)
-    return acc / x.size

@@ -214,12 +214,7 @@ def averaged_transfer_rule(spec: EnsembleSpec, z: float, omega):
     z w^2 / 2b <= 0.5 and m <= 30; further out only the rule's 2e-12
     absolute accuracy holds.  Scalar or array omega.
     """
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
-    y, weights = _gamma_rule(spec.m, RULE_STEP)
-    omega = np.asarray(omega, dtype=np.float64)
-    kernel = np.exp(-np.multiply.outer(z * omega**2 / (2.0 * spec.b), y)) @ weights
-    return kernel * np.exp(1j * omega * z / spec.v)
+    return _rule_average(spec, z, omega, np.exp) * np.exp(1j * np.asarray(omega, float) * z / spec.v)
 
 
 def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega):
@@ -229,10 +224,17 @@ def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega):
     kernel is close to 1 and the log of the rounded kernel would be off by
     that rounding over the kernel's distance from 1.
     """
+    return np.log1p(_rule_average(spec, z, omega, np.expm1))
+
+
+def _rule_average(spec: EnsembleSpec, z: float, omega, fn):
+    """weights @ fn(-lambda y) on the rule of :func:`draw_std`, lambda = z w^2 / 2b, per omega."""
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    return np.log1p(np.expm1(-np.multiply.outer(z * np.square(omega) / (2.0 * spec.b), y)) @ weights)
+    lam = z * np.square(omega) / (2.0 * spec.b)
+    blocks = _kernel_blocks(np.ravel(lam), y, fn=fn)
+    return np.concatenate([block @ weights for _, _, block in blocks]).reshape(np.shape(lam))
 
 
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
@@ -321,6 +323,28 @@ def observed_output(
 
 
 _MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
+_BLOCK_BYTES = 1 << 20  # size of the one buffer in which every ensemble kernel is formed
+
+
+def _kernel_blocks(x, lam, rows=None, fn=np.exp):
+    """Yield ``(r, c, fn(-x[r] lam[c]))`` over slices r of x and c of lam, in row order.
+
+    Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), so
+    use each before asking for the next.  ``rows=None``: whole rows, as many as
+    fit.  Else ``rows`` rows at a time, lam cut evenly into slices at least 2
+    wide: numpy sums a lone column pairwise, wider blocks row by row.
+    """
+    cols = lam.size
+    slices = 1 if rows is None else max(1, min(-(-8 * rows * cols // _BLOCK_BYTES), cols // 2))
+    rows = rows or max(1, _BLOCK_BYTES // (8 * cols))
+    edges = cols * np.arange(slices + 1) // slices
+    buf = np.empty(min(rows, x.size) * -(-cols // slices))
+    for i0 in range(0, x.size, rows):
+        r = slice(i0, min(i0 + rows, x.size))
+        for c0, c1 in zip(edges[:-1], edges[1:]):
+            block = buf[: (r.stop - i0) * (c1 - c0)].reshape(-1, c1 - c0)
+            np.multiply.outer(-x[r], lam[c0:c1], out=block)
+            yield r, slice(c0, c1), fn(block, out=block)
 
 
 def monte_carlo_output(
@@ -341,9 +365,8 @@ def monte_carlo_output(
     the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
     summed in fixed batches so the result is identical for any degree of
     parallelism.  With ``return_stderr`` the pointwise sample standard error
-    of the mean is returned alongside; that path keeps every draw's
-    time-domain signal and is correspondingly slower.  ``spectrum`` is
-    ``forward_transform(f0)`` and ``inverse_a`` is
+    of the mean is returned alongside, from each draw's inverse transform,
+    at a cost.  ``spectrum`` is ``forward_transform(f0)`` and ``inverse_a`` is
     ``sample_inverse_a(spec, n_samples, seed)``, each computed here when not
     given, so that a run over many depths computes them once.
     """
@@ -352,7 +375,7 @@ def monte_carlo_output(
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     grid = f0.grid
-    draws = sample_inverse_a(spec, n_samples, seed) if inverse_a is None else inverse_a
+    draws = sample_inverse_a(spec, n_samples, seed) if inverse_a is None else np.asarray(inverse_a, float)
     if len(draws) != n_samples:
         raise ValueError(f"got {len(draws)} draws for n_samples={n_samples}")
     if spectrum is None:
@@ -361,21 +384,18 @@ def monte_carlo_output(
     # leaves each draw's kernel a real row for ``inverse_rows``
     delayed = Spectrum(grid, spectrum.values * np.exp(1j * grid.omegas() * z / spec.v))
     half_zw2 = 0.5 * z * grid.omegas() ** 2
+    kernel = np.zeros_like(half_zw2)
+    for _, c, block in _kernel_blocks(draws, half_zw2, _MC_BATCH):
+        kernel[c] += block.sum(axis=0)
+    mean = inverse_rows(delayed, kernel / n_samples)
     if not return_stderr:
-        kernel = _kernels.mean_exp_kernel(draws, half_zw2, chunk=_MC_BATCH)
-        return SampledSignal(grid, inverse_rows(delayed, kernel))
+        return SampledSignal(grid, mean)
 
-    # per-draw inverse transforms, accumulated in fixed order
-    mean = np.zeros(grid.n)
     sumsq = np.zeros(grid.n)
-    for i0 in range(0, n_samples, _MC_BATCH):
-        signals = inverse_rows(delayed, np.exp(-np.outer(draws[i0 : i0 + _MC_BATCH], half_zw2)))
-        mean += signals.sum(axis=0)
-        sumsq += (signals * signals).sum(axis=0)
-    mean /= n_samples
+    for _, _, block in _kernel_blocks(draws, half_zw2):
+        sumsq += np.square(inverse_rows(delayed, block)).sum(axis=0)
     var = np.maximum(sumsq / n_samples - mean**2, 0.0)
-    stderr = np.sqrt(var / max(n_samples - 1, 1))
-    return SampledSignal(grid, mean), stderr
+    return SampledSignal(grid, mean), np.sqrt(var / (n_samples - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -404,13 +424,6 @@ def _gamma_rule(m: int, step: float):
     return y, weights
 
 
-def _std_over_rule(draws: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Standard deviation over the rule of ``draws``, whose last axis runs over its nodes."""
-    mean = draws @ weights
-    dev = draws - mean[..., None]
-    return np.sqrt((dev * dev) @ weights)
-
-
 def draw_std(
     f0: SampledSignal,
     spec: EnsembleSpec,
@@ -422,8 +435,9 @@ def draw_std(
     A draw with inverse curvature x turns ``f0`` into the inverse transform
     of its delayed spectrum times exp(-z x w^2 / 2).  The first two moments
     of that output over x ~ Gamma(m+1, rate b) come from the exp-sinh rule
-    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), one inverse
-    transform per node, for any pulse.  Dividing by sqrt(draws) gives the
+    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), for any pulse:
+    the mean is one inverse transform of the rule's kernel average, the
+    centred second moment one per node.  Dividing by sqrt(draws) gives the
     exact standard error of a Monte Carlo mean, which the sample standard
     error underestimates in the tails, where the mean rests on a few rare
     wide draws.  ``spectrum`` is ``forward_transform(f0)``, computed here
@@ -436,8 +450,11 @@ def draw_std(
     y, weights = _gamma_rule(spec.m, RULE_STEP)
     w = f0.grid.omegas()
     delayed = Spectrum(f0.grid, spectrum.values * np.exp(1j * w * z / spec.v))
-    outputs = inverse_rows(delayed, np.exp(-np.outer(y / spec.b, 0.5 * z * w**2)))
-    return _std_over_rule(outputs.T, weights)
+    mean = inverse_rows(delayed, _rule_average(spec, z, w, np.exp))
+    var = np.zeros(f0.grid.n)
+    for r, _, block in _kernel_blocks(y, z * np.square(w) / (2.0 * spec.b)):
+        var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
+    return np.sqrt(var)
 
 
 def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):
@@ -453,4 +470,5 @@ def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):
     width2 = T * T + z * y / spec.b
     tau = np.asarray(t, dtype=np.float64) - z / spec.v
     draw = np.sqrt(T * T / width2) * np.exp(-(tau[..., None] ** 2) / (2.0 * width2))
-    return _std_over_rule(draw, weights)
+    dev = draw - (draw @ weights)[..., None]
+    return np.sqrt((dev * dev) @ weights)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from precursor_lab import (
 from precursor_lab import stochastic
 from precursor_lab.config import ExperimentConfig
 from precursor_lab.experiments import plan_grid
+from precursor_lab.grid import inverse_rows
 
 
 class TestCoefficientTable:
@@ -395,7 +397,7 @@ class TestMonteCarlo:
         g, f0 = _mc_fixture(n=1024)
         fast = monte_carlo_output(f0, spec, 4.0, 800, seed=9)
         slow, _ = monte_carlo_output(f0, spec, 4.0, 800, seed=9, return_stderr=True)
-        assert np.abs(fast.values - slow.values).max() < 1e-12 * np.abs(slow.values).max()
+        assert np.array_equal(fast.values, slow.values)
 
     def test_mean_matches_per_draw_loop_on_workload_grid(self):
         # one inverse transform of the averaged kernel against the mean of
@@ -403,10 +405,16 @@ class TestMonteCarlo:
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         pulse = PulseSpec(kind="gaussian", T=1.0, omega0=0.0)
         f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, 2.0))
+        g, draws = f0.grid, sample_inverse_a(spec, 2000, seed=1)
         for z in (0.5, 1.0, 2.0):
             fast = monte_carlo_output(f0, spec, z, 2000, seed=1)
-            slow, _ = monte_carlo_output(f0, spec, z, 2000, seed=1, return_stderr=True)
-            assert np.abs(fast.values - slow.values).max() < 2e-15 * np.abs(slow.values).max()
+            delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
+            loop = np.zeros(g.n)
+            for i0 in range(0, draws.size, 250):
+                kernels = np.exp(-np.outer(draws[i0 : i0 + 250], 0.5 * z * g.omegas() ** 2))
+                loop += inverse_rows(delayed, kernels).sum(axis=0)
+            loop /= draws.size
+            assert np.abs(fast.values - loop).max() < 2e-15 * np.abs(loop).max()
 
     def test_given_spectra_change_nothing(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
@@ -465,6 +473,68 @@ class TestLazyQuad:
     def test_other_missing_attributes_still_raise(self):
         with pytest.raises(AttributeError, match="no attribute 'quadrature'"):
             stochastic.quadrature
+
+
+class TestKernelBlocks:
+    """Every ensemble kernel is formed in blocks of at most ``_BLOCK_BYTES``."""
+
+    @pytest.mark.parametrize("n", [2048, 1023])
+    @pytest.mark.parametrize("budget", [None, 256 * 3 * 8])
+    def test_mc_mean_bytes_match_full_width_chunk_sums(self, monkeypatch, n, budget):
+        # bins cut into slices of 2 and 3 sum their draws in the same order
+        # as the whole width, and no slice is a lone trailing bin
+        if budget is not None:
+            monkeypatch.setattr(stochastic, "_BLOCK_BYTES", budget)
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
+        g, f0 = _mc_fixture(n=n)
+        draws = sample_inverse_a(spec, 1000, seed=3)
+        half_zw2 = 0.5 * z * g.omegas() ** 2
+        widths = {c.stop - c.start for _, c, _ in stochastic._kernel_blocks(draws, half_zw2, 256)}
+        assert min(widths) >= 2
+        if budget is not None:
+            assert widths == {2, 3}
+        kernel = np.zeros_like(half_zw2)
+        for i0 in range(0, draws.size, 256):
+            kernel += np.exp(-np.outer(draws[i0 : i0 + 256], half_zw2)).sum(axis=0)
+        delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
+        ref = inverse_rows(delayed, kernel / draws.size)
+        got = monte_carlo_output(f0, spec, z, draws.size, seed=3, inverse_a=draws).values
+        assert got.tobytes() == ref.tobytes()
+
+    def test_moments_do_not_depend_on_the_split(self, monkeypatch):
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
+        g, f0 = _mc_fixture(n=1024)
+        std = draw_std(f0, spec, z)
+        rule = stochastic.averaged_transfer_rule(spec, z, g.omegas())
+        # one node per transform, a few bins per rule block, bin slices of 2 and 3
+        monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4096)
+        assert np.abs(draw_std(f0, spec, z) - std).max() <= 1e-14 * std.max()
+        rule_split = stochastic.averaged_transfer_rule(spec, z, g.omegas())
+        assert np.abs(rule_split - rule).max() <= 1e-14 * np.abs(rule).max()
+        fast = monte_carlo_output(f0, spec, z, 800, seed=9)
+        slow, _ = monte_carlo_output(f0, spec, z, 800, seed=9, return_stderr=True)
+        assert np.array_equal(fast.values, slow.values)
+
+    def test_peak_memory_is_the_block_budget_plus_order_n(self):
+        # one float64 block of 256 draws x 32,769 bins would take 67 MB, far above the bound
+        spec, z, n = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0, 1 << 16
+        g, f0 = _mc_fixture(n=n, t0=-1638.4)
+        spectrum = forward_transform(f0)
+        draws = sample_inverse_a(spec, 256, seed=1)
+        bound = 8 * stochastic._BLOCK_BYTES + 64 * n
+        calls = {
+            "mean": lambda: monte_carlo_output(f0, spec, z, 256, 1, spectrum=spectrum, inverse_a=draws),
+            "stderr": lambda: monte_carlo_output(f0, spec, z, 256, 1, True, spectrum, draws),
+            "draw_std": lambda: draw_std(f0, spec, z, spectrum=spectrum),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (name, peak, bound)
 
 
 def _auto_grid(pulse, spec, z):

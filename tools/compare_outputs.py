@@ -12,8 +12,8 @@ seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
 two exp-kernel propagates (the second passes much of its spectrum up to
 Nyquist), two csv-pulse propagates (a narrow pulse and one
 spanning t = -200 to 200), a propagate on a given grid whose times cross
-``%g``'s switch to exponent notation and hold an exact 0, and a ``verify``
-run.
+``%g``'s switch to exponent notation and hold an exact 0, a ``stochastic``
+run on a given grid of 65,536 samples, and a ``verify`` run.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte, and so are the warnings on standard error, as one
@@ -119,6 +119,26 @@ dt = 1e-6
 t0 = -3e-4
 """
 
+# the stochastic workload on a given grid of 65,536 samples, so that the Monte
+# Carlo kernel is averaged over many bin slices and sigma over many node blocks
+WIDE_STOCHASTIC = """
+experiment = stochastic
+z-list = 4
+mc-samples = 2000
+seed = 1
+[pulse]
+kind = gaussian
+T = 1
+[ensemble]
+b = 2
+m = 1
+v = 1
+[grid]
+n = 65536
+dt = 0.05
+t0 = -1638.4
+"""
+
 VERIFY = "experiment = verify\nseed = 3\n"
 
 
@@ -147,6 +167,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "csv-pulse": CSV_PULSE.format(csv=csv),
         "wide-csv-pulse": CSV_PULSE.format(csv=wide),
         "format-edges": FORMAT_EDGES,
+        "stochastic-wide-grid": WIDE_STOCHASTIC,
         "verify": VERIFY,
     }
     out = {}
