@@ -41,7 +41,6 @@ from .media import (
 from .propagate import (
     ChirpDCContent,
     GridAdequacyWarning,
-    PropagationResult,
     RegimeError,
     analytic_gaussian_output,
     analytic_rect_output_largez,

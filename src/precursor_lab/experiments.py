@@ -91,16 +91,17 @@ def _arrival_and_width(medium, z: float) -> tuple[float, float]:
 
 
 MAX_AUTO_SAMPLES = 1 << 20  # 16 MB per complex array; a longer grid must be given
+TAIL_TOLERANCE = 1e-16  # share of the peak an automatic grid leaves at its edges
 
 
 def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     """The config's ``[grid]``, else the automatic grid; None without a pulse.
 
-    The automatic grid leaves eps = ``stochastic.TAIL_TOLERANCE`` of the peak
+    The automatic grid leaves eps = ``TAIL_TOLERANCE`` of the peak
     at each edge: from a whole number of samples before zero to past the
     deepest arrival, each side holds the pulse's tail (sqrt(2 ln 1/eps)
     widths T, or a ``csv`` file's times) plus the medium's (sqrt(2 ln 1/eps)
-    widths sqrt(z/a), or the ensemble's ``tail_decay_lengths`` decay lengths
+    widths sqrt(z/a), or ``stochastic.tail_decay_lengths(m, eps)`` decay lengths
     sqrt(z/b)).  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of more than
     ``MAX_AUTO_SAMPLES`` samples is a config error.
     """
@@ -108,7 +109,7 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
         return cfg.grid
     if cfg.pulse is None and cfg.pulse_csv is None:
         return None
-    eps = stochastic.TAIL_TOLERANCE
+    eps = TAIL_TOLERANCE
     gaussian_tail = np.sqrt(2.0 * np.log(1.0 / eps))  # widths at which exp(-x^2/2) is eps
     z_max = max(cfg.z_values, default=0.0)
     if cfg.pulse is None:
@@ -225,23 +226,20 @@ def _sweep_records(outputs, f0):
     return records
 
 
-def monte_carlo_deviation(f0, spec, z: float, draws: int, seed: int, spectrum=None, inverse_a=None):
+def monte_carlo_deviation(spectrum, spec, z: float, draws):
     """The Monte Carlo mean at depth ``z`` and its largest deviation in standard errors.
 
-    The largest |mean - limit| where the exact limit (the spectrum of ``f0``
-    times the directly averaged kernel) exceeds 1e-6 of its peak, over the
-    exact standard error, sigma / sqrt(draws): the sample standard error is
-    too small in the tails, where the mean rests on a few rare wide draws.
-    ``spectrum`` is ``propagate.input_spectrum(f0)`` and ``inverse_a`` is
-    ``stochastic.sample_inverse_a(spec, draws, seed)``, each computed here
-    when not given.
+    ``spectrum`` is the input's half spectrum and ``draws`` the sampled
+    inverse curvatures.  The largest |mean - limit| where the exact limit
+    (``spectrum`` times the directly averaged kernel) exceeds 1e-6 of its
+    peak, over the exact standard error, sigma / sqrt(draws): the sample
+    standard error is too small in the tails, where the mean rests on a few
+    rare wide draws.
     """
-    if spectrum is None:
-        spectrum = propagate.input_spectrum(f0)
-    mc = stochastic.monte_carlo_output(f0, spec, z, draws, seed, spectrum=spectrum, inverse_a=inverse_a)
-    kernel = stochastic.averaged_transfer_direct(spec, z, f0.grid.omegas())
+    mc = stochastic.monte_carlo_output(spectrum, spec, z, draws)
+    kernel = stochastic.averaged_transfer_direct(spec, z, spectrum.grid.omegas())
     ref = propagate.apply_transfer(spectrum, kernel).values
-    stderr = stochastic.draw_std(f0, spec, z, spectrum=spectrum) / np.sqrt(draws)
+    stderr = stochastic.draw_std(spectrum, spec, z) / np.sqrt(draws.size)
     peak = np.abs(ref).max()
     sel = np.abs(ref) > 1e-6 * peak
     return mc, float((np.abs(mc.values - ref)[sel] / (stderr[sel] + 1e-12 * peak)).max())
@@ -307,11 +305,11 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
     spec = cfg.ensemble
     spectrum = propagate.input_spectrum(f0)
     # every depth averages over the same media
-    inverse_a = stochastic.sample_inverse_a(spec, cfg.mc_samples, cfg.seed)
+    draws = stochastic.sample_inverse_a(spec, cfg.mc_samples, cfg.seed)
 
     def one(z):
-        observed = stochastic.observed_output(f0, spec, z, spectrum=spectrum)
-        mc, dev = monte_carlo_deviation(f0, spec, z, cfg.mc_samples, cfg.seed, spectrum, inverse_a)
+        observed = stochastic.observed_output(spectrum, spec, z)
+        mc, dev = monte_carlo_deviation(spectrum, spec, z, draws)
         return (z, observed), (z, mc), dev
 
     observed, mc, devs = zip(*_map_over_z(one, cfg.z_values, cfg.threads))
@@ -335,7 +333,9 @@ def run_chirp(cfg: config.ExperimentConfig, grid, f0) -> Run:
     numeric = propagate.chirp_dc_numeric(pulse.T, pulse.omega0, pulse.alpha)
     est = propagate.chirp_dc_content(pulse.T, pulse.omega0, pulse.alpha)
     unchirped = np.sqrt(2.0 * np.pi) * pulse.T * np.exp(-((pulse.omega0 * pulse.T) ** 2) / 2.0)
-    orders = np.log10(abs(numeric) / unchirped) if unchirped > 0 else np.inf
+    # log10 |numeric| / unchirped, in logs: finite where unchirped underflows
+    orders = np.log10(abs(numeric)) - np.log10(np.sqrt(2.0 * np.pi) * pulse.T)
+    orders += (pulse.omega0 * pulse.T) ** 2 / (2.0 * np.log(10.0))
     rel_sp = abs(abs(numeric) - abs(est.stationary_phase)) / abs(numeric)
     rel_cf = abs(abs(numeric) - abs(est.closed_form)) / abs(numeric)
     entries = [

@@ -1,12 +1,15 @@
 """Numerical pulse propagation and the matching closed-form outputs.
 
 The workhorse is :func:`propagate_fft`: multiply the input spectrum by the
-medium transfer function and invert.  It is :func:`input_spectrum` followed
-by :func:`apply_transfer`; a run over many depths calls the first once and
-the second per depth.  Everything else in this module is an analytic
-expression for special cases (Gaussian input, rectangular input at long
-range, thin slabs, chirped inputs), kept separate so the two routes can
-cross-validate each other.  Where a standard closed form disagrees with the
+medium transfer function and invert, returning the output signal.  It is
+:func:`input_spectrum` followed by :func:`apply_transfer`; a run over many
+depths calls the first once and the second per depth.  The ensemble outputs
+take that same input spectrum: ``stochastic.observed_output(spectrum, spec,
+z)``, ``draw_std(spectrum, spec, z)`` and ``monte_carlo_output(spectrum,
+spec, z, draws)``.  Everything else in this module is an analytic expression
+for special cases (Gaussian input, rectangular input at long range, thin
+slabs, chirped inputs), kept separate so the two routes can cross-validate
+each other.  Where a standard closed form disagrees with the
 value rebuilt from first principles, both are exposed and the batch runner
 reports the ratio; nothing is silently corrected.
 """
@@ -23,7 +26,6 @@ from .media import SPEED_OF_LIGHT, transfer_function
 from .signals import moment
 
 __all__ = [
-    "PropagationResult",
     "GridAdequacyWarning",
     "RegimeError",
     "input_spectrum",
@@ -53,16 +55,6 @@ class GridAdequacyWarning(UserWarning):
 
 class RegimeError(ValueError):
     """A closed form was evaluated outside its validity regime."""
-
-
-@dataclass(frozen=True, eq=False)
-class PropagationResult:
-    """Propagated signal plus a record of how it was produced."""
-
-    signal: SampledSignal
-    z: float
-    medium: object
-    method: str
 
 
 def _edge_mass_ok(values: np.ndarray, frac: float = 1e-6) -> bool:
@@ -111,7 +103,7 @@ def apply_transfer(spectrum: Spectrum, H) -> SampledSignal:
     return out
 
 
-def propagate_fft(f0: SampledSignal, medium, z: float) -> PropagationResult:
+def propagate_fft(f0: SampledSignal, medium, z: float) -> SampledSignal:
     """Propagate ``f0`` to depth ``z``: inverse transform of transfer * spectrum.
 
     Emits a :class:`GridAdequacyWarning` (never an error) when the input or
@@ -121,9 +113,7 @@ def propagate_fft(f0: SampledSignal, medium, z: float) -> PropagationResult:
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    spectrum = input_spectrum(f0)
-    out = apply_transfer(spectrum, transfer_function(medium, z, f0.grid.omegas()))
-    return PropagationResult(signal=out, z=float(z), medium=medium, method="fft")
+    return apply_transfer(input_spectrum(f0), transfer_function(medium, z, f0.grid.omegas()))
 
 
 def impulse_response_fft(medium, z: float, grid) -> SampledSignal:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, propagate
-from .grid import SampledSignal, Spectrum, forward_transform, inverse_rows
+from .grid import SampledSignal, Spectrum, inverse_rows
 
 __all__ = [
     "EnsembleSpec",
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 MAX_TABLE_ORDER = 30  # (2m-1)!! outgrows float64 usefulness quickly past this
-TAIL_TOLERANCE = 1e-16  # share of the peak an automatic grid leaves at its edges
 RULE_STEP = 0.05  # spacing of the exp-sinh rule that takes moments over the ensemble
 
 
@@ -275,7 +274,7 @@ def mean_inverse_a(spec: EnsembleSpec) -> float:
     return (spec.m + 1) / spec.b
 
 
-def tail_decay_lengths(m: int, eps: float = TAIL_TOLERANCE) -> float:
+def tail_decay_lengths(m: int, eps: float) -> float:
     """Decay lengths x past the arrival at which x^m e^{-x} falls to ``eps``.
 
     The larger root of x = ln(1/eps) + m ln x, found by fixed-point
@@ -307,19 +306,20 @@ def sample_inverse_a(spec: EnsembleSpec, count: int, seed: int) -> np.ndarray:
     return _kernels.gamma_draws(int(seed), int(count), spec.m + 1, spec.b)
 
 
-def observed_output(
-    f0: SampledSignal, spec: EnsembleSpec, z: float, spectrum: Spectrum | None = None
-) -> SampledSignal:
-    """Propagate through the ensemble using the closed-form averaged kernel.
-
-    ``spectrum`` is ``forward_transform(f0)``, computed here when not given,
-    so that a run over many depths transforms its input once.
-    """
+def observed_output(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> SampledSignal:
+    """Propagate the input half spectrum through the closed-form averaged kernel."""
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    if spectrum is None:
-        spectrum = forward_transform(f0)
-    return propagate.apply_transfer(spectrum, averaged_transfer(spec, z, f0.grid.omegas()))
+    return propagate.apply_transfer(spectrum, averaged_transfer(spec, z, spectrum.grid.omegas()))
+
+
+def _delayed(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> Spectrum:
+    """``spectrum`` times the delay phase e^{i w z / v}, common to every draw.
+
+    Folded into the spectrum, the delay leaves each draw's kernel a real row
+    for ``inverse_rows``.
+    """
+    return Spectrum(spectrum.grid, spectrum.values * np.exp(1j * spectrum.grid.omegas() * z / spec.v))
 
 
 _MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
@@ -348,54 +348,40 @@ def _kernel_blocks(x, lam, rows=None, fn=np.exp):
 
 
 def monte_carlo_output(
-    f0: SampledSignal,
-    spec: EnsembleSpec,
-    z: float,
-    n_samples: int,
-    seed: int,
-    return_stderr: bool = False,
-    spectrum: Spectrum | None = None,
-    inverse_a=None,
+    spectrum: Spectrum, spec: EnsembleSpec, z: float, draws: np.ndarray, return_stderr: bool = False
 ):
     """Ensemble average by brute force: mean over sampled media of the FFT output.
 
-    Each draw i propagates ``f0`` through a quadratic medium with inverse
-    curvature x_i and velocity v; the returned signal is the sample mean.
-    The mean is linear in the spectrum, so it is one inverse transform of
-    the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
+    ``spectrum`` is the input's half spectrum and ``draws`` the inverse
+    curvatures x_i of the sampled media, ``sample_inverse_a(spec, count,
+    seed)``.  Each draw propagates the input through a quadratic medium with
+    inverse curvature x_i and velocity v; the returned signal is the sample
+    mean.  The mean is linear in the spectrum, so it is one inverse transform
+    of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
     summed in fixed batches so the result is identical for any degree of
     parallelism.  With ``return_stderr`` the pointwise sample standard error
     of the mean is returned alongside, from each draw's inverse transform,
-    at a cost.  ``spectrum`` is ``forward_transform(f0)`` and ``inverse_a`` is
-    ``sample_inverse_a(spec, n_samples, seed)``, each computed here when not
-    given, so that a run over many depths computes them once.
+    at a cost.
     """
-    if n_samples < 100:
-        raise ValueError(f"need at least 100 samples, got {n_samples}")
+    if draws.size < 100:
+        raise ValueError(f"need at least 100 samples, got {draws.size}")
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    grid = f0.grid
-    draws = sample_inverse_a(spec, n_samples, seed) if inverse_a is None else np.asarray(inverse_a, float)
-    if len(draws) != n_samples:
-        raise ValueError(f"got {len(draws)} draws for n_samples={n_samples}")
-    if spectrum is None:
-        spectrum = forward_transform(f0)
-    # the delay z/v is common to every draw: folded into the spectrum, it
-    # leaves each draw's kernel a real row for ``inverse_rows``
-    delayed = Spectrum(grid, spectrum.values * np.exp(1j * grid.omegas() * z / spec.v))
+    grid = spectrum.grid
+    delayed = _delayed(spectrum, spec, z)
     half_zw2 = 0.5 * z * grid.omegas() ** 2
     kernel = np.zeros_like(half_zw2)
     for _, c, block in _kernel_blocks(draws, half_zw2, _MC_BATCH):
         kernel[c] += block.sum(axis=0)
-    mean = inverse_rows(delayed, kernel / n_samples)
+    mean = inverse_rows(delayed, kernel / draws.size)
     if not return_stderr:
         return SampledSignal(grid, mean)
 
     sumsq = np.zeros(grid.n)
     for _, _, block in _kernel_blocks(draws, half_zw2):
         sumsq += np.square(inverse_rows(delayed, block)).sum(axis=0)
-    var = np.maximum(sumsq / n_samples - mean**2, 0.0)
-    return SampledSignal(grid, mean), np.sqrt(var / (n_samples - 1))
+    var = np.maximum(sumsq / draws.size - mean**2, 0.0)
+    return SampledSignal(grid, mean), np.sqrt(var / (draws.size - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,34 +410,27 @@ def _gamma_rule(m: int, step: float):
     return y, weights
 
 
-def draw_std(
-    f0: SampledSignal,
-    spec: EnsembleSpec,
-    z: float,
-    spectrum: Spectrum | None = None,
-) -> np.ndarray:
+def draw_std(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> np.ndarray:
     """Pointwise standard deviation over the ensemble of one draw's output.
 
-    A draw with inverse curvature x turns ``f0`` into the inverse transform
-    of its delayed spectrum times exp(-z x w^2 / 2).  The first two moments
-    of that output over x ~ Gamma(m+1, rate b) come from the exp-sinh rule
-    in y = b x with spacing RULE_STEP (see ``_gamma_rule``), for any pulse:
-    the mean is one inverse transform of the rule's kernel average, the
-    centred second moment one per node.  Dividing by sqrt(draws) gives the
-    exact standard error of a Monte Carlo mean, which the sample standard
-    error underestimates in the tails, where the mean rests on a few rare
-    wide draws.  ``spectrum`` is ``forward_transform(f0)``, computed here
-    when not given.
+    A draw with inverse curvature x turns the input with half spectrum
+    ``spectrum`` into the inverse transform of its delayed spectrum times
+    exp(-z x w^2 / 2).  The first two moments of that output over
+    x ~ Gamma(m+1, rate b) come from the exp-sinh rule in y = b x with
+    spacing RULE_STEP (see ``_gamma_rule``), for any pulse: the mean is one
+    inverse transform of the rule's kernel average, the centred second
+    moment one per node.  Dividing by sqrt(draws) gives the exact standard
+    error of a Monte Carlo mean, which the sample standard error
+    underestimates in the tails, where the mean rests on a few rare wide
+    draws.
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    if spectrum is None:
-        spectrum = forward_transform(f0)
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    w = f0.grid.omegas()
-    delayed = Spectrum(f0.grid, spectrum.values * np.exp(1j * w * z / spec.v))
+    w = spectrum.grid.omegas()
+    delayed = _delayed(spectrum, spec, z)
     mean = inverse_rows(delayed, _rule_average(spec, z, w, np.exp))
-    var = np.zeros(f0.grid.n)
+    var = np.zeros(spectrum.grid.n)
     for r, _, block in _kernel_blocks(y, z * np.square(w) / (2.0 * spec.b)):
         var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
     return np.sqrt(var)

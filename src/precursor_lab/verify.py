@@ -67,7 +67,7 @@ def gaussian_closed_form_oracle():
     for z, T, omega0 in itertools.product((10.0, 100.0, 1000.0), (0.5, 1.0), (0.0, 2.0)):
         g = timegrid.recommend_grid(T, omega0, 1.0, 1.0, z, margin_sigmas=10.0)
         pulse = signals.PulseSpec(kind="gaussian", T=T, omega0=omega0)
-        out = propagate.propagate_fft(signals.gaussian_pulse(pulse, g), medium, z).signal
+        out = propagate.propagate_fft(signals.gaussian_pulse(pulse, g), medium, z)
         ref = propagate.analytic_gaussian_output(T, omega0, 1.0, 1.0, z, g.times())
         worst = max(worst, float(np.abs(out.values - ref).max()))
     return worst < 1e-8, f"max abs err {worst:.3e}"
@@ -158,7 +158,8 @@ def monte_carlo_vs_quadrature(seed: int):
     spec = stochastic.EnsembleSpec(b=2.0, m=1, v=1.0)
     g = timegrid.TimeGrid(n=2048, dt=0.05, t0=-30.0)
     f0 = signals.gaussian_pulse(signals.PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
-    _, dev = experiments.monte_carlo_deviation(f0, spec, 4.0, 10000, seed)
+    draws = stochastic.sample_inverse_a(spec, 10000, seed)
+    _, dev = experiments.monte_carlo_deviation(propagate.input_spectrum(f0), spec, 4.0, draws)
     return dev < 4.0, f"max deviation {dev:.2f} sigma"
 
 

@@ -263,14 +263,14 @@ def _mc_fixture(n=2048, dt=0.05, t0=-30.0):
 class TestObservedOutput:
     def test_zero_depth_identity(self):
         g, f0 = _mc_fixture()
-        out = observed_output(f0, EnsembleSpec(b=1.0, m=1, v=1.0), 0.0)
+        out = observed_output(forward_transform(f0), EnsembleSpec(b=1.0, m=1, v=1.0), 0.0)
         assert np.abs(out.values - f0.values).max() < 1e-12
 
     def test_narrow_input_reduces_to_impulse_response(self):
         spec = EnsembleSpec(b=1.0, m=1, v=1.0)
         g = TimeGrid(n=1 << 15, dt=0.005, t0=-80.0)
         f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
-        out = observed_output(f0, spec, 4.0)
+        out = observed_output(forward_transform(f0), spec, 4.0)
         ref = stochastic_impulse(spec, 4.0, g.times()) * moment(f0, 0)
         rel = np.linalg.norm(out.values - ref) / np.linalg.norm(ref)
         assert rel < 0.02
@@ -284,7 +284,7 @@ class TestObservedOutput:
         g = TimeGrid(n=1 << 15, dt=0.005, t0=-80.0)
         f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
         z = 4.0
-        out = observed_output(f0, spec, z)
+        out = observed_output(forward_transform(f0), spec, z)
         t = g.times()
         c = np.sqrt(spec.b / z)
         sel = (t > z + 10.0 / c) & (t < z + 28.0 / c)
@@ -300,7 +300,9 @@ class TestMonteCarlo:
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture()
         z = 4.0
-        mc, stderr = monte_carlo_output(f0, spec, z, 10000, seed=42, return_stderr=True)
+        mc, stderr = monte_carlo_output(
+            forward_transform(f0), spec, z, sample_inverse_a(spec, 10000, 42), return_stderr=True
+        )
         F0 = forward_transform(f0)
         qk = averaged_transfer_quadrature(spec, z, g.omegas())
         ref = inverse_transform(Spectrum(g, F0.values * qk))
@@ -315,8 +317,10 @@ class TestMonteCarlo:
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture()
         z = 4.0
-        mc, stderr = monte_carlo_output(f0, spec, z, 10000, seed=42, return_stderr=True)
-        closed = observed_output(f0, spec, z)
+        mc, stderr = monte_carlo_output(
+            forward_transform(f0), spec, z, sample_inverse_a(spec, 10000, 42), return_stderr=True
+        )
+        closed = observed_output(forward_transform(f0), spec, z)
         peak = np.abs(closed.values).max()
         sel = np.abs(closed.values) > 1e-6 * peak
         dev = np.abs(mc.values - closed.values)[sel] / (stderr[sel] + 1e-12 * peak)
@@ -326,8 +330,9 @@ class TestMonteCarlo:
         g, f0 = _mc_fixture()
         z = 4.0
         a_draws_shift = z * (1.0 / 0.5 - 1.0 / 1.0)  # 4.0 s = 80 samples
-        out1 = monte_carlo_output(f0, EnsembleSpec(b=2.0, m=1, v=1.0), z, 500, seed=3)
-        out2 = monte_carlo_output(f0, EnsembleSpec(b=2.0, m=1, v=0.5), z, 500, seed=3)
+        spec1, spec2 = EnsembleSpec(b=2.0, m=1, v=1.0), EnsembleSpec(b=2.0, m=1, v=0.5)
+        out1 = monte_carlo_output(forward_transform(f0), spec1, z, sample_inverse_a(spec1, 500, 3))
+        out2 = monte_carlo_output(forward_transform(f0), spec2, z, sample_inverse_a(spec2, 500, 3))
         k = int(round(a_draws_shift / g.dt))
         assert np.abs(np.roll(out1.values, k) - out2.values).max() < 1e-12
 
@@ -342,8 +347,8 @@ class TestMonteCarlo:
         ref = inverse_transform(Spectrum(g, F0.values * qk)).values
         e1 = e2 = 0.0
         for r in range(200):
-            m1 = monte_carlo_output(f0, spec, 4.0, 400, 100000 + r)
-            m2 = monte_carlo_output(f0, spec, 4.0, 800, 150000 + r)
+            m1 = monte_carlo_output(F0, spec, 4.0, sample_inverse_a(spec, 400, 100000 + r))
+            m2 = monte_carlo_output(F0, spec, 4.0, sample_inverse_a(spec, 800, 150000 + r))
             e1 += np.mean((m1.values - ref) ** 2)
             e2 += np.mean((m2.values - ref) ** 2)
         ratio = np.sqrt(e1 / e2)
@@ -351,8 +356,9 @@ class TestMonteCarlo:
 
     def test_sample_floor(self):
         g, f0 = _mc_fixture()
-        with pytest.raises(ValueError):
-            monte_carlo_output(f0, EnsembleSpec(b=1.0, m=0, v=1.0), 1.0, 50, seed=1)
+        spec = EnsembleSpec(b=1.0, m=0, v=1.0)
+        with pytest.raises(ValueError, match="at least 100 samples, got 50"):
+            monte_carlo_output(forward_transform(f0), spec, 1.0, sample_inverse_a(spec, 50, 1))
 
     def test_rfft_stderr_path_matches_complex_fft_loop(self):
         # the per-draw complex-FFT loop the stderr path used before it moved
@@ -361,7 +367,8 @@ class TestMonteCarlo:
         g = TimeGrid(n=512, dt=0.1, t0=-15.0)
         f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
         z, n_draws = 4.0, 600
-        mc, stderr = monte_carlo_output(f0, spec, z, n_draws, seed=5, return_stderr=True)
+        draws = sample_inverse_a(spec, n_draws, 5)
+        mc, stderr = monte_carlo_output(forward_transform(f0), spec, z, draws, return_stderr=True)
 
         # the full signed spectrum under the e^{+iwt} kernel, built on np.fft
         # and delayed by z/v; the grid origin's phase cancels between the
@@ -371,7 +378,7 @@ class TestMonteCarlo:
         outputs = np.array(
             [
                 np.fft.fft(np.exp(-x * 0.5 * z * w**2) * base).real / (g.n * g.dt)
-                for x in sample_inverse_a(spec, n_draws, 5)
+                for x in draws
             ]
         )
         ref_mean = outputs.mean(axis=0)
@@ -384,7 +391,8 @@ class TestMonteCarlo:
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture(n=1024)
         z, n_draws = 4.0, 20000
-        _, stderr = monte_carlo_output(f0, spec, z, n_draws, seed=11, return_stderr=True)
+        draws = sample_inverse_a(spec, n_draws, 11)
+        _, stderr = monte_carlo_output(forward_transform(f0), spec, z, draws, return_stderr=True)
         exact = gaussian_draw_std(spec, 1.0, z, g.times())
         # near the peak many draws contribute and the sample spread is close
         # to the exact one; further out it rests on a few rare wide draws
@@ -395,8 +403,9 @@ class TestMonteCarlo:
     def test_fast_and_stderr_paths_agree(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture(n=1024)
-        fast = monte_carlo_output(f0, spec, 4.0, 800, seed=9)
-        slow, _ = monte_carlo_output(f0, spec, 4.0, 800, seed=9, return_stderr=True)
+        spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 800, 9)
+        fast = monte_carlo_output(spectrum, spec, 4.0, draws)
+        slow, _ = monte_carlo_output(spectrum, spec, 4.0, draws, return_stderr=True)
         assert np.array_equal(fast.values, slow.values)
 
     def test_mean_matches_per_draw_loop_on_workload_grid(self):
@@ -407,7 +416,7 @@ class TestMonteCarlo:
         f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, 2.0))
         g, draws = f0.grid, sample_inverse_a(spec, 2000, seed=1)
         for z in (0.5, 1.0, 2.0):
-            fast = monte_carlo_output(f0, spec, z, 2000, seed=1)
+            fast = monte_carlo_output(forward_transform(f0), spec, z, draws)
             delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
             loop = np.zeros(g.n)
             for i0 in range(0, draws.size, 250):
@@ -415,35 +424,6 @@ class TestMonteCarlo:
                 loop += inverse_rows(delayed, kernels).sum(axis=0)
             loop /= draws.size
             assert np.abs(fast.values - loop).max() < 2e-15 * np.abs(loop).max()
-
-    def test_given_spectra_change_nothing(self):
-        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        g, f0 = _mc_fixture(n=1024)
-        spectrum = forward_transform(f0)
-        assert np.array_equal(
-            monte_carlo_output(f0, spec, 4.0, 300, seed=2, spectrum=spectrum).values,
-            monte_carlo_output(f0, spec, 4.0, 300, seed=2).values,
-        )
-        assert np.array_equal(draw_std(f0, spec, 4.0, spectrum=spectrum), draw_std(f0, spec, 4.0))
-        draws = sample_inverse_a(spec, 300, seed=2)
-        assert np.array_equal(
-            monte_carlo_output(f0, spec, 4.0, 300, seed=2, inverse_a=draws).values,
-            monte_carlo_output(f0, spec, 4.0, 300, seed=2).values,
-        )
-        mean, stderr = monte_carlo_output(f0, spec, 4.0, 300, 2, True, inverse_a=draws)
-        mean_drawn, stderr_drawn = monte_carlo_output(f0, spec, 4.0, 300, 2, True)
-        assert np.array_equal(mean.values, mean_drawn.values)
-        assert np.array_equal(stderr, stderr_drawn)
-        assert np.array_equal(
-            observed_output(f0, spec, 4.0, spectrum=forward_transform(f0)).values,
-            observed_output(f0, spec, 4.0).values,
-        )
-
-    def test_given_draws_must_match_the_count(self):
-        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        _, f0 = _mc_fixture(n=1024)
-        with pytest.raises(ValueError, match="got 299 draws for n_samples=300"):
-            monte_carlo_output(f0, spec, 4.0, 300, 2, inverse_a=sample_inverse_a(spec, 299, 2))
 
 
 class TestLazyQuad:
@@ -498,21 +478,23 @@ class TestKernelBlocks:
             kernel += np.exp(-np.outer(draws[i0 : i0 + 256], half_zw2)).sum(axis=0)
         delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
         ref = inverse_rows(delayed, kernel / draws.size)
-        got = monte_carlo_output(f0, spec, z, draws.size, seed=3, inverse_a=draws).values
+        got = monte_carlo_output(forward_transform(f0), spec, z, draws).values
         assert got.tobytes() == ref.tobytes()
 
     def test_moments_do_not_depend_on_the_split(self, monkeypatch):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
         g, f0 = _mc_fixture(n=1024)
-        std = draw_std(f0, spec, z)
+        spectrum = forward_transform(f0)
+        std = draw_std(spectrum, spec, z)
         rule = stochastic.averaged_transfer_rule(spec, z, g.omegas())
         # one node per transform, a few bins per rule block, bin slices of 2 and 3
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4096)
-        assert np.abs(draw_std(f0, spec, z) - std).max() <= 1e-14 * std.max()
+        assert np.abs(draw_std(spectrum, spec, z) - std).max() <= 1e-14 * std.max()
         rule_split = stochastic.averaged_transfer_rule(spec, z, g.omegas())
         assert np.abs(rule_split - rule).max() <= 1e-14 * np.abs(rule).max()
-        fast = monte_carlo_output(f0, spec, z, 800, seed=9)
-        slow, _ = monte_carlo_output(f0, spec, z, 800, seed=9, return_stderr=True)
+        draws = sample_inverse_a(spec, 800, 9)
+        fast = monte_carlo_output(spectrum, spec, z, draws)
+        slow, _ = monte_carlo_output(spectrum, spec, z, draws, return_stderr=True)
         assert np.array_equal(fast.values, slow.values)
 
     def test_peak_memory_is_the_block_budget_plus_order_n(self):
@@ -523,9 +505,9 @@ class TestKernelBlocks:
         draws = sample_inverse_a(spec, 256, seed=1)
         bound = 8 * stochastic._BLOCK_BYTES + 64 * n
         calls = {
-            "mean": lambda: monte_carlo_output(f0, spec, z, 256, 1, spectrum=spectrum, inverse_a=draws),
-            "stderr": lambda: monte_carlo_output(f0, spec, z, 256, 1, True, spectrum, draws),
-            "draw_std": lambda: draw_std(f0, spec, z, spectrum=spectrum),
+            "mean": lambda: monte_carlo_output(spectrum, spec, z, draws),
+            "stderr": lambda: monte_carlo_output(spectrum, spec, z, draws, return_stderr=True),
+            "draw_std": lambda: draw_std(spectrum, spec, z),
         }
         for name, call in calls.items():
             tracemalloc.start()
@@ -582,7 +564,7 @@ class TestDrawStd:
         spec = EnsembleSpec(b=b, m=m, v=1.0)
         f0 = _pulse_on_auto_grid("gaussian", T, spec, z)
         exact = gaussian_draw_std(spec, T, z, f0.grid.times())
-        got = draw_std(f0, spec, z)
+        got = draw_std(forward_transform(f0), spec, z)
         assert np.abs(got - exact).max() < 1e-10 * exact.max()
 
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
@@ -592,9 +574,9 @@ class TestDrawStd:
         # 1.5 times the nodes; a standard deviation needs 1e-3 at most
         spec = EnsembleSpec(b=b, m=m, v=1.0)
         f0 = _pulse_on_auto_grid(kind, 1.0, spec, z)
-        coarse = draw_std(f0, spec, z)
+        coarse = draw_std(forward_transform(f0), spec, z)
         monkeypatch.setattr(stochastic, "RULE_STEP", stochastic.RULE_STEP / 1.5)
-        fine = draw_std(f0, spec, z)
+        fine = draw_std(forward_transform(f0), spec, z)
         assert not np.array_equal(coarse, fine)
         sel = fine > 1e-6 * fine.max()
         assert (np.abs(coarse - fine)[sel] / fine[sel]).max() < 1e-3
@@ -603,8 +585,10 @@ class TestDrawStd:
         spec = EnsembleSpec(b=2.0, m=0, v=1.0)
         f0 = _pulse_on_auto_grid("rect", 1.0, spec, 2.0)
         n_draws = 20000
-        _, stderr = monte_carlo_output(f0, spec, 2.0, n_draws, seed=4, return_stderr=True)
-        exact = draw_std(f0, spec, 2.0)
+        spectrum = forward_transform(f0)
+        draws = sample_inverse_a(spec, n_draws, 4)
+        _, stderr = monte_carlo_output(spectrum, spec, 2.0, draws, return_stderr=True)
+        exact = draw_std(spectrum, spec, 2.0)
         sel = exact > 0.1 * exact.max()
         ratio = stderr[sel] * np.sqrt(n_draws) / exact[sel]
         assert np.abs(ratio - 1.0).max() < 0.05
