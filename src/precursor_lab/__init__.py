@@ -47,6 +47,7 @@ from .propagate import (
     apply_transfer,
     chirp_dc_content,
     chirp_dc_numeric,
+    chirp_dc_quadrature,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,
     impulse_response_fft,

@@ -109,7 +109,7 @@ def _digits(x: np.ndarray):
     k = k.astype(np.int16)
     if special:
         zero = x == 0.0
-        fallback |= ~(finite | zero)
+        fallback = np.where(finite, fallback, ~zero)  # zeros lay out as "0" and "-0"
         D[zero] = 0
         k[zero] = 0
     return D, k, fallback

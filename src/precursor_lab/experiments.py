@@ -330,7 +330,7 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
 def run_chirp(cfg: config.ExperimentConfig, grid, f0) -> Run:
     """DC content of a chirped pulse: quadrature against both closed-form estimates."""
     pulse = cfg.pulse
-    numeric = propagate.chirp_dc_numeric(pulse.T, pulse.omega0, pulse.alpha)
+    numeric, abserr = propagate.chirp_dc_quadrature(pulse.T, pulse.omega0, pulse.alpha)
     est = propagate.chirp_dc_content(pulse.T, pulse.omega0, pulse.alpha)
     unchirped = np.sqrt(2.0 * np.pi) * pulse.T * np.exp(-((pulse.omega0 * pulse.T) ** 2) / 2.0)
     # log10 |numeric| / unchirped, in logs: finite where unchirped underflows
@@ -342,6 +342,7 @@ def run_chirp(cfg: config.ExperimentConfig, grid, f0) -> Run:
         ("pulse", f"T={pulse.T:g} omega0={pulse.omega0:g} alpha={pulse.alpha:g}"),
         ("strong_chirp_regime", str(pulse.strong_chirp).lower()),
         ("chirp_dc_numeric", _fmt(numeric)),
+        ("chirp_dc_numeric_abserr", _fmt(abserr)),
         ("chirp_dc_closed_form", _fmt(est.closed_form)),
         ("chirp_dc_stationary_phase", _fmt(est.stationary_phase)),
         ("chirp_dc_unchirped", _fmt(unchirped)),

@@ -16,6 +16,7 @@ module is the only place that calls ``numpy.fft``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,15 @@ class TimeGrid:
         For odd ``n`` the last bin lies half a bin below Nyquist.
         """
         return 2.0 * np.pi * np.fft.rfftfreq(self.n, self.dt)
+
+    @functools.cached_property
+    def origin_phase(self) -> np.ndarray:
+        """The grid origin's phase e^{-i w t0} on the bins of :meth:`omegas`.
+
+        Formed on first use and kept, read-only, for every inverse transform
+        on this grid.
+        """
+        return _frozen_array(np.exp(-1j * self.omegas() * self.t0), np.complex128)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -143,9 +153,13 @@ def inverse_rows(spectrum: Spectrum, rows=1.0) -> np.ndarray:
     ``rows`` (real, last axis on the bins of ``spectrum``) then costs one
     real-by-complex product and one ``irfft``.  ``rows = 1`` is the plain
     inverse.  Returns an array of shape ``rows.shape[:-1] + (n,)``.
+
+    The phase is the grid's cached :attr:`TimeGrid.origin_phase`, multiplied
+    as a fresh copy: numpy then reuses that temporary for the product, as it
+    did the freshly formed phase, so every grid rounds the product as before.
     """
     g = spectrum.grid
-    base = np.conj(spectrum.values * np.exp(-1j * g.omegas() * g.t0)) / g.dt
+    base = np.conj(spectrum.values * np.array(g.origin_phase)) / g.dt
     return np.fft.irfft(rows * base, n=g.n)
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "thin_slab_output",
     "chirp_dc_content",
     "chirp_dc_numeric",
+    "chirp_dc_quadrature",
     "ChirpDCContent",
 ]
 
@@ -333,14 +334,18 @@ def chirp_dc_content(T: float, omega0: float, alpha: float) -> ChirpDCContent:
     )
 
 
-def chirp_dc_numeric(T: float, omega0: float, alpha: float) -> float:
-    """Zero-frequency content by direct quadrature; the oracle for the estimates."""
+def chirp_dc_quadrature(T: float, omega0: float, alpha: float) -> tuple[float, float]:
+    """Zero-frequency content by direct quadrature, and ``quad``'s estimate of its absolute error.
+
+    Below that estimate (near the requested 1e-12) the value is quadrature
+    noise, whatever its size relative to the closed forms.
+    """
     from scipy.integrate import quad  # only this oracle needs scipy
 
     if alpha < 0:
         raise ValueError(f"chirp rate must be >= 0, got alpha={alpha}")
     span = 12.0 * T
-    val, _ = quad(
+    val, abserr = quad(
         lambda s: np.exp(-s * s / (2.0 * T * T)) * np.cos(omega0 * s + 0.5 * alpha * s * s),
         -span,
         span,
@@ -348,4 +353,9 @@ def chirp_dc_numeric(T: float, omega0: float, alpha: float) -> float:
         epsabs=1e-12,
         epsrel=1e-12,
     )
-    return float(val)
+    return float(val), float(abserr)
+
+
+def chirp_dc_numeric(T: float, omega0: float, alpha: float) -> float:
+    """Zero-frequency content by direct quadrature; the oracle for the estimates."""
+    return chirp_dc_quadrature(T, omega0, alpha)[0]

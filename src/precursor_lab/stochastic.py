@@ -324,6 +324,18 @@ def _delayed(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> Spectrum:
 
 _MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
 _BLOCK_BYTES = 1 << 20  # size of the one buffer in which every ensemble kernel is formed
+# exp(-s) is exactly 0 in float64 once s > 1075 ln 2 = 745.1332 (e^-s is then at
+# most half the least subnormal, 2^-1075, and rounds to 0); the margin covers the
+# rounding of x * lam, 2^-52 relative
+_EXP_LIMIT = 745.2
+
+
+def _exp_columns(x, lam) -> int:
+    """How many leading columns of ascending ``lam`` can give exp(-x lam) > 0; past them it is 0 for every x."""
+    least = x.min()
+    if least * lam[-1] <= _EXP_LIMIT:
+        return lam.size
+    return int(np.searchsorted(lam, _EXP_LIMIT / least))
 
 
 def _kernel_blocks(x, lam, rows=None, fn=np.exp):
@@ -333,18 +345,33 @@ def _kernel_blocks(x, lam, rows=None, fn=np.exp):
     use each before asking for the next.  ``rows=None``: whole rows, as many as
     fit.  Else ``rows`` rows at a time, lam cut evenly into slices at least 2
     wide: numpy sums a lone column pairwise, wider blocks row by row.
+
+    ``lam`` is ascending and x >= 0.  With ``fn = np.exp`` the columns from
+    lam = ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and their exponentials
+    are not evaluated: whole rows are zero-filled there, while with ``rows``
+    given each slice c stops there (still at least 2 wide) and slices wholly
+    past it are not yielded.
     """
     cols = lam.size
-    slices = 1 if rows is None else max(1, min(-(-8 * rows * cols // _BLOCK_BYTES), cols // 2))
+    narrow = rows is not None
+    slices = 1 if not narrow else max(1, min(-(-8 * rows * cols // _BLOCK_BYTES), cols // 2))
     rows = rows or max(1, _BLOCK_BYTES // (8 * cols))
     edges = cols * np.arange(slices + 1) // slices
     buf = np.empty(min(rows, x.size) * -(-cols // slices))
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
+        cut = _exp_columns(x[r], lam) if fn is np.exp else cols
         for c0, c1 in zip(edges[:-1], edges[1:]):
+            if narrow:
+                if cut <= c0:
+                    break
+                c1 = min(c1, max(cut, c0 + 2))
             block = buf[: (r.stop - i0) * (c1 - c0)].reshape(-1, c1 - c0)
-            np.multiply.outer(-x[r], lam[c0:c1], out=block)
-            yield r, slice(c0, c1), fn(block, out=block)
+            part = block[:, : max(0, min(cut, c1) - c0)]
+            np.multiply.outer(-x[r], lam[c0 : c0 + part.shape[1]], out=part)
+            fn(part, out=part)
+            block[:, part.shape[1] :] = 0.0
+            yield r, slice(c0, c1), block
 
 
 def monte_carlo_output(
@@ -358,16 +385,19 @@ def monte_carlo_output(
     inverse curvature x_i and velocity v; the returned signal is the sample
     mean.  The mean is linear in the spectrum, so it is one inverse transform
     of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
-    summed in fixed batches so the result is identical for any degree of
-    parallelism.  With ``return_stderr`` the pointwise sample standard error
-    of the mean is returned alongside, from each draw's inverse transform,
-    at a cost.
+    summed over the draws in ascending order in fixed batches, so the result
+    depends neither on the order the draws come in nor on the degree of
+    parallelism; sorted, each batch skips more of the exponentials that
+    underflow to 0 (see ``_kernel_blocks``).  With ``return_stderr`` the
+    pointwise sample standard error of the mean is returned alongside, from
+    each draw's inverse transform, at a cost.
     """
     if draws.size < 100:
         raise ValueError(f"need at least 100 samples, got {draws.size}")
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     grid = spectrum.grid
+    draws = np.sort(draws)
     delayed = _delayed(spectrum, spec, z)
     half_zw2 = 0.5 * z * grid.omegas() ** 2
     kernel = np.zeros_like(half_zw2)

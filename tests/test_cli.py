@@ -378,6 +378,17 @@ class TestRunChirp:
         log_form = np.log10(abs(numeric)) - np.log10(np.sqrt(2 * np.pi)) + omega0**2 / (2 * np.log(10))
         assert float(summary["chirp_enhancement_orders"]) == pytest.approx(log_form, rel=1e-14)
 
+    def test_reports_the_quadrature_error_estimate_next_to_the_value(self, tmp_path):
+        # at omega0 = 60 the DC content is below quad's resolution: the value
+        # is noise, and its error estimate says so
+        text = CHIRP.replace("omega0 = 10", "omega0 = 60").replace("alpha = 20", "alpha = 0.5")
+        with pytest.warns(UserWarning, match="alpha\\*T\\^2 >> 1"):
+            assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        keys = [line.split(": ", 1)[0] for line in (tmp_path / "summary.txt").read_text().splitlines()]
+        assert keys[keys.index("chirp_dc_numeric") + 1] == "chirp_dc_numeric_abserr"
+        summary = _summary(tmp_path)
+        assert abs(float(summary["chirp_dc_numeric"])) < float(summary["chirp_dc_numeric_abserr"]) < 1e-11
+
     def test_zero_dc_ratio_is_computed(self, tmp_path, monkeypatch):
         assert run(parse_config(CHIRP, {"output-dir": str(tmp_path / "a")})) == 0
         assert _summary(tmp_path / "a")["zero_dc_closed_form_vs_series_ratio"] == "2"

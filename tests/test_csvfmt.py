@@ -73,6 +73,12 @@ def test_fixed_and_exponent_switch_points():
     _check(np.concatenate([values, values * (1 + 2.0**-50), values * (1 - 2.0**-50)]))
 
 
+def test_zeros_stay_on_the_vector_path():
+    values = np.array([0.0, -0.0, 1.5, 0.0, -0.0])
+    assert not _csvfmt._digits(values)[2].any()
+    assert _formatted(values) == b"0\n-0\n1.5\n0\n-0\n"
+
+
 def test_three_digit_exponents_subnormals_and_zeros():
     values = [0.0, -0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022, 2.0**-1022 - 2.0**-1074, 1e-100, 1.5e-200,
               1.7976931348623157e308, 1e100, 1.234e-99, 1.234e-100]

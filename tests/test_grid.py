@@ -100,6 +100,27 @@ def test_round_trip_identity():
     assert np.abs(back.values - f.values).max() < 1e-12
 
 
+def test_origin_phase_is_formed_once_and_read_only():
+    g = TimeGrid(n=64, dt=0.1, t0=-3.2)
+    phase = g.origin_phase
+    assert phase is g.origin_phase
+    assert not phase.flags.writeable
+    assert phase.tobytes() == np.exp(-1j * g.omegas() * g.t0).tobytes()
+    assert TimeGrid(n=64, dt=0.1, t0=-3.2) == g  # the cache is not a field
+
+
+@pytest.mark.parametrize("n", [1024, 32768])
+def test_inverse_keeps_the_bytes_of_a_freshly_formed_phase(n):
+    # numpy reuses a temporary phase for the product at 256 KiB and above and
+    # so rounds it phase-first there: a fresh copy of the cache does the same
+    rng = np.random.default_rng(n)
+    g = TimeGrid(n=n, dt=0.05, t0=-0.025 * n - 0.3)
+    values = rng.standard_normal(g.n // 2 + 1) + 1j * rng.standard_normal(g.n // 2 + 1)
+    ref = np.fft.irfft(np.conj(values * np.exp(-1j * g.omegas() * g.t0)) / g.dt, n=g.n)
+    for _ in range(2):
+        assert inverse_transform(Spectrum(g, values)).values.tobytes() == ref.tobytes()
+
+
 def test_inverse_of_flat_spectrum_is_unit_impulse():
     g = _impulse_grid()
     f = inverse_transform(Spectrum(g, np.ones(g.n // 2 + 1, dtype=complex)))

@@ -462,7 +462,8 @@ class TestKernelBlocks:
     @pytest.mark.parametrize("budget", [None, 256 * 3 * 8])
     def test_mc_mean_bytes_match_full_width_chunk_sums(self, monkeypatch, n, budget):
         # bins cut into slices of 2 and 3 sum their draws in the same order
-        # as the whole width, and no slice is a lone trailing bin
+        # as the whole width, and no slice is a lone trailing bin; the mean
+        # sums the draws in ascending order
         if budget is not None:
             monkeypatch.setattr(stochastic, "_BLOCK_BYTES", budget)
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
@@ -474,12 +475,48 @@ class TestKernelBlocks:
         if budget is not None:
             assert widths == {2, 3}
         kernel = np.zeros_like(half_zw2)
+        ordered = np.sort(draws)
         for i0 in range(0, draws.size, 256):
-            kernel += np.exp(-np.outer(draws[i0 : i0 + 256], half_zw2)).sum(axis=0)
+            kernel += np.exp(-np.outer(ordered[i0 : i0 + 256], half_zw2)).sum(axis=0)
         delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
         ref = inverse_rows(delayed, kernel / draws.size)
         got = monte_carlo_output(forward_transform(f0), spec, z, draws).values
         assert got.tobytes() == ref.tobytes()
+
+    def test_mc_mean_bytes_do_not_depend_on_the_draw_order(self):
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 2.0
+        g, f0 = _mc_fixture(n=1024)
+        spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 2000, seed=7)
+        got = monte_carlo_output(spectrum, spec, z, draws).values
+        for seed in (1, 2):
+            shuffled = np.random.default_rng(seed).permutation(draws)
+            assert monte_carlo_output(spectrum, spec, z, shuffled).values.tobytes() == got.tobytes()
+        assert monte_carlo_output(spectrum, spec, z, draws[::-1]).values.tobytes() == got.tobytes()
+
+    def test_exp_is_exactly_zero_past_the_limit(self):
+        # the cut relies on this numpy's exp rounding every e^-s with
+        # s >= _EXP_LIMIT, less the rounding of x * lam, to exactly 0
+        limit = stochastic._EXP_LIMIT
+        assert limit > 1075 * math.log(2)
+        s = np.concatenate([[limit * (1 - 2.0**-52), limit], np.linspace(limit, 1e4, 100_001), [1e300, np.inf]])
+        assert not np.exp(-s).any()
+        assert not np.exp(np.outer(-s, [1.0, 2.0])).any()
+
+    def test_skipped_exponentials_keep_the_rule_moments(self, monkeypatch):
+        # on a grid where most kernel terms underflow, draw_std and the rule
+        # average keep every byte of the same blocks with every np.exp evaluated
+        spec, z, n = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0, 1 << 16
+        g, f0 = _mc_fixture(n=n, t0=-1638.4)
+        spectrum, w = forward_transform(f0), g.omegas()
+        y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
+        lam = z * np.square(w) / (2.0 * spec.b)
+        assert stochastic._exp_columns(y[-1:], lam) < lam.size // 10
+        assert stochastic._exp_columns(lam[-1:], y) < y.size // 2
+        std = draw_std(spectrum, spec, z)
+        rule = stochastic.averaged_transfer_rule(spec, z, w)
+        monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
+        assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
+        assert stochastic.averaged_transfer_rule(spec, z, w).tobytes() == rule.tobytes()
 
     def test_moments_do_not_depend_on_the_split(self, monkeypatch):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0

@@ -20,7 +20,10 @@ compared byte for byte, and so are the warnings on standard error, as one
 ``Category: message`` line each: the ``path:line:`` prefix and the echoed
 source line that follows it are dropped, since they name where the warning
 was raised.  One line is printed per differing file, with its first
-differing lines.  Exit status: 0 when everything is identical,
+differing lines, and then how large the differences are: for a CSV, the
+largest |delta| in each differing column relative to that column's peak in
+REV's output; for ``summary.txt``, the relative change of each differing
+line's value.  Exit status: 0 when everything is identical,
 1 on any difference, 2 when a tree cannot be unpacked.
 """
 
@@ -223,6 +226,45 @@ def differences(old: bytes, new: bytes) -> list[str]:
     return lines[: 2 * SHOWN_LINES]
 
 
+def csv_columns(data: bytes) -> tuple[list[str], list[tuple[float, ...]]]:
+    """The header names and the columns of a CSV output, as floats."""
+    header, *rows = data.decode().splitlines()
+    return header.split(","), list(zip(*(map(float, row.split(",")) for row in rows)))
+
+
+def csv_sizes(old: bytes, new: bytes) -> list[str]:
+    """Per differing column: the largest |delta| over the column's peak in ``old``."""
+    (names, a), (names_new, b) = csv_columns(old), csv_columns(new)
+    if names != names_new or [len(c) for c in a] != [len(c) for c in b]:
+        return ["columns or rows differ"]
+    sizes = []
+    for name, x, y in zip(names, a, b):
+        if x != y:
+            delta, peak = max(abs(p - q) for p, q in zip(x, y)), max(map(abs, x))
+            rel = delta / peak if peak else math.inf
+            sizes.append(f"{name}: largest |delta| {delta:.3g}, {rel:.3g} of the peak {peak:.3g}")
+    return sizes
+
+
+def summary_sizes(old: bytes, new: bytes, rev: str) -> list[str]:
+    """Per differing ``key: value`` line: the relative change of the value."""
+    a, b = ({k: v for k, _, v in (line.partition(": ") for line in text.decode().splitlines())}
+            for text in (old, new))
+    sizes = []
+    for key in [*a, *(k for k in b if k not in a)]:
+        if key not in a or key not in b:
+            sizes.append(f"{key}: only in {'head' if key in b else rev}")
+        elif a[key] != b[key]:
+            try:
+                x, y = float(a[key]), float(b[key])
+            except ValueError:
+                sizes.append(f"{key}: not a number")
+                continue
+            rel = abs(y - x) / abs(x) if x else math.inf
+            sizes.append(f"{key}: relative change {rel:.3g}")
+    return sizes
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -257,6 +299,14 @@ def main(argv=None) -> int:
                 print(f"{name}/{file}: differs")
                 for line in differences(old[file], new[file]):
                     print(f"    {line}")
+                if file.endswith(".csv"):
+                    sizes = csv_sizes(old[file], new[file])
+                elif file == "summary.txt":
+                    sizes = summary_sizes(old[file], new[file], args.rev)
+                else:
+                    sizes = []
+                for line in sizes:
+                    print(f"    size: {line}")
         print(f"{compared} outputs compared, {differing} differ")
     return 1 if differing else 0
 
