@@ -152,7 +152,9 @@ def inverse_rows(spectrum: Spectrum, rows=1.0) -> np.ndarray:
     conjugate and the 1/dt are applied to the spectrum once; each row of
     ``rows`` (real, last axis on the bins of ``spectrum``) then costs one
     real-by-complex product and one ``irfft``.  ``rows = 1`` is the plain
-    inverse.  Returns an array of shape ``rows.shape[:-1] + (n,)``.
+    inverse.  Rows narrower than the bins cover the leading ones, and the
+    bins past them count as 0 (``irfft``'s zero padding; at least one bin
+    wide).  Returns an array of shape ``rows.shape[:-1] + (n,)``.
 
     The phase is the grid's cached :attr:`TimeGrid.origin_phase`, multiplied
     as a fresh copy: numpy then reuses that temporary for the product, as it
@@ -160,7 +162,8 @@ def inverse_rows(spectrum: Spectrum, rows=1.0) -> np.ndarray:
     """
     g = spectrum.grid
     base = np.conj(spectrum.values * np.array(g.origin_phase)) / g.dt
-    return np.fft.irfft(rows * base, n=g.n)
+    width = np.shape(rows)[-1] if np.ndim(rows) else None
+    return np.fft.irfft(rows * base[:width], n=g.n)
 
 
 def inverse_transform(spectrum: Spectrum) -> SampledSignal:

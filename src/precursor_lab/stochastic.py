@@ -233,7 +233,7 @@ def _rule_average(spec: EnsembleSpec, z: float, omega, fn):
     y, weights = _gamma_rule(spec.m, RULE_STEP)
     lam = z * np.square(omega) / (2.0 * spec.b)
     blocks = _kernel_blocks(np.ravel(lam), y, fn=fn)
-    return np.concatenate([block @ weights for _, _, block in blocks]).reshape(np.shape(lam))
+    return np.concatenate([block @ weights[: block.shape[1]] for _, block in blocks]).reshape(np.shape(lam))
 
 
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
@@ -322,7 +322,6 @@ def _delayed(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> Spectrum:
     return Spectrum(spectrum.grid, spectrum.values * np.exp(1j * spectrum.grid.omegas() * z / spec.v))
 
 
-_MC_BATCH = 256  # fixed batch size keeps the reduction order deterministic
 _BLOCK_BYTES = 1 << 20  # size of the one buffer in which every ensemble kernel is formed
 # exp(-s) is exactly 0 in float64 once s > 1075 ln 2 = 745.1332 (e^-s is then at
 # most half the least subnormal, 2^-1075, and rounds to 0); the margin covers the
@@ -338,40 +337,47 @@ def _exp_columns(x, lam) -> int:
     return int(np.searchsorted(lam, _EXP_LIMIT / least))
 
 
-def _kernel_blocks(x, lam, rows=None, fn=np.exp):
-    """Yield ``(r, c, fn(-x[r] lam[c]))`` over slices r of x and c of lam, in row order.
+def _kernel_blocks(x, lam, fn=np.exp):
+    """Yield ``(r, fn(-x[r] lam[:c]))`` over slices r of whole rows, in row order.
 
-    Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), so
-    use each before asking for the next.  ``rows=None``: whole rows, as many as
-    fit.  Else ``rows`` rows at a time, lam cut evenly into slices at least 2
-    wide: numpy sums a lone column pairwise, wider blocks row by row.
-
-    ``lam`` is ascending and x >= 0.  With ``fn = np.exp`` the columns from
-    lam = ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and their exponentials
-    are not evaluated: whole rows are zero-filled there, while with ``rows``
-    given each slice c stops there (still at least 2 wide) and slices wholly
-    past it are not yielded.
+    Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), as
+    many rows as fit, so use each before asking for the next.  ``lam`` is
+    ascending and x >= 0.  A block holds only the leading ``c`` columns that
+    can be non-zero, contiguous: with ``fn = np.exp`` the columns from lam =
+    ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and are neither evaluated nor
+    stored (with lam[0] = 0, c >= 1).
     """
     cols = lam.size
-    narrow = rows is not None
-    slices = 1 if not narrow else max(1, min(-(-8 * rows * cols // _BLOCK_BYTES), cols // 2))
-    rows = rows or max(1, _BLOCK_BYTES // (8 * cols))
-    edges = cols * np.arange(slices + 1) // slices
-    buf = np.empty(min(rows, x.size) * -(-cols // slices))
+    rows = max(1, _BLOCK_BYTES // (8 * cols))
+    buf = np.empty(min(rows, x.size) * cols)
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
-        cut = _exp_columns(x[r], lam) if fn is np.exp else cols
-        for c0, c1 in zip(edges[:-1], edges[1:]):
-            if narrow:
-                if cut <= c0:
-                    break
-                c1 = min(c1, max(cut, c0 + 2))
-            block = buf[: (r.stop - i0) * (c1 - c0)].reshape(-1, c1 - c0)
-            part = block[:, : max(0, min(cut, c1) - c0)]
-            np.multiply.outer(-x[r], lam[c0 : c0 + part.shape[1]], out=part)
-            fn(part, out=part)
-            block[:, part.shape[1] :] = 0.0
-            yield r, slice(c0, c1), block
+        c = _exp_columns(x[r], lam) if fn is np.exp else cols
+        block = buf[: (r.stop - i0) * c].reshape(-1, c)
+        np.multiply.outer(-x[r], lam[:c], out=block)
+        fn(block, out=block)
+        yield r, block
+
+
+def _mean_output(delayed: Spectrum, z: float, x, weights) -> np.ndarray:
+    """Weighted mean over media x (ascending) of their outputs irfft(delayed exp(-x z w^2 / 2)).
+
+    The outputs are linear in the kernel, so this is one inverse transform of
+    the weighted kernel average, summed block by block in row order.
+    """
+    lam = 0.5 * z * delayed.grid.omegas() ** 2
+    kernel = np.zeros_like(lam)
+    for r, block in _kernel_blocks(x, lam):
+        kernel[: block.shape[1]] += weights[r] @ block
+    return inverse_rows(delayed, kernel)
+
+
+def _spread(delayed: Spectrum, z: float, x, weights, mean) -> np.ndarray:
+    """Weighted variance about ``mean`` of the outputs of :func:`_mean_output`, one transform per medium."""
+    var = np.zeros_like(mean)
+    for r, block in _kernel_blocks(x, 0.5 * z * delayed.grid.omegas() ** 2):
+        var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
+    return var
 
 
 def monte_carlo_output(
@@ -385,33 +391,25 @@ def monte_carlo_output(
     inverse curvature x_i and velocity v; the returned signal is the sample
     mean.  The mean is linear in the spectrum, so it is one inverse transform
     of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
-    summed over the draws in ascending order in fixed batches, so the result
-    depends neither on the order the draws come in nor on the degree of
-    parallelism; sorted, each batch skips more of the exponentials that
-    underflow to 0 (see ``_kernel_blocks``).  With ``return_stderr`` the
-    pointwise sample standard error of the mean is returned alongside, from
-    each draw's inverse transform, at a cost.
+    summed over the draws in ascending order, so the result depends neither
+    on the order the draws come in nor on the degree of parallelism; sorted,
+    each block skips more of the exponentials that underflow to 0 (see
+    ``_kernel_blocks``).  With ``return_stderr`` the pointwise sample
+    standard error of the mean is returned alongside, from the centred spread
+    of each draw's inverse transform, at a cost.
     """
     if draws.size < 100:
         raise ValueError(f"need at least 100 samples, got {draws.size}")
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
-    grid = spectrum.grid
     draws = np.sort(draws)
+    weights = np.full(draws.size, 1.0 / draws.size)
     delayed = _delayed(spectrum, spec, z)
-    half_zw2 = 0.5 * z * grid.omegas() ** 2
-    kernel = np.zeros_like(half_zw2)
-    for _, c, block in _kernel_blocks(draws, half_zw2, _MC_BATCH):
-        kernel[c] += block.sum(axis=0)
-    mean = inverse_rows(delayed, kernel / draws.size)
+    mean = _mean_output(delayed, z, draws, weights)
     if not return_stderr:
-        return SampledSignal(grid, mean)
-
-    sumsq = np.zeros(grid.n)
-    for _, _, block in _kernel_blocks(draws, half_zw2):
-        sumsq += np.square(inverse_rows(delayed, block)).sum(axis=0)
-    var = np.maximum(sumsq / draws.size - mean**2, 0.0)
-    return SampledSignal(grid, mean), np.sqrt(var / (draws.size - 1))
+        return SampledSignal(spectrum.grid, mean)
+    var = _spread(delayed, z, draws, weights, mean)
+    return SampledSignal(spectrum.grid, mean), np.sqrt(var / (draws.size - 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -457,13 +455,8 @@ def draw_std(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> np.ndarray:
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    w = spectrum.grid.omegas()
-    delayed = _delayed(spectrum, spec, z)
-    mean = inverse_rows(delayed, _rule_average(spec, z, w, np.exp))
-    var = np.zeros(spectrum.grid.n)
-    for r, _, block in _kernel_blocks(y, z * np.square(w) / (2.0 * spec.b)):
-        var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
-    return np.sqrt(var)
+    x, delayed = y / spec.b, _delayed(spectrum, spec, z)
+    return np.sqrt(_spread(delayed, z, x, weights, _mean_output(delayed, z, x, weights)))
 
 
 def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from . import analysis, experiments, media, propagate, signals, stochastic
+from . import analysis, config, experiments, media, propagate, signals, stochastic
 from . import grid as timegrid
 
 __all__ = ["checks", "run_verify"]
@@ -65,8 +65,9 @@ def gaussian_closed_form_oracle():
     worst = 0.0
     medium = media.QuadraticMedium(a=1.0, v=1.0)
     for z, T, omega0 in itertools.product((10.0, 100.0, 1000.0), (0.5, 1.0), (0.0, 2.0)):
-        g = timegrid.recommend_grid(T, omega0, 1.0, 1.0, z, margin_sigmas=10.0)
         pulse = signals.PulseSpec(kind="gaussian", T=T, omega0=omega0)
+        cfg = config.ExperimentConfig(experiment="propagate", z_values=(z,), pulse=pulse, medium=medium)
+        g = experiments.plan_grid(cfg, None)
         out = propagate.propagate_fft(signals.gaussian_pulse(pulse, g), medium, z)
         ref = propagate.analytic_gaussian_output(T, omega0, 1.0, 1.0, z, g.times())
         worst = max(worst, float(np.abs(out.values - ref).max()))

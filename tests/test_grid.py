@@ -9,6 +9,7 @@ from precursor_lab import (
     inverse_transform,
     recommend_grid,
 )
+from precursor_lab.grid import inverse_rows
 
 
 def test_grid_bin_spacing():
@@ -119,6 +120,19 @@ def test_inverse_keeps_the_bytes_of_a_freshly_formed_phase(n):
     ref = np.fft.irfft(np.conj(values * np.exp(-1j * g.omegas() * g.t0)) / g.dt, n=g.n)
     for _ in range(2):
         assert inverse_transform(Spectrum(g, values)).values.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 1023])
+def test_inverse_rows_narrower_than_the_bins_are_zero_padded(n):
+    # the bins past a row's width count as 0, to the byte
+    rng = np.random.default_rng(n)
+    g = TimeGrid(n=n, dt=0.05, t0=-0.025 * n)
+    spectrum = Spectrum(g, rng.standard_normal(g.n // 2 + 1) + 1j * rng.standard_normal(g.n // 2 + 1))
+    for width in (1, 2, 100, g.n // 2, g.n // 2 + 1):
+        rows = rng.standard_normal((3, width))
+        padded = np.zeros((3, g.n // 2 + 1))
+        padded[:, :width] = rows
+        assert inverse_rows(spectrum, rows).tobytes() == inverse_rows(spectrum, padded).tobytes()
 
 
 def test_inverse_of_flat_spectrum_is_unit_impulse():

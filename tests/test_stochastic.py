@@ -387,6 +387,18 @@ class TestMonteCarlo:
         assert np.abs(mc.values - ref_mean).max() < 1e-12 * peak
         assert np.abs(stderr - ref_stderr).max() < 1e-12 * peak
 
+    def test_stderr_is_centred_for_nearly_equal_draws(self):
+        # draws within 1e-9 of each other spread the outputs by about 1e-9 of
+        # their size, far below the rounding of an uncentred sum of squares
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
+        g, f0 = _mc_fixture(n=1024)
+        spectrum, draws = forward_transform(f0), 1.0 + 1e-9 * np.linspace(-1.0, 1.0, 200)
+        _, stderr = monte_carlo_output(spectrum, spec, z, draws, return_stderr=True)
+        delayed = Spectrum(g, spectrum.values * np.exp(1j * g.omegas() * z / spec.v))
+        outputs = inverse_rows(delayed, np.exp(-np.outer(draws, 0.5 * z * g.omegas() ** 2)))
+        ref = outputs.std(axis=0) / np.sqrt(draws.size - 1)
+        assert np.abs(stderr - ref).max() <= 1e-5 * ref.max()
+
     def test_exact_draw_std_matches_sample_std(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture(n=1024)
@@ -459,29 +471,55 @@ class TestKernelBlocks:
     """Every ensemble kernel is formed in blocks of at most ``_BLOCK_BYTES``."""
 
     @pytest.mark.parametrize("n", [2048, 1023])
-    @pytest.mark.parametrize("budget", [None, 256 * 3 * 8])
-    def test_mc_mean_bytes_match_full_width_chunk_sums(self, monkeypatch, n, budget):
-        # bins cut into slices of 2 and 3 sum their draws in the same order
-        # as the whole width, and no slice is a lone trailing bin; the mean
-        # sums the draws in ascending order
+    @pytest.mark.parametrize("budget", [None, 3 * 8 * 1025])
+    def test_mc_mean_bytes_match_whole_row_reference(self, monkeypatch, n, budget):
+        # the weighted kernel sum of the sorted draws over the same whole-row
+        # blocks, every exponential evaluated; the blocks past the first stop
+        # at their cut, which must not change a byte
         if budget is not None:
             monkeypatch.setattr(stochastic, "_BLOCK_BYTES", budget)
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
         g, f0 = _mc_fixture(n=n)
         draws = sample_inverse_a(spec, 1000, seed=3)
-        half_zw2 = 0.5 * z * g.omegas() ** 2
-        widths = {c.stop - c.start for _, c, _ in stochastic._kernel_blocks(draws, half_zw2, 256)}
-        assert min(widths) >= 2
-        if budget is not None:
-            assert widths == {2, 3}
-        kernel = np.zeros_like(half_zw2)
-        ordered = np.sort(draws)
-        for i0 in range(0, draws.size, 256):
-            kernel += np.exp(-np.outer(ordered[i0 : i0 + 256], half_zw2)).sum(axis=0)
+        ordered, weights = np.sort(draws), np.full(draws.size, 1.0 / draws.size)
+        lam = 0.5 * z * g.omegas() ** 2
+        blocks = [(r, block.shape[1]) for r, block in stochastic._kernel_blocks(ordered, lam)]
+        rows = max(1, stochastic._BLOCK_BYTES // (8 * lam.size))
+        assert [r.start for r, _ in blocks] == list(range(0, draws.size, rows))
+        assert min(c for _, c in blocks) < lam.size
+        kernel = np.zeros_like(lam)
+        for r, _ in blocks:
+            kernel += weights[r] @ np.exp(-np.outer(ordered[r], lam))
         delayed = Spectrum(g, forward_transform(f0).values * np.exp(1j * g.omegas() * z / spec.v))
-        ref = inverse_rows(delayed, kernel / draws.size)
+        ref = inverse_rows(delayed, kernel)
         got = monte_carlo_output(forward_transform(f0), spec, z, draws).values
         assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("fn", [np.exp, np.expm1])
+    def test_blocks_are_exact_and_leave_out_only_zeros(self, monkeypatch, order, fn):
+        # four rows per block and a short last one; out of ascending order the
+        # cut grows and shrinks between blocks in the one buffer
+        monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4 * 8 * 513)
+        g, _ = _mc_fixture(n=1024)
+        lam = 0.5 * 4.0 * g.omegas() ** 2
+        x = np.sort(sample_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0), 203, seed=5))
+        x = {"ascending": x, "descending": x[::-1], "shuffled": np.random.default_rng(1).permutation(x)}[order]
+        cuts, seen = [], 0
+        for r, block in stochastic._kernel_blocks(x, lam, fn):
+            c = block.shape[1]
+            full = fn(-np.outer(x[r], lam))
+            assert block.tobytes() == full[:, :c].tobytes()
+            assert not full[:, c:].any()
+            cuts.append(c)
+            seen = r.stop
+        assert seen == x.size and len(cuts) == 51
+        if fn is np.expm1:
+            assert set(cuts) == {lam.size}
+        elif order == "ascending":
+            assert cuts == sorted(cuts, reverse=True) and cuts[-1] < cuts[0] == lam.size
+        else:
+            assert any(a < b for a, b in zip(cuts, cuts[1:])) and min(cuts) < lam.size
 
     def test_mc_mean_bytes_do_not_depend_on_the_draw_order(self):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 2.0
@@ -524,7 +562,7 @@ class TestKernelBlocks:
         spectrum = forward_transform(f0)
         std = draw_std(spectrum, spec, z)
         rule = stochastic.averaged_transfer_rule(spec, z, g.omegas())
-        # one node per transform, a few bins per rule block, bin slices of 2 and 3
+        # one node or draw per block, a few bins per rule block
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4096)
         assert np.abs(draw_std(spectrum, spec, z) - std).max() <= 1e-14 * std.max()
         rule_split = stochastic.averaged_transfer_rule(spec, z, g.omegas())

@@ -13,7 +13,9 @@ two exp-kernel propagates (the second passes much of its spectrum up to
 Nyquist), two csv-pulse propagates (a narrow pulse and one
 spanning t = -200 to 200), a propagate on a given grid whose times cross
 ``%g``'s switch to exponent notation and hold an exact 0, a ``stochastic``
-run on a given grid of 65,536 samples, and a ``verify`` run.
+run on a given grid of 65,536 samples, a ``stochastic`` run of 10,000 draws
+at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, and a
+``verify`` run.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte, and so are the warnings on standard error, as one
@@ -123,7 +125,7 @@ t0 = -3e-4
 """
 
 # the stochastic workload on a given grid of 65,536 samples, so that the Monte
-# Carlo kernel is averaged over many bin slices and sigma over many node blocks
+# Carlo mean and sigma run over blocks of a few rows each
 WIDE_STOCHASTIC = """
 experiment = stochastic
 z-list = 4
@@ -140,6 +142,22 @@ v = 1
 n = 65536
 dt = 0.05
 t0 = -1638.4
+"""
+
+# 10,000 draws at three depths on the automatic grid (n = 4,096), so that the
+# Monte Carlo mean runs over 159 row blocks per depth
+MANY_DRAWS_STOCHASTIC = """
+experiment = stochastic
+z-list = 4 8 16
+mc-samples = 10000
+seed = 1
+[pulse]
+kind = gaussian
+T = 1
+[ensemble]
+b = 2
+m = 1
+v = 1
 """
 
 VERIFY = "experiment = verify\nseed = 3\n"
@@ -183,6 +201,10 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         path = inputs / f"{name}.ini"
         path.write_text(text)
         out[name] = (path, [])
+    many = inputs / "stochastic-many-draws.ini"
+    many.write_text(MANY_DRAWS_STOCHASTIC)
+    for threads in (1, 2):
+        out[f"stochastic-many-draws-threads{threads}"] = (many, ["--threads", str(threads)])
     return out
 
 
