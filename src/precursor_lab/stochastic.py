@@ -345,7 +345,8 @@ def _kernel_blocks(x, lam, fn=np.exp):
     ascending and x >= 0.  A block holds only the leading ``c`` columns that
     can be non-zero, contiguous: with ``fn = np.exp`` the columns from lam =
     ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and are neither evaluated nor
-    stored (with lam[0] = 0, c >= 1).
+    stored.  c is 0 for a block wholly past the cut, which needs lam[0] > 0
+    (the rule averages' nodes); with lam[0] = 0 (the bins) c >= 1.
     """
     cols = lam.size
     rows = max(1, _BLOCK_BYTES // (8 * cols))
@@ -353,7 +354,7 @@ def _kernel_blocks(x, lam, fn=np.exp):
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
         c = _exp_columns(x[r], lam) if fn is np.exp else cols
-        block = buf[: (r.stop - i0) * c].reshape(-1, c)
+        block = buf[: (r.stop - i0) * c].reshape(r.stop - i0, c)
         np.multiply.outer(-x[r], lam[:c], out=block)
         fn(block, out=block)
         yield r, block

@@ -556,6 +556,22 @@ class TestKernelBlocks:
         assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
         assert stochastic.averaged_transfer_rule(spec, z, w).tobytes() == rule.tobytes()
 
+    def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):
+        # the rule's nodes start above 0, so a block of high frequencies can
+        # lie wholly past the cut: it has no columns and averages to exactly 0
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
+        y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
+        assert stochastic.averaged_transfer_rule(spec, z, 1e6) == 0
+        w = np.array([0.0, 1.0, 3e4, 1e6, 2e6, 4e6])
+        lam = z * np.square(w) / (2.0 * spec.b)
+        monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 2 * 8 * y.size)
+        shapes = [block.shape for _, block in stochastic._kernel_blocks(lam, y)]
+        assert shapes[0] == (2, y.size) and 0 < shapes[1][1] < y.size and shapes[2] == (2, 0)
+        rule = stochastic.averaged_transfer_rule(spec, z, w)
+        assert not rule[3:].any()
+        monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
+        assert stochastic.averaged_transfer_rule(spec, z, w).tobytes() == rule.tobytes()
+
     def test_moments_do_not_depend_on_the_split(self, monkeypatch):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
         g, f0 = _mc_fixture(n=1024)
