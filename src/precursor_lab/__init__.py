@@ -46,7 +46,6 @@ from .propagate import (
     analytic_rect_output_largez,
     apply_transfer,
     chirp_dc_content,
-    chirp_dc_numeric,
     chirp_dc_quadrature,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,
@@ -65,11 +64,9 @@ from .stochastic import (
     averaged_transfer,
     averaged_transfer_direct,
     averaged_transfer_quadrature,
-    averaged_transfer_rule,
     draw_std,
     gaussian_draw_std,
     impulse_tail_coefficients,
-    mean_inverse_a,
     monte_carlo_output,
     observed_output,
     sample_inverse_a,

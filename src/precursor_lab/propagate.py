@@ -41,7 +41,6 @@ __all__ = [
     "zero_dc_rect_output_series",
     "thin_slab_output",
     "chirp_dc_content",
-    "chirp_dc_numeric",
     "chirp_dc_quadrature",
     "ChirpDCContent",
 ]
@@ -262,15 +261,7 @@ def zero_dc_rect_output_series(n: int, T: float, a: float, v: float, z: float, t
     return 0.5 * m2 * second_moment
 
 
-def thin_slab_output(
-    ell: float,
-    a_eff: float,
-    v_eff: float,
-    z: float,
-    dc_moment: float,
-    t,
-    simplify_delay: bool = False,
-):
+def thin_slab_output(ell: float, a_eff: float, v_eff: float, z: float, dc_moment: float, t):
     """Output beyond a thin absorbing slab followed by free space.
 
     A Gaussian of *fixed* width sqrt(ell/a_eff) (it does not grow past the
@@ -279,8 +270,7 @@ def thin_slab_output(
 
         sqrt(a_eff / 2pi ell) * exp(-a_eff (t - t_d)^2 / 2 ell) * dc_moment.
 
-    ``simplify_delay`` replaces the arrival time by z/c (useful when
-    v_eff is close to c).  A zero DC moment gives a zero output; fall back to
+    A zero DC moment gives a zero output; fall back to
     :func:`moment_expansion_output` in that case.
     """
     if z <= ell:
@@ -288,8 +278,7 @@ def thin_slab_output(
     if ell <= 0 or a_eff <= 0:
         raise ValueError("slab thickness and curvature scale must be positive")
     t = np.asarray(t, dtype=np.float64)
-    t_d = z / SPEED_OF_LIGHT if simplify_delay else (z - ell) / SPEED_OF_LIGHT + ell / v_eff
-    tau = t - t_d
+    tau = t - ((z - ell) / SPEED_OF_LIGHT + ell / v_eff)  # t - t_d
     return np.sqrt(a_eff / (2.0 * np.pi * ell)) * np.exp(-a_eff * tau**2 / (2.0 * ell)) * dc_moment
 
 
@@ -354,8 +343,3 @@ def chirp_dc_quadrature(T: float, omega0: float, alpha: float) -> tuple[float, f
         epsrel=1e-12,
     )
     return float(val), float(abserr)
-
-
-def chirp_dc_numeric(T: float, omega0: float, alpha: float) -> float:
-    """Zero-frequency content by direct quadrature; the oracle for the estimates."""
-    return chirp_dc_quadrature(T, omega0, alpha)[0]

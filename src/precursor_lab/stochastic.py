@@ -18,10 +18,12 @@ Two averaged kernels are provided and deliberately kept apart:
       integral_0^inf exp(-z x w^2 / 2) b^(m+1) x^m e^(-b x) / m! dx
           = (1 + z w^2 / (2 b))^-(m+1),
 
-  evaluated exactly by :func:`averaged_transfer_direct`.  The exp-sinh rule
-  over the density (:func:`averaged_transfer_rule`), adaptive quadrature
-  (:func:`averaged_transfer_quadrature`) and seeded Monte Carlo over sampled
-  media all converge to it.
+  evaluated exactly by :func:`averaged_transfer_direct`.  Adaptive
+  quadrature (:func:`averaged_transfer_quadrature`), the exp-sinh rule over
+  the density and seeded Monte Carlo over sampled media all converge to it.
+  The rule and the Monte Carlo draws share one weighted kernel sum,
+  sum_i w_i exp(-x_i lambda_j), with the media x_i as rows and ascending
+  lambda_j as columns, formed block by block (``_weighted_kernel``).
 
 The two kernels differ by a factor of two inside the argument; both are
 exposed so the batch runner can report the ratio.  The closed-form pair is
@@ -48,13 +50,11 @@ __all__ = [
     "stochastic_impulse",
     "averaged_transfer",
     "averaged_transfer_direct",
-    "averaged_transfer_rule",
     "averaged_log_kernel_rule",
     "averaged_transfer_quadrature",
     "tail_decay_lengths",
     "gaussian_draw_std",
     "draw_std",
-    "mean_inverse_a",
     "sample_inverse_a",
     "observed_output",
     "monte_carlo_output",
@@ -197,43 +197,31 @@ def averaged_transfer_direct(spec: EnsembleSpec, z: float, omega):
 
     The gamma Laplace transform (1 + z w^2 / (2 b))^-(m+1) times the delay
     phase e^{i w z / v}: the limit of the Monte Carlo mean, and the value
-    :func:`averaged_transfer_rule` and :func:`averaged_transfer_quadrature`
+    :func:`averaged_transfer_quadrature` and the rule of :func:`draw_std`
     compute numerically.
     """
     return _algebraic_transfer(spec, z, omega, 2.0)
 
 
-def averaged_transfer_rule(spec: EnsembleSpec, z: float, omega):
-    """Direct ensemble average of exp(-z x w^2 / 2) on the exp-sinh rule.
-
-    The rule of :func:`draw_std` over y = b x (``_gamma_rule(m, RULE_STEP)``)
-    applied to exp(-(z w^2 / 2b) y), times the delay phase e^{i w z / v}:
-    numerical, independent of the closed forms, and without scipy.  It agrees
-    with :func:`averaged_transfer_quadrature` to 1e-13 relative for
-    z w^2 / 2b <= 0.5 and m <= 30; further out only the rule's 2e-12
-    absolute accuracy holds.  Scalar or array omega.
-    """
-    return _rule_average(spec, z, omega, np.exp) * np.exp(1j * np.asarray(omega, float) * z / spec.v)
-
-
 def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega):
-    """Log of the kernel of :func:`averaged_transfer_rule`, log1p(weights @ expm1(-lambda y)).
+    """Log of the directly averaged kernel on the rule of :func:`draw_std`, log1p(weights @ expm1(-lambda y)).
 
-    With lambda = z w^2 / 2b.  Accurate to rounding near w = 0, where the
+    With lambda = z w^2 / 2b and y = b x the rule's nodes
+    (``_gamma_rule(m, RULE_STEP)``): numerical, independent of the closed
+    forms, and without scipy.  Accurate to rounding near w = 0, where the
     kernel is close to 1 and the log of the rounded kernel would be off by
-    that rounding over the kernel's distance from 1.
+    that rounding over the kernel's distance from 1.  Scalar or array omega,
+    in any order: the sum runs over lambda sorted, so a value's bytes do not
+    depend on where its omega stands.
     """
-    return np.log1p(_rule_average(spec, z, omega, np.expm1))
-
-
-def _rule_average(spec: EnsembleSpec, z: float, omega, fn):
-    """weights @ fn(-lambda y) on the rule of :func:`draw_std`, lambda = z w^2 / 2b, per omega."""
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    lam = z * np.square(omega) / (2.0 * spec.b)
-    blocks = _kernel_blocks(np.ravel(lam), y, fn=fn)
-    return np.concatenate([block @ weights[: block.shape[1]] for _, block in blocks]).reshape(np.shape(lam))
+    lam = np.ravel(z * np.square(omega) / (2.0 * spec.b))
+    order = np.argsort(lam, kind="stable")
+    kernel = np.empty_like(lam)
+    kernel[order] = _weighted_kernel(y, lam[order], weights, np.expm1)
+    return np.log1p(kernel.reshape(np.shape(omega)))
 
 
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
@@ -267,11 +255,6 @@ def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
     kernel = vals[inverse]
     out = kernel * np.exp(1j * omega * z / spec.v)
     return out[0] if scalar else out
-
-
-def mean_inverse_a(spec: EnsembleSpec) -> float:
-    """Mean of the inverse curvature parameter, (m + 1) / b."""
-    return (spec.m + 1) / spec.b
 
 
 def tail_decay_lengths(m: int, eps: float) -> float:
@@ -345,8 +328,9 @@ def _kernel_blocks(x, lam, fn=np.exp):
     ascending and x >= 0.  A block holds only the leading ``c`` columns that
     can be non-zero, contiguous: with ``fn = np.exp`` the columns from lam =
     ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and are neither evaluated nor
-    stored.  c is 0 for a block wholly past the cut, which needs lam[0] > 0
-    (the rule averages' nodes); with lam[0] = 0 (the bins) c >= 1.
+    stored.  c is 0 for a block wholly past the cut, which needs lam[0] > 0;
+    the callers with ``fn = np.exp`` pass the bins, whose lam starts at 0, so
+    there c >= 1.
     """
     cols = lam.size
     rows = max(1, _BLOCK_BYTES // (8 * cols))
@@ -360,17 +344,21 @@ def _kernel_blocks(x, lam, fn=np.exp):
         yield r, block
 
 
+def _weighted_kernel(x, lam, weights, fn=np.exp) -> np.ndarray:
+    """sum_i weights[i] fn(-x[i] lam) per ascending lam, the media x as rows, block by block in row order."""
+    kernel = np.zeros_like(lam)
+    for r, block in _kernel_blocks(x, lam, fn):
+        kernel[: block.shape[1]] += weights[r] @ block
+    return kernel
+
+
 def _mean_output(delayed: Spectrum, z: float, x, weights) -> np.ndarray:
     """Weighted mean over media x (ascending) of their outputs irfft(delayed exp(-x z w^2 / 2)).
 
     The outputs are linear in the kernel, so this is one inverse transform of
-    the weighted kernel average, summed block by block in row order.
+    the weighted kernel sum.
     """
-    lam = 0.5 * z * delayed.grid.omegas() ** 2
-    kernel = np.zeros_like(lam)
-    for r, block in _kernel_blocks(x, lam):
-        kernel[: block.shape[1]] += weights[r] @ block
-    return inverse_rows(delayed, kernel)
+    return inverse_rows(delayed, _weighted_kernel(x, 0.5 * z * delayed.grid.omegas() ** 2, weights))
 
 
 def _spread(delayed: Spectrum, z: float, x, weights, mean) -> np.ndarray:
@@ -422,10 +410,11 @@ def _gamma_rule(m: int, step: float):
     y^m e^{-y} and by dy/dt.  Nodes below 1e-18 of the total weight are
     dropped and the rest normalised to sum to 1.  The nodes crowd towards
     y = 0 double-exponentially, so the rule integrates e^{-lambda y} to
-    (1 + lambda)^-(m+1) within 2e-12 for 0 <= lambda <= 1e10; a draw's
-    output is a sum of such exponentials, with lambda up to z w^2 / 2b at
-    the Nyquist frequency.  (A 120-node Gauss-Laguerre rule misses that
-    identity by 2.5e-3 at m = 0: its first node sits at y = 0.012.)
+    (1 + lambda)^-(m+1) within 2e-12 for 0 <= lambda <= 1e10, and within
+    1e-13 relative for lambda <= 0.5 and m <= 30; a draw's output is a sum
+    of such exponentials, with lambda up to z w^2 / 2b at the Nyquist
+    frequency.  (A 120-node Gauss-Laguerre rule misses that identity by
+    2.5e-3 at m = 0: its first node sits at y = 0.012.)
     Computed on first use per (m, step); the arrays are shared, read-only.
     """
     t = step * np.arange(-round(5.0 / step), round(5.0 / step) + 1)

@@ -24,7 +24,7 @@ from precursor_lab import (
     averaged_transfer_quadrature,
     causality_metric,
     chirp_dc_content,
-    chirp_dc_numeric,
+    chirp_dc_quadrature,
     effective_params,
     energy_ratio,
     fit_decay_exponent,
@@ -208,7 +208,7 @@ def test_criterion_09_zero_dc_case(long_range_grid, small_run_summary):
 
 def test_criterion_10_chirp_enhancement():
     T, omega0, alpha = 1.0, 10.0, 20.0
-    numeric = abs(chirp_dc_numeric(T, omega0, alpha))
+    numeric = abs(chirp_dc_quadrature(T, omega0, alpha)[0])
     unchirped = np.sqrt(2.0 * np.pi) * T * np.exp(-((omega0 * T) ** 2) / 2.0)
     orders = np.log10(numeric / unchirped)
     sp = abs(chirp_dc_content(T, omega0, alpha).stationary_phase)

@@ -211,7 +211,7 @@ class TestRunStochastic:
         quadrature = float(summary["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
         assert quadrature == pytest.approx(identity, abs=1e-9)
 
-    @pytest.mark.parametrize("m", [0, 1, 5, 30])
+    @pytest.mark.parametrize("m", range(31))
     @pytest.mark.parametrize("b", ["1e-3", "2", "1e12"])
     def test_quadrature_log_ratio_is_the_identity_to_rounding(self, m, b):
         text = STOCHASTIC.replace("m = 1", f"m = {m}").replace("b = 2", f"b = {b}")
@@ -219,6 +219,8 @@ class TestRunStochastic:
         identity = float(entries["ensemble_kernel_log_ratio_laplace_identity"])
         quadrature = float(entries["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
         assert abs(quadrature - identity) < 5e-16
+        s = 0.05**2  # z w^2 / b at the probe frequency w = 0.05 sqrt(b / z)
+        assert quadrature == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
 
     def test_missing_ensemble_rejected(self):
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]

@@ -23,7 +23,6 @@ from precursor_lab import (
     gaussian_pulse,
     impulse_tail_coefficients,
     inverse_transform,
-    mean_inverse_a,
     moment,
     monte_carlo_output,
     observed_output,
@@ -183,18 +182,32 @@ class TestDirectAverage:
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
     @pytest.mark.parametrize("b", [1e-3, 2.0, 1e12])
     def test_rule_matches_quadrature(self, m, b):
-        # the discrepancy probe sits at z w^2 / 2b = 1.25e-3
+        # the weighted kernel sum on the rule's nodes y = b x, which draw_std
+        # takes its moments from; the discrepancy probe sits at z w^2 / 2b = 1.25e-3
         spec = EnsembleSpec(b=b, m=m, v=1.0)
+        y, weights = stochastic._gamma_rule(m, stochastic.RULE_STEP)
         lam = np.array([0.0, 1e-6, 1.25e-3, 0.05, 0.2, 0.5])
         for z in (0.5, 4.0, 1600.0):
             w = np.sqrt(2.0 * b * lam / z) * np.array([1, -1, 1, -1, 1, 1])
-            rule = stochastic.averaged_transfer_rule(spec, z, w)
-            oracle = averaged_transfer_quadrature(spec, z, w)
-            assert (np.abs(rule - oracle) / np.abs(oracle)).max() < 1e-13
+            rule = stochastic._weighted_kernel(y, np.sort(z * np.square(w) / (2.0 * b)), weights)
+            oracle = np.abs(averaged_transfer_quadrature(spec, z, w))
+            assert (np.abs(rule - oracle) / oracle).max() < 1e-13
         w = np.sqrt(2.0 * b * 1.25e-3 / 4.0)
-        assert stochastic.averaged_transfer_rule(spec, 4.0, w) == pytest.approx(
-            averaged_transfer_quadrature(spec, 4.0, w), rel=1e-13
-        )
+        rule = stochastic._weighted_kernel(y, np.array([4.0 * w * w / (2.0 * b)]), weights)[0]
+        assert rule == pytest.approx(abs(averaged_transfer_quadrature(spec, 4.0, w)), rel=1e-13)
+
+    def test_log_kernel_rule_takes_omega_in_any_order(self):
+        # the sum runs over lambda sorted, so a shuffled, sign-flipped omega
+        # gives the same values, permuted, byte for byte, in omega's shape;
+        # unsorted, the vector-matrix product may round a column by its place
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
+        w = np.linspace(0.0, 20.0, 14)
+        expected = stochastic.averaged_log_kernel_rule(spec, z, w)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            perm, signs = rng.permutation(w.size), rng.choice([-1.0, 1.0], w.size)
+            got = stochastic.averaged_log_kernel_rule(spec, z, (signs * w[perm]).reshape(2, 7))
+            assert got.shape == (2, 7) and got.tobytes() == expected[perm].tobytes()
 
     def test_half_the_closed_form_argument(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
@@ -223,10 +236,6 @@ class TestTailDecayLengths:
 
 
 class TestSampling:
-    def test_mean_inverse(self):
-        assert mean_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0)) == 1.0
-        assert mean_inverse_a(EnsembleSpec(b=1.0, m=0, v=1.0)) == 1.0
-
     def test_draws_positive_and_deterministic(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         x = sample_inverse_a(spec, 10000, seed=42)
@@ -541,48 +550,42 @@ class TestKernelBlocks:
         assert not np.exp(np.outer(-s, [1.0, 2.0])).any()
 
     def test_skipped_exponentials_keep_the_rule_moments(self, monkeypatch):
-        # on a grid where most kernel terms underflow, draw_std and the rule
-        # average keep every byte of the same blocks with every np.exp evaluated
+        # on a grid where most kernel terms underflow, draw_std keeps every
+        # byte of the same blocks with every np.exp evaluated
         spec, z, n = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0, 1 << 16
         g, f0 = _mc_fixture(n=n, t0=-1638.4)
         spectrum, w = forward_transform(f0), g.omegas()
         y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
         lam = z * np.square(w) / (2.0 * spec.b)
         assert stochastic._exp_columns(y[-1:], lam) < lam.size // 10
-        assert stochastic._exp_columns(lam[-1:], y) < y.size // 2
         std = draw_std(spectrum, spec, z)
-        rule = stochastic.averaged_transfer_rule(spec, z, w)
         monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
         assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
-        assert stochastic.averaged_transfer_rule(spec, z, w).tobytes() == rule.tobytes()
 
     def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):
-        # the rule's nodes start above 0, so a block of high frequencies can
-        # lie wholly past the cut: it has no columns and averages to exactly 0
+        # with columns that start above 0, here the rule's nodes, a block of
+        # rows can lie wholly past the cut: it has no columns
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
         y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
-        assert stochastic.averaged_transfer_rule(spec, z, 1e6) == 0
         w = np.array([0.0, 1.0, 3e4, 1e6, 2e6, 4e6])
         lam = z * np.square(w) / (2.0 * spec.b)
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 2 * 8 * y.size)
         shapes = [block.shape for _, block in stochastic._kernel_blocks(lam, y)]
         assert shapes[0] == (2, y.size) and 0 < shapes[1][1] < y.size and shapes[2] == (2, 0)
-        rule = stochastic.averaged_transfer_rule(spec, z, w)
-        assert not rule[3:].any()
-        monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
-        assert stochastic.averaged_transfer_rule(spec, z, w).tobytes() == rule.tobytes()
 
     def test_moments_do_not_depend_on_the_split(self, monkeypatch):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
         g, f0 = _mc_fixture(n=1024)
         spectrum = forward_transform(f0)
         std = draw_std(spectrum, spec, z)
-        rule = stochastic.averaged_transfer_rule(spec, z, g.omegas())
-        # one node or draw per block, a few bins per rule block
+        rule = stochastic.averaged_log_kernel_rule(spec, z, g.omegas())
+        # one node or draw per block
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4096)
         assert np.abs(draw_std(spectrum, spec, z) - std).max() <= 1e-14 * std.max()
-        rule_split = stochastic.averaged_transfer_rule(spec, z, g.omegas())
-        assert np.abs(rule_split - rule).max() <= 1e-14 * np.abs(rule).max()
+        rule_split = stochastic.averaged_log_kernel_rule(spec, z, g.omegas())
+        # compared as kernels (at most 1): far out the kernel is 1 plus a sum
+        # of expm1 terms near -1, and its log magnifies that sum's rounding
+        assert np.abs(np.exp(rule_split) - np.exp(rule)).max() <= 1e-14
         draws = sample_inverse_a(spec, 800, 9)
         fast = monte_carlo_output(spectrum, spec, z, draws)
         slow, _ = monte_carlo_output(spectrum, spec, z, draws, return_stderr=True)

@@ -14,8 +14,9 @@ Nyquist), two csv-pulse propagates (a narrow pulse and one
 spanning t = -200 to 200), a propagate on a given grid whose times cross
 ``%g``'s switch to exponent notation and hold an exact 0, a ``stochastic``
 run on a given grid of 65,536 samples, a ``stochastic`` run of 10,000 draws
-at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, and a
-``verify`` run.
+at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
+``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
+summary's rule probe at m = 1 only), and a ``verify`` run.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte, and so are the warnings on standard error, as one
@@ -160,6 +161,22 @@ m = 1
 v = 1
 """
 
+# the highest ensemble order at a far scale and depth, so that the summary's
+# rule probe runs at m = 30
+HIGH_ORDER_STOCHASTIC = """
+experiment = stochastic
+z-list = 1600
+mc-samples = 200
+seed = 1
+[pulse]
+kind = gaussian
+T = 1
+[ensemble]
+b = 1e12
+m = 30
+v = 1
+"""
+
 VERIFY = "experiment = verify\nseed = 3\n"
 
 
@@ -189,6 +206,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "wide-csv-pulse": CSV_PULSE.format(csv=wide),
         "format-edges": FORMAT_EDGES,
         "stochastic-wide-grid": WIDE_STOCHASTIC,
+        "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
         "verify": VERIFY,
     }
     out = {}
