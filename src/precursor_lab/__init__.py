@@ -21,7 +21,6 @@ from .grid import (
     TimeGrid,
     forward_transform,
     inverse_transform,
-    recommend_grid,
 )
 from .media import (
     SPEED_OF_LIGHT,

@@ -97,13 +97,18 @@ TAIL_TOLERANCE = 1e-16  # share of the peak an automatic grid leaves at its edge
 def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     """The config's ``[grid]``, else the automatic grid; None without a pulse.
 
-    The automatic grid leaves eps = ``TAIL_TOLERANCE`` of the peak
-    at each edge: from a whole number of samples before zero to past the
-    deepest arrival, each side holds the pulse's tail (sqrt(2 ln 1/eps)
-    widths T, or a ``csv`` file's times) plus the medium's (sqrt(2 ln 1/eps)
-    widths sqrt(z/a), or ``stochastic.tail_decay_lengths(m, eps)`` decay lengths
-    sqrt(z/b)).  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of more than
-    ``MAX_AUTO_SAMPLES`` samples is a config error.
+    This is the package's one grid rule.  The automatic grid leaves
+    eps = ``TAIL_TOLERANCE`` of the peak at each edge: from a whole number
+    of samples before zero to past the deepest arrival, each side holds the
+    pulse's tail (sqrt(2 ln 1/eps) widths T, or a ``csv`` file's times) plus
+    the medium's (sqrt(2 ln 1/eps) widths sqrt(z/a), or
+    ``stochastic.tail_decay_lengths(m, eps)`` decay lengths sqrt(z/b)).  Its
+    spacing is dt = 0.1 T, and min(0.1 T, 0.1 pi/omega0) under a carrier
+    omega0 (a chirp's instantaneous frequency six widths out; T = 1 for a
+    ``csv`` pulse), and its length n the next power of two, at least 2,
+    that covers the span.  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of
+    more than ``MAX_AUTO_SAMPLES`` samples, or a span that overflows, is a
+    config error.
     """
     if cfg.grid is not None:
         return cfg.grid
@@ -126,13 +131,15 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     else:
         arrival, width = _arrival_and_width(cfg.medium, z_max)
         spread = gaussian_tail * width
-    dt = timegrid.sample_spacing(T, omega0)
-    t0 = -np.ceil((lead + spread) / dt) * dt
-    grid = timegrid.covering_grid(dt, t0, arrival + (trail + spread) - t0)
-    if grid.n > MAX_AUTO_SAMPLES:
-        needs = f"{grid.n} samples, more than {MAX_AUTO_SAMPLES}"
+    dt = min(0.1 * T, 0.1 * np.pi / omega0) if omega0 > 0 else 0.1 * T
+    with np.errstate(all="ignore"):  # a span out of range gives inf or nan samples
+        t0 = -np.ceil((lead + spread) / dt) * dt
+        samples = (arrival + (trail + spread) - t0) / dt
+    n = 1 << int(np.ceil(np.log2(max(samples, 2.0)))) if np.isfinite(samples) else math.inf
+    if not n <= MAX_AUTO_SAMPLES:
+        needs = f"{'infinitely many' if n == math.inf else n} samples, more than {MAX_AUTO_SAMPLES}"
         raise config.ConfigValidationError("grid", f"automatic grid needs {needs}; give a [grid] section")
-    return grid
+    return timegrid.TimeGrid(n=n, dt=dt, t0=t0)
 
 
 def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:

@@ -28,9 +28,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "inverse_rows",
-    "sample_spacing",
-    "covering_grid",
-    "recommend_grid",
 ]
 
 
@@ -174,35 +171,3 @@ def inverse_transform(spectrum: Spectrum) -> SampledSignal:
     part of conj(F e^{-i w t0}) there, its Hermitian projection, counts.
     """
     return SampledSignal(spectrum.grid, inverse_rows(spectrum))
-
-
-def sample_spacing(T: float, omega0: float) -> float:
-    """Largest spacing the grid rule allows: 0.1*T, and 0.1*pi/omega0 under a carrier."""
-    return min(0.1 * T, 0.1 * np.pi / omega0) if omega0 > 0 else 0.1 * T
-
-
-def covering_grid(dt: float, t0: float, span: float) -> TimeGrid:
-    """Grid of spacing ``dt`` from ``t0`` whose power-of-two length (at least 2) covers ``span``."""
-    n = 1 << int(np.ceil(np.log2(span / dt)))
-    return TimeGrid(n=max(n, 2), dt=dt, t0=t0)
-
-
-def recommend_grid(
-    T: float,
-    omega0: float,
-    a: float,
-    v: float,
-    z: float,
-    margin_sigmas: float = 5.0,
-) -> TimeGrid:
-    """Pick a grid adequate for propagating a pulse of width ``T`` to depth ``z``.
-
-    Spacing :func:`sample_spacing`; the span covers the shifted pulse center
-    z/v plus ``2*margin_sigmas`` times the larger of the input width and the
-    broadened output width sqrt(z/a).
-    """
-    if T <= 0 or v <= 0 or a <= 0 or z < 0:
-        raise ValueError("recommend_grid needs T > 0, a > 0, v > 0, z >= 0")
-    margin = max(T, np.sqrt(z / a))
-    span = z / v + 2.0 * margin_sigmas * margin
-    return covering_grid(sample_spacing(T, omega0), -margin_sigmas * margin, span)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ class PulseSpec:
             )
         if self.T <= 0:
             raise ValueError(f"pulse width must be positive, got T={self.T}")
+        # the envelope exp(-t^2/2T^2) divides by 2T^2, which must be normal and finite
+        if not (sys.float_info.min <= self.T * self.T and math.isfinite(2.0 * self.T * self.T)):
+            raise ValueError(
+                f"pulse width needs T^2 >= {sys.float_info.min:g} and a finite 2T^2, got T={self.T}"
+            )
         if self.omega0 < 0:
             raise ValueError(f"carrier frequency must be >= 0, got omega0={self.omega0}")
         if self.kind != "chirp-gaussian" and self.alpha != 0.0:

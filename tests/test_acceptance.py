@@ -41,7 +41,6 @@ from precursor_lab import (
     propagate_fft,
     quadratic_approximation,
     rect_pulse,
-    recommend_grid,
     rms_width,
     sample_inverse_a,
     shape_rms_diff,
@@ -49,8 +48,9 @@ from precursor_lab import (
     thin_slab_output,
     transfer_between,
 )
+from precursor_lab import experiments
 from precursor_lab.cli import run
-from precursor_lab.config import parse_config
+from precursor_lab.config import ExperimentConfig, parse_config
 
 
 def _report(num, name, ok, detail):
@@ -87,8 +87,10 @@ def test_criterion_01_oracle_equivalence():
     for z in (10.0, 100.0, 1000.0):
         for T in (0.5, 1.0):
             for omega0 in (0.0, 2.0):
-                g = recommend_grid(T, omega0, 1.0, 1.0, z, margin_sigmas=10.0)
-                f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=T, omega0=omega0), g)
+                pulse = PulseSpec(kind="gaussian", T=T, omega0=omega0)
+                cfg = ExperimentConfig("propagate", z_values=(z,), pulse=pulse, medium=medium)
+                g = experiments.plan_grid(cfg, None)
+                f0 = gaussian_pulse(pulse, g)
                 out = propagate_fft(f0, medium, z)
                 ref = analytic_gaussian_output(T, omega0, 1.0, 1.0, z, g.times())
                 worst = max(worst, float(np.abs(out.values - ref).max()))

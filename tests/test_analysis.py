@@ -23,10 +23,11 @@ from precursor_lab import (
     peak,
     propagate_fft,
     rect_pulse,
-    recommend_grid,
     rms_width,
     shape_rms_diff,
 )
+from precursor_lab import experiments
+from precursor_lab.config import ExperimentConfig
 
 
 def _grid(n=4096, dt=0.01, t0=None):
@@ -84,8 +85,10 @@ class TestRmsWidth:
 
     def test_broadening_ratio_at_two_depths(self):
         medium = QuadraticMedium(a=1.0, v=1.0)
-        g = recommend_grid(1.0, 2.0, 1.0, 1.0, 1600.0, margin_sigmas=8.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        pulse = PulseSpec(kind="gaussian", T=1.0, omega0=2.0)
+        cfg = ExperimentConfig("propagate", z_values=(400.0, 1600.0), pulse=pulse, medium=medium)
+        g = experiments.plan_grid(cfg, None)
+        f0 = gaussian_pulse(pulse, g)
         w1 = rms_width(propagate_fft(f0, medium, 400.0))
         w2 = rms_width(propagate_fft(f0, medium, 1600.0))
         assert w2 / w1 == pytest.approx(2.0, abs=0.02)
@@ -174,9 +177,11 @@ class TestEnergyRatio:
 
     def test_uncarried_gaussian_at_100_widths(self):
         # omega0 = 0, z = 100 a T^2: ratio tends to sqrt(aT^2/z) = 0.1
-        g = recommend_grid(1.0, 0.0, 1.0, 1.0, 100.0, margin_sigmas=8.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
-        out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), 100.0)
+        medium, pulse = QuadraticMedium(a=1.0, v=1.0), PulseSpec(kind="gaussian", T=1.0)
+        cfg = ExperimentConfig("propagate", z_values=(100.0,), pulse=pulse, medium=medium)
+        g = experiments.plan_grid(cfg, None)
+        f0 = gaussian_pulse(pulse, g)
+        out = propagate_fft(f0, medium, 100.0)
         assert energy_ratio(out, f0) == pytest.approx(0.1, rel=0.02)
 
     def test_zero_input_rejected(self):

@@ -819,6 +819,46 @@ class TestMainEntry:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the carrier's spacing 0.1 pi/omega0 is 1e-301, so span/dt overflows
+            (
+                MINIMAL.replace("T = 1\nomega0 = 2", "T = 1e100\nomega0 = 1e300"),
+                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "give a [grid] section",
+            ),
+            # the medium's width sqrt(z/a) overflows
+            (
+                MINIMAL.replace("z = 100", "z = 1e300").replace("a = 1\n", "a = 1e-300\n"),
+                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "give a [grid] section",
+            ),
+            # the arrival z/v and the ensemble's tail sqrt(z/b) overflow
+            (
+                AUTO_STOCHASTIC.format(m=1).replace("z-list = 0.5 2", "z = 1e300")
+                .replace("b = 2", "b = 1e-300").replace("v = 1", "v = 1e-300"),
+                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "give a [grid] section",
+            ),
+            # 2T^2 underflows to 0, and the envelope would be 0/0 at t = 0
+            (
+                MINIMAL.replace("T = 1\n", "T = 1e-170\n")
+                + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n",
+                "pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e-170",
+            ),
+            # 2T^2 overflows
+            (
+                MINIMAL.replace("T = 1\n", "T = 1e160\n"),
+                "pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e+160",
+            ),
+        ],
+        ids=["carrier-spacing", "medium-width", "ensemble-arrival", "tiny-width", "huge-width"],
+    )
+    def test_out_of_range_grid_or_width_exits_before_writing(self, tmp_path, capsys, text, message):
+        self._one_line_error(tmp_path, capsys, text, message)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("base", ["sweep-z", "stochastic"])
     @pytest.mark.parametrize(
         "rows", ["-1,0\n0,0\n1,0\n", "1000,1\n1001,2\n"], ids=["all-zero", "off-grid"]

@@ -7,7 +7,6 @@ from precursor_lab import (
     TimeGrid,
     forward_transform,
     inverse_transform,
-    recommend_grid,
 )
 from precursor_lab.grid import inverse_rows
 
@@ -165,12 +164,3 @@ def test_parseval():
     rhs = g.domega / (2 * np.pi) * np.sum(weights * np.abs(F.values) ** 2)
     assert rhs == pytest.approx(lhs, rel=1e-10)
 
-
-def test_recommend_grid_satisfies_adequacy_rule():
-    for (T, w0, a, v, z) in [(1.0, 2.0, 1.0, 1.0, 100.0), (0.5, 0.0, 5.0, 2.0, 10.0)]:
-        g = recommend_grid(T, w0, a, v, z)
-        assert g.dt <= 0.1 * T
-        if w0 > 0:
-            assert g.dt <= 0.1 * np.pi / w0
-        assert g.span >= z / v + 10 * max(T, np.sqrt(z / a))
-        assert g.t0 < 0 < g.t0 + g.span

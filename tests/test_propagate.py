@@ -27,12 +27,19 @@ from precursor_lab import (
     moment_expansion_output,
     propagate_fft,
     rect_pulse,
-    recommend_grid,
     thin_slab_output,
     transfer_function,
     zero_dc_rect_output,
     zero_dc_rect_output_series,
 )
+from precursor_lab import experiments
+from precursor_lab.config import ExperimentConfig
+
+
+def _planned_grid(pulse, medium, z):
+    """The automatic grid of a ``propagate`` run of ``pulse`` through ``medium`` to depth ``z``."""
+    cfg = ExperimentConfig("propagate", z_values=(z,), pulse=pulse, medium=medium)
+    return experiments.plan_grid(cfg, None)
 
 
 class TestPropagateFFT:
@@ -43,9 +50,11 @@ class TestPropagateFFT:
         assert np.abs(out.values - f0.values).max() < 1e-12
 
     def test_matches_gaussian_closed_form(self):
-        g = recommend_grid(1.0, 2.0, 1.0, 1.0, 10.0, margin_sigmas=10.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
-        out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), 10.0)
+        pulse = PulseSpec(kind="gaussian", T=1.0, omega0=2.0)
+        medium = QuadraticMedium(a=1.0, v=1.0)
+        g = _planned_grid(pulse, medium, 10.0)
+        f0 = gaussian_pulse(pulse, g)
+        out = propagate_fft(f0, medium, 10.0)
         ref = analytic_gaussian_output(1.0, 2.0, 1.0, 1.0, 10.0, g.times())
         assert np.abs(out.values - ref).max() < 1e-8
 
@@ -143,13 +152,15 @@ class TestAnalyticGaussianOutput:
 
     def test_oracle_sweep(self):
         # the primary cross-validation at several operating points
+        medium = QuadraticMedium(a=1.0, v=1.0)
         worst = 0.0
         for z in (10.0, 1000.0):
             for T in (0.5, 1.0):
                 for w0 in (0.0, 2.0):
-                    g = recommend_grid(T, w0, 1.0, 1.0, z, margin_sigmas=10.0)
-                    f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=T, omega0=w0), g)
-                    out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), z)
+                    pulse = PulseSpec(kind="gaussian", T=T, omega0=w0)
+                    g = _planned_grid(pulse, medium, z)
+                    f0 = gaussian_pulse(pulse, g)
+                    out = propagate_fft(f0, medium, z)
                     ref = analytic_gaussian_output(T, w0, 1.0, 1.0, z, g.times())
                     worst = max(worst, np.abs(out.values - ref).max())
         assert worst < 1e-8
@@ -173,10 +184,11 @@ class TestRectLargeDepth:
 
     def test_matches_fft_at_long_range(self):
         z, T, w0 = 200.0, 1.0, np.pi
-        g = recommend_grid(T, w0, 1.0, 1.0, z, margin_sigmas=10.0)
+        pulse, medium = PulseSpec(kind="rect", T=T, omega0=w0), QuadraticMedium(a=1.0, v=1.0)
+        g = _planned_grid(pulse, medium, z)
         g = TimeGrid(n=g.n * 4, dt=g.dt / 4, t0=g.t0)  # fine dt for the sharp edges
-        f0 = rect_pulse(PulseSpec(kind="rect", T=T, omega0=w0), g)
-        out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), z)
+        f0 = rect_pulse(pulse, g)
+        out = propagate_fft(f0, medium, z)
         i = np.argmax(np.abs(out.values))
         ref = analytic_rect_output_largez(T, w0, 1.0, 1.0, z, g.times()[i])
         assert out.values[i] == pytest.approx(ref, rel=0.05)

@@ -10,19 +10,21 @@ that tree's ``src`` on ``PYTHONPATH``.  The cases are the two benchmark
 workload configs (``perfbench/workloads/*.ini``, read and never written) at
 seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
 two exp-kernel propagates (the second passes much of its spectrum up to
-Nyquist), two csv-pulse propagates (a narrow pulse and one
-spanning t = -200 to 200), a propagate on a given grid whose times cross
+Nyquist), three csv-pulse propagates (a narrow pulse, one
+spanning t = -200 to 200, and one at t = 1e9 that needs a given grid), a propagate on a given grid whose times cross
 ``%g``'s switch to exponent notation and hold an exact 0, a ``stochastic``
 run on a given grid of 65,536 samples, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
-summary's rule probe at m = 1 only), and a ``verify`` run.
+summary's rule probe at m = 1 only), a ``verify`` run, and two runs that
+are config errors: an automatic grid whose span overflows and a pulse width
+whose square overflows.
 
 Every output file, the exit status and ``verify``'s standard output are
-compared byte for byte, and so are the warnings on standard error, as one
-``Category: message`` line each: the ``path:line:`` prefix and the echoed
-source line that follows it are dropped, since they name where the warning
-was raised.  One line is printed per differing file, with its first
+compared byte for byte.  So is standard error: a failing run's whole, and
+otherwise its warnings, as one ``Category: message`` line each: the
+``path:line:`` prefix and the echoed source line that follows it are
+dropped, since they name where the warning was raised.  One line is printed per differing file, with its first
 differing lines, and then how large the differences are: for a CSV, the
 largest |delta| in each differing column relative to that column's peak in
 REV's output; for ``summary.txt``, the relative change of each differing
@@ -179,6 +181,32 @@ v = 1
 
 VERIFY = "experiment = verify\nseed = 3\n"
 
+# the medium's width sqrt(z/a) overflows, and so does the automatic grid's span
+OVERFLOWING_GRID = """
+experiment = propagate
+z = 1e300
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = quadratic
+a = 1e-300
+v = 1
+"""
+
+# 2T^2 overflows
+HUGE_PULSE_WIDTH = """
+experiment = propagate
+z = 100
+[pulse]
+kind = gaussian
+T = 1e160
+[medium]
+variant = quadratic
+a = 1
+v = 1
+"""
+
 
 def pulse_csv(path: Path) -> None:
     """A sampled two-sided exponential pulse, coarser than the grid it is resampled on."""
@@ -192,11 +220,17 @@ def wide_pulse_csv(path: Path) -> None:
     path.write_text("\n".join(rows) + "\n")
 
 
+def far_pulse_csv(path: Path) -> None:
+    """Two samples at t = 1e9, which an automatic grid would need 2^34 samples to reach."""
+    path.write_text("t,f\n1e9,1\n1.000000001e9,2\n")
+
+
 def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
     """Case name -> (config file, extra CLI arguments)."""
-    csv, wide = inputs / "pulse.csv", inputs / "wide-pulse.csv"
+    csv, wide, far = inputs / "pulse.csv", inputs / "wide-pulse.csv", inputs / "far-pulse.csv"
     pulse_csv(csv)
     wide_pulse_csv(wide)
+    far_pulse_csv(far)
     texts = {
         "chirp": CHIRP,
         "slab": SLAB,
@@ -204,10 +238,13 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "weak-exp-kernel": WEAK_EXP_KERNEL,
         "csv-pulse": CSV_PULSE.format(csv=csv),
         "wide-csv-pulse": CSV_PULSE.format(csv=wide),
+        "far-csv-pulse": CSV_PULSE.format(csv=far),
         "format-edges": FORMAT_EDGES,
         "stochastic-wide-grid": WIDE_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
         "verify": VERIFY,
+        "overflowing-grid": OVERFLOWING_GRID,
+        "huge-pulse-width": HUGE_PULSE_WIDTH,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
@@ -240,17 +277,20 @@ def warnings_of(stderr: bytes) -> bytes:
 
 
 def run_case(tree: Path, config: Path, args: list[str], out_dir: Path) -> dict[str, bytes]:
-    """Every output file of one run, plus its exit status, standard output and warnings."""
+    """Every output file of one run, plus its exit status, standard output and standard error.
+
+    Standard error is kept whole when the run fails, and as its warnings otherwise.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "precursor_lab.cli", str(config), "--output-dir", str(out_dir), *args],
         env=env, cwd=out_dir.parent, capture_output=True,
     )
-    files = {
-        "<exit status>": str(proc.returncode).encode(),
-        "<stdout>": proc.stdout,
-        "<warnings>": warnings_of(proc.stderr),
-    }
+    files = {"<exit status>": str(proc.returncode).encode(), "<stdout>": proc.stdout}
+    if proc.returncode:
+        files["<stderr>"] = proc.stderr
+    else:
+        files["<warnings>"] = warnings_of(proc.stderr)
     if out_dir.is_dir():
         files.update((p.name, p.read_bytes()) for p in sorted(out_dir.iterdir()))
     return files
