@@ -220,7 +220,7 @@ def _propagate_over_z(f0, medium, z_values, threads: int):
 
 
 def _sweep_records(outputs, f0):
-    """The metrics of each ``(z, output)``; an output of zero energy is a config error."""
+    """The metrics of each ``(z, output)``; an output of zero energy or zero rms width is a config error."""
     records = []
     for z, sig in outputs:
         if not sig.energy() > 0.0:
@@ -229,6 +229,8 @@ def _sweep_records(outputs, f0):
             )
         t_peak, amp = analysis.peak(sig)
         width, energy = analysis.rms_width(sig), analysis.energy_ratio(sig, f0)
+        if not width > 0.0:
+            raise config.ConfigValidationError("z", f"the output at depth {z:g} has zero rms width")
         records.append(analysis.SweepRecord(z, t_peak, amp, width, energy))
     return records
 

@@ -54,12 +54,18 @@ class PulseSpec:
         return self.alpha * self.T**2 > 10.0
 
 
+def _envelope(t, T):
+    """exp(-t^2/2T^2); near the least width T, t^2/2T^2 overflows to inf far out, and exp(-inf) = 0 is right."""
+    with np.errstate(over="ignore"):
+        return np.exp(-(t * t) / (2.0 * T**2))
+
+
 def gaussian_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     """Gaussian envelope times carrier: exp(-t^2/2T^2) * cos(omega0 t)."""
     if spec.kind != "gaussian":
         raise ValueError(f"expected kind 'gaussian', got {spec.kind!r}")
     t = grid.times()
-    vals = np.exp(-(t * t) / (2.0 * spec.T**2)) * np.cos(spec.omega0 * t)
+    vals = _envelope(t, spec.T) * np.cos(spec.omega0 * t)
     return SampledSignal(grid, vals)
 
 
@@ -90,7 +96,7 @@ def chirp_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
         raise ValueError(f"expected kind 'chirp-gaussian', got {spec.kind!r}")
     t = grid.times()
     phase = spec.omega0 * t + 0.5 * spec.alpha * t * t
-    vals = np.exp(-(t * t) / (2.0 * spec.T**2)) * np.cos(phase)
+    vals = _envelope(t, spec.T) * np.cos(phase)
     return SampledSignal(grid, vals)
 
 

@@ -306,18 +306,15 @@ def _delayed(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> Spectrum:
 
 
 _BLOCK_BYTES = 1 << 20  # size of the one buffer in which every ensemble kernel is formed
-# exp(-s) is exactly 0 in float64 once s > 1075 ln 2 = 745.1332 (e^-s is then at
-# most half the least subnormal, 2^-1075, and rounds to 0); the margin covers the
-# rounding of x * lam, 2^-52 relative
-_EXP_LIMIT = 745.2
+# a kernel term exp(-s) with s > 700 is below e^-700 = 9.9e-305, 2^-1010 of the
+# kernel's peak of 1, and is taken as 0; numpy's exp leaves its vector path
+# only past s = 707.7, where results fall below 2^-1021, and is slowest on subnormals
+_EXP_LIMIT = 700.0
 
 
 def _exp_columns(x, lam) -> int:
-    """How many leading columns of ascending ``lam`` can give exp(-x lam) > 0; past them it is 0 for every x."""
-    least = x.min()
-    if least * lam[-1] <= _EXP_LIMIT:
-        return lam.size
-    return int(np.searchsorted(lam, _EXP_LIMIT / least))
+    """How many leading columns of ascending ``lam`` have min(x) lam, as rounded, at most ``_EXP_LIMIT``."""
+    return int(np.searchsorted(np.min(x) * lam, _EXP_LIMIT, side="right"))
 
 
 def _kernel_blocks(x, lam, fn=np.exp):
@@ -325,22 +322,33 @@ def _kernel_blocks(x, lam, fn=np.exp):
 
     Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), as
     many rows as fit, so use each before asking for the next.  ``lam`` is
-    ascending and x >= 0.  A block holds only the leading ``c`` columns that
-    can be non-zero, contiguous: with ``fn = np.exp`` the columns from lam =
-    ``_EXP_LIMIT`` / min(x[r]) on are exactly 0 and are neither evaluated nor
-    stored.  c is 0 for a block wholly past the cut, which needs lam[0] > 0;
-    the callers with ``fn = np.exp`` pass the bins, whose lam starts at 0, so
-    there c >= 1.
+    ascending and x >= 0.  With ``fn = np.exp`` a term is kept where its own
+    rounded product x lam is at most ``_EXP_LIMIT``, and is exactly 0
+    elsewhere, so no term's fate depends on how the rows are split.  A block
+    holds only the leading ``c`` columns, contiguous, where the row of least
+    x keeps a term; the columns before ``a``, where the row of largest x
+    still does, go through plain ``exp``, and the staircase between a and c
+    evaluates only its kept terms.  c is 0 for a block wholly past the cut,
+    which needs lam[0] > 0; the callers with ``fn = np.exp`` pass the bins,
+    whose lam starts at 0, so there c >= 1.
     """
     cols = lam.size
     rows = max(1, _BLOCK_BYTES // (8 * cols))
     buf = np.empty(min(rows, x.size) * cols)
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
-        c = _exp_columns(x[r], lam) if fn is np.exp else cols
+        a = c = cols
+        if fn is np.exp:
+            a, c = _exp_columns(x[r].max(), lam), _exp_columns(x[r], lam)
         block = buf[: (r.stop - i0) * c].reshape(r.stop - i0, c)
-        np.multiply.outer(-x[r], lam[:c], out=block)
-        fn(block, out=block)
+        # the bytes of np.multiply.outer(-x[r], lam[:c]), signed zeros included, at vector speed
+        np.copyto(block, lam[:c])
+        block *= -x[r, None]
+        fn(block[:, :a], out=block[:, :a])
+        if a < c:
+            stair = block[:, a:]
+            np.exp(stair, out=stair, where=stair >= -_EXP_LIMIT)
+            np.maximum(stair, 0.0, out=stair)
         yield r, block
 
 
@@ -382,8 +390,8 @@ def monte_carlo_output(
     of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
     summed over the draws in ascending order, so the result depends neither
     on the order the draws come in nor on the degree of parallelism; sorted,
-    each block skips more of the exponentials that underflow to 0 (see
-    ``_kernel_blocks``).  With ``return_stderr`` the pointwise sample
+    each block forms fewer of the terms below e^-700, which are taken as 0
+    (see ``_kernel_blocks``).  With ``return_stderr`` the pointwise sample
     standard error of the mean is returned alongside, from the centred spread
     of each draw's inverse transform, at a cost.
     """

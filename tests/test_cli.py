@@ -778,6 +778,18 @@ class TestMainEntry:
             )
         assert not (tmp_path / "o").exists()
 
+    def test_output_of_zero_rms_width_exits_before_writing(self, tmp_path, capsys):
+        # a one-row pulse gives a 2-sample automatic grid, and the output is a one-sample spike
+        src = tmp_path / "spike.csv"
+        src.write_text("t,f\n0,1\n")
+        text = (
+            f"experiment = propagate\nz = 1e-300\n[pulse]\nkind = csv\nfile = {src}\n"
+            "[medium]\nvariant = quadratic\na = 1e300\nv = 1e300\n"
+        )
+        with pytest.warns(GridAdequacyWarning):
+            self._one_line_error(tmp_path, capsys, text, "z: the output at depth 1e-300 has zero rms width")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("K,Kp", [("1e-310", "1"), ("1e-300", "1e10")])
     def test_exp_kernel_out_of_range(self, tmp_path, capsys, K, Kp):
         text = MINIMAL.replace(

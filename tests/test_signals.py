@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ class TestGaussianPulse:
         g = symmetric_grid(64, 0.1)
         with pytest.raises(ValueError):
             gaussian_pulse(PulseSpec(kind="rect", T=1.0), g)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "chirp-gaussian"])
+    def test_least_width_warns_of_nothing(self, kind):
+        # t^2/2T^2 overflows to inf away from t = 0, and exp(-inf) is the right 0
+        g, T = TimeGrid(n=1024, dt=0.1, t0=-20.0), 2e-154
+        spec = PulseSpec(kind=kind, T=T, omega0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = (gaussian_pulse if kind == "gaussian" else chirp_pulse)(spec, g)
+        t = g.times()
+        with np.errstate(over="ignore"):
+            ref = np.exp(-(t * t) / (2.0 * T**2)) * np.cos(spec.omega0 * t)
+        assert f.values.tobytes() == ref.tobytes()
+        assert f.values[t == 0.0] == 1.0 and np.count_nonzero(f.values) == 1
 
 
 class TestRectPulse:

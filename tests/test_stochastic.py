@@ -508,27 +508,63 @@ class TestKernelBlocks:
     @pytest.mark.parametrize("fn", [np.exp, np.expm1])
     def test_blocks_are_exact_and_leave_out_only_zeros(self, monkeypatch, order, fn):
         # four rows per block and a short last one; out of ascending order the
-        # cut grows and shrinks between blocks in the one buffer
+        # cut grows and shrinks between blocks in the one buffer.  exp keeps a
+        # term where its own rounded x lam is at most _EXP_LIMIT, else it is 0
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4 * 8 * 513)
         g, _ = _mc_fixture(n=1024)
         lam = 0.5 * 4.0 * g.omegas() ** 2
         x = np.sort(sample_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0), 203, seed=5))
         x = {"ascending": x, "descending": x[::-1], "shuffled": np.random.default_rng(1).permutation(x)}[order]
-        cuts, seen = [], 0
+        limit = stochastic._EXP_LIMIT
+        cuts, seen, staircases = [], 0, 0
         for r, block in stochastic._kernel_blocks(x, lam, fn):
             c = block.shape[1]
-            full = fn(-np.outer(x[r], lam))
-            assert block.tobytes() == full[:, :c].tobytes()
-            assert not full[:, c:].any()
+            s = np.outer(x[r], lam)
+            if fn is np.exp:
+                assert block.tobytes() == np.where(s <= limit, np.exp(-s), 0.0)[:, :c].tobytes()
+                assert (s[:, c:] > limit).all()
+                staircases += bool((s[:, :c] > limit).any())
+            else:
+                assert block.tobytes() == np.expm1(-s).tobytes()
             cuts.append(c)
             seen = r.stop
         assert seen == x.size and len(cuts) == 51
         if fn is np.expm1:
             assert set(cuts) == {lam.size}
-        elif order == "ascending":
+            return
+        assert staircases > 0
+        if order == "ascending":
             assert cuts == sorted(cuts, reverse=True) and cuts[-1] < cuts[0] == lam.size
         else:
             assert any(a < b for a, b in zip(cuts, cuts[1:])) and min(cuts) < lam.size
+
+    def test_in_place_product_matches_multiply_outer(self):
+        # copy then multiply in place gives np.multiply.outer's bytes, the -0.0
+        # of x = 0 or lam = 0 included; a matrix product would give +0.0 there
+        x = np.array([0.0, 1e-300, 0.3, 1.0, 7.5, 1e300])
+        lam = np.array([0.0, 1e-10, 0.5, 2.0, 1e8])
+        blocks = list(stochastic._kernel_blocks(x, lam, np.positive))
+        got = np.concatenate([block for _, block in blocks])
+        ref = np.multiply.outer(-x, lam)
+        assert got.tobytes() == ref.tobytes()
+        assert np.signbit(got[got == 0.0]).all() and (got == 0.0).sum() == x.size + lam.size - 1
+
+    def test_blocks_agree_term_for_term_under_two_budgets(self, monkeypatch):
+        # a kept term depends only on its own product, not on its block's rows
+        g, _ = _mc_fixture(n=1024)
+        lam = 0.5 * 16.0 * g.omegas() ** 2
+        x = np.sort(sample_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0), 600, seed=2))
+
+        def terms():
+            out = np.zeros((x.size, lam.size))
+            for r, block in stochastic._kernel_blocks(x, lam):
+                out[r, : block.shape[1]] = block
+            return out
+
+        ref = terms()
+        monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 3 * 8 * 513)
+        assert terms().tobytes() == ref.tobytes()
+        assert len(set((ref > 0.0).sum(axis=1))) > 100  # the cut moves from row to row
 
     def test_mc_mean_bytes_do_not_depend_on_the_draw_order(self):
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 2.0
@@ -540,14 +576,25 @@ class TestKernelBlocks:
             assert monte_carlo_output(spectrum, spec, z, shuffled).values.tobytes() == got.tobytes()
         assert monte_carlo_output(spectrum, spec, z, draws[::-1]).values.tobytes() == got.tobytes()
 
-    def test_exp_is_exactly_zero_past_the_limit(self):
-        # the cut relies on this numpy's exp rounding every e^-s with
-        # s >= _EXP_LIMIT, less the rounding of x * lam, to exactly 0
-        limit = stochastic._EXP_LIMIT
-        assert limit > 1075 * math.log(2)
-        s = np.concatenate([[limit * (1 - 2.0**-52), limit], np.linspace(limit, 1e4, 100_001), [1e300, np.inf]])
-        assert not np.exp(-s).any()
-        assert not np.exp(np.outer(-s, [1.0, 2.0])).any()
+    def test_dropped_terms_are_below_the_floor_and_kept_ones_normal(self):
+        # every term the cut drops is below e^-700, and exp sees only inputs
+        # whose results are normal, above numpy's vector-path floor 2^-1021
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 16.0
+        g = _auto_grid(PulseSpec(kind="gaussian", T=1.0), spec, z)
+        lam = 0.5 * z * g.omegas() ** 2
+        y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
+        floor = np.exp(-stochastic._EXP_LIMIT)
+        dropped = tiny = 0
+        for x in (np.sort(sample_inverse_a(spec, 1000, seed=1)), y / spec.b):
+            for r, block in stochastic._kernel_blocks(x, lam):
+                full = np.exp(-np.outer(x[r], lam))
+                kept = np.zeros(full.shape, bool)
+                kept[:, : block.shape[1]] = block > 0.0
+                assert (full[~kept] < floor).all()
+                assert (full[kept] >= 2.0**-1021).all()
+                dropped += (~kept).sum()
+                tiny += (full[~kept] < sys.float_info.min).sum()
+        assert floor == np.exp(-700.0) and tiny > 0 and dropped > tiny
 
     def test_skipped_exponentials_keep_the_rule_moments(self, monkeypatch):
         # on a grid where most kernel terms underflow, draw_std keeps every
@@ -560,6 +607,20 @@ class TestKernelBlocks:
         assert stochastic._exp_columns(y[-1:], lam) < lam.size // 10
         std = draw_std(spectrum, spec, z)
         monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
+        assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
+
+    def test_skipped_exponentials_keep_the_reference_run_bytes(self, monkeypatch):
+        # the deepest depth of the 10,000-draw reference run, on its grid
+        # (n = 4,096): the Monte Carlo mean and draw_std keep every byte of the
+        # same blocks with every np.exp evaluated
+        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 16.0
+        pulse = PulseSpec(kind="gaussian", T=1.0)
+        f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, z))
+        spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 2000, seed=1)
+        assert f0.grid.n == 4096
+        mean, std = monte_carlo_output(spectrum, spec, z, draws).values, draw_std(spectrum, spec, z)
+        monkeypatch.setattr(stochastic, "_EXP_LIMIT", np.inf)
+        assert monte_carlo_output(spectrum, spec, z, draws).values.tobytes() == mean.tobytes()
         assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
 
     def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):

@@ -13,7 +13,8 @@ two exp-kernel propagates (the second passes much of its spectrum up to
 Nyquist), three csv-pulse propagates (a narrow pulse, one
 spanning t = -200 to 200, and one at t = 1e9 that needs a given grid), a propagate on a given grid whose times cross
 ``%g``'s switch to exponent notation and hold an exact 0, a ``stochastic``
-run on a given grid of 65,536 samples, a ``stochastic`` run of 10,000 draws
+run on a given grid of 65,536 samples, a ``stochastic`` run of a rect pulse
+at m = 0 whose spectrum reaches Nyquist, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
 summary's rule probe at m = 1 only), a ``verify`` run, and two runs that
@@ -147,6 +148,26 @@ dt = 0.05
 t0 = -1638.4
 """
 
+# a rect pulse, whose spectrum does not vanish up to Nyquist, so the kernel
+# terms the cut drops meet the largest spectral weights there
+RECT_STOCHASTIC = """
+experiment = stochastic
+z-list = 4 16
+mc-samples = 3000
+seed = 1
+[pulse]
+kind = rect
+T = 1
+[ensemble]
+b = 2
+m = 0
+v = 1
+[grid]
+n = 4096
+dt = 0.05
+t0 = -40
+"""
+
 # 10,000 draws at three depths on the automatic grid (n = 4,096), so that the
 # Monte Carlo mean runs over 159 row blocks per depth
 MANY_DRAWS_STOCHASTIC = """
@@ -241,6 +262,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "far-csv-pulse": CSV_PULSE.format(csv=far),
         "format-edges": FORMAT_EDGES,
         "stochastic-wide-grid": WIDE_STOCHASTIC,
+        "stochastic-rect": RECT_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
         "verify": VERIFY,
         "overflowing-grid": OVERFLOWING_GRID,
