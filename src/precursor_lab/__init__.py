@@ -58,7 +58,6 @@ from .propagate import (
 )
 from .signals import PulseSpec, chirp_pulse, gaussian_pulse, moment, rect_pulse
 from .stochastic import (
-    CoeffTable,
     EnsembleSpec,
     averaged_transfer,
     averaged_transfer_direct,

@@ -349,6 +349,9 @@ def _validate_for_experiment(cfg: ExperimentConfig):
             raise ConfigValidationError("pulse", "chirp experiment needs an explicit chirp pulse")
         if cfg.pulse.alpha <= 0:
             raise ConfigValidationError("pulse.alpha", "chirp experiment needs a positive chirp rate")
+        alpha, T = cfg.pulse.alpha, cfg.pulse.T
+        if 2.0 * (alpha * alpha) * (T * T) == 0.0:
+            raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too small: 2 alpha^2 T^2 underflows to 0")
     if cfg.experiment == "slab":
         if not isinstance(cfg.medium, LayerStack):
             raise ConfigValidationError("medium.variant", "slab experiment needs a layered medium")

@@ -263,8 +263,10 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
       form as written is twice the series; the FFT route sides with the series.
     * ``ensemble_kernel_log_ratio_quadrature_vs_closed_form``: log of the
       directly averaged ensemble kernel over the log of the closed-form
-      kernel, -(m+1) log(1 + s), at a low probe frequency (0.5 means the
-      closed-form argument is twice the directly averaged one).  The direct
+      kernel, -(m+1) log(1 + s), at the probe frequency w = 0.05 sqrt(b/z)
+      of the deepest z, where s = z w^2 / b = 0.05^2; where b/z over- or
+      underflows, at b = z = 1 and w = 0.05 (0.5 means the closed-form
+      argument is twice the directly averaged one).  The direct
       average is a quadrature over the gamma density on the exp-sinh rule of
       the ensemble moments, never the gamma Laplace closed form; its log is
       ``stochastic.averaged_log_kernel_rule``, because the kernel is close
@@ -281,6 +283,9 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
     z_probe = max(cfg.z_values) if cfg.z_values else 1.0
     w_probe = 0.05 * np.sqrt(spec.b / z_probe)
     s = z_probe * w_probe**2 / spec.b
+    if not 0.0 < s < np.inf:
+        # b/z over- or underflows: probe the same s = 0.05^2 at unit scale and depth
+        spec, z_probe, w_probe, s = stochastic.EnsembleSpec(b=1.0, m=spec.m, v=spec.v), 1.0, 0.05, 0.05**2
     ratio = stochastic.averaged_log_kernel_rule(spec, z_probe, w_probe) / (-(spec.m + 1) * np.log1p(s))
     entries.append(("ensemble_kernel_log_ratio_quadrature_vs_closed_form", _fmt(ratio)))
     identity = np.log1p(s / 2.0) / np.log1p(s)

@@ -45,7 +45,6 @@ from .grid import SampledSignal, Spectrum, inverse_rows
 
 __all__ = [
     "EnsembleSpec",
-    "CoeffTable",
     "impulse_tail_coefficients",
     "stochastic_impulse",
     "averaged_transfer",
@@ -100,25 +99,6 @@ class EnsembleSpec:
             raise ValueError(f"velocity must be positive, got v={self.v}")
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Integer coefficients of the averaged impulse response polynomial."""
-
-    m: int
-    coeffs: tuple  # exact Python ints, index l = 0 .. m
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.m + 1:
-            raise ValueError("coefficient table length must be m + 1")
-        if self.coeffs[-1] != 1:
-            raise ValueError("leading coefficient must be 1")
-        if any(c <= 0 for c in self.coeffs):
-            raise ValueError("coefficients must be positive integers")
-
-    def as_floats(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
-
-
 def _double_factorial(k: int) -> int:
     out = 1
     while k > 1:
@@ -127,8 +107,8 @@ def _double_factorial(k: int) -> int:
     return out
 
 
-def impulse_tail_coefficients(m: int) -> CoeffTable:
-    """Coefficient table for the order-m averaged impulse response.
+def impulse_tail_coefficients(m: int) -> tuple:
+    """Integer coefficients C[m][0 .. m] of the order-m averaged impulse response polynomial.
 
     Built by the recurrence
         C[m][m] = 1,
@@ -148,7 +128,7 @@ def impulse_tail_coefficients(m: int) -> CoeffTable:
         coeffs[0] = _double_factorial(2 * mm - 1)
         for l in range(1, mm):
             coeffs[l] = (2 * mm - 1 - l) * prev[l] + prev[l - 1]
-    return CoeffTable(m=int(m), coeffs=tuple(coeffs))
+    return tuple(coeffs)
 
 
 def stochastic_impulse(spec: EnsembleSpec, z: float, t):
@@ -168,7 +148,7 @@ def stochastic_impulse(spec: EnsembleSpec, z: float, t):
     c = np.sqrt(spec.b / z)
     x = c * np.abs(t - z / spec.v)
     poly = np.zeros_like(x)
-    for coeff in reversed(impulse_tail_coefficients(spec.m).as_floats()):
+    for coeff in reversed(impulse_tail_coefficients(spec.m)):
         poly = poly * x + coeff
     return (c / (2.0 ** (spec.m + 1) * math.factorial(spec.m))) * poly * np.exp(-x)
 
@@ -203,25 +183,20 @@ def averaged_transfer_direct(spec: EnsembleSpec, z: float, omega):
     return _algebraic_transfer(spec, z, omega, 2.0)
 
 
-def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega):
+def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega: float) -> float:
     """Log of the directly averaged kernel on the rule of :func:`draw_std`, log1p(weights @ expm1(-lambda y)).
 
-    With lambda = z w^2 / 2b and y = b x the rule's nodes
-    (``_gamma_rule(m, RULE_STEP)``): numerical, independent of the closed
-    forms, and without scipy.  Accurate to rounding near w = 0, where the
-    kernel is close to 1 and the log of the rounded kernel would be off by
-    that rounding over the kernel's distance from 1.  Scalar or array omega,
-    in any order: the sum runs over lambda sorted, so a value's bytes do not
-    depend on where its omega stands.
+    With lambda = z w^2 / 2b at the scalar frequency w and y = b x the rule's
+    nodes (``_gamma_rule(m, RULE_STEP)``): numerical, independent of the
+    closed forms, and without scipy.  Accurate to rounding near w = 0, where
+    the kernel is close to 1 and the log of the rounded kernel would be off by
+    that rounding over the kernel's distance from 1.
     """
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    lam = np.ravel(z * np.square(omega) / (2.0 * spec.b))
-    order = np.argsort(lam, kind="stable")
-    kernel = np.empty_like(lam)
-    kernel[order] = _weighted_kernel(y, lam[order], weights, np.expm1)
-    return np.log1p(kernel.reshape(np.shape(omega)))
+    lam = z * omega**2 / (2.0 * spec.b)
+    return np.log1p(weights @ np.expm1(-y * lam))
 
 
 def averaged_transfer_quadrature(spec: EnsembleSpec, z: float, omega):
@@ -317,34 +292,31 @@ def _exp_columns(x, lam) -> int:
     return int(np.searchsorted(np.min(x) * lam, _EXP_LIMIT, side="right"))
 
 
-def _kernel_blocks(x, lam, fn=np.exp):
-    """Yield ``(r, fn(-x[r] lam[:c]))`` over slices r of whole rows, in row order.
+def _kernel_blocks(x, lam):
+    """Yield ``(r, exp(-x[r] lam[:c]))`` over slices r of whole rows, in row order.
 
     Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), as
     many rows as fit, so use each before asking for the next.  ``lam`` is
-    ascending and x >= 0.  With ``fn = np.exp`` a term is kept where its own
-    rounded product x lam is at most ``_EXP_LIMIT``, and is exactly 0
-    elsewhere, so no term's fate depends on how the rows are split.  A block
-    holds only the leading ``c`` columns, contiguous, where the row of least
-    x keeps a term; the columns before ``a``, where the row of largest x
-    still does, go through plain ``exp``, and the staircase between a and c
-    evaluates only its kept terms.  c is 0 for a block wholly past the cut,
-    which needs lam[0] > 0; the callers with ``fn = np.exp`` pass the bins,
-    whose lam starts at 0, so there c >= 1.
+    ascending and x >= 0.  A term is kept where its own rounded product x lam
+    is at most ``_EXP_LIMIT``, and is exactly 0 elsewhere, so no term's fate
+    depends on how the rows are split.  A block holds only the leading ``c``
+    columns, contiguous, where the row of least x keeps a term; the columns
+    before ``a``, where the row of largest x still does, go through plain
+    ``exp``, and the staircase between a and c evaluates only its kept terms.
+    c is 0 for a block wholly past the cut, which needs lam[0] > 0; the
+    callers pass the bins, whose lam starts at 0, so there c >= 1.
     """
     cols = lam.size
     rows = max(1, _BLOCK_BYTES // (8 * cols))
     buf = np.empty(min(rows, x.size) * cols)
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
-        a = c = cols
-        if fn is np.exp:
-            a, c = _exp_columns(x[r].max(), lam), _exp_columns(x[r], lam)
+        a, c = _exp_columns(x[r].max(), lam), _exp_columns(x[r], lam)
         block = buf[: (r.stop - i0) * c].reshape(r.stop - i0, c)
-        # the bytes of np.multiply.outer(-x[r], lam[:c]), signed zeros included, at vector speed
+        # the bytes of np.multiply.outer(-x[r], lam[:c]), at vector speed
         np.copyto(block, lam[:c])
         block *= -x[r, None]
-        fn(block[:, :a], out=block[:, :a])
+        np.exp(block[:, :a], out=block[:, :a])
         if a < c:
             stair = block[:, a:]
             np.exp(stair, out=stair, where=stair >= -_EXP_LIMIT)
@@ -352,10 +324,10 @@ def _kernel_blocks(x, lam, fn=np.exp):
         yield r, block
 
 
-def _weighted_kernel(x, lam, weights, fn=np.exp) -> np.ndarray:
-    """sum_i weights[i] fn(-x[i] lam) per ascending lam, the media x as rows, block by block in row order."""
+def _weighted_kernel(x, lam, weights) -> np.ndarray:
+    """sum_i weights[i] exp(-x[i] lam) per ascending lam, the media x as rows, block by block in row order."""
     kernel = np.zeros_like(lam)
-    for r, block in _kernel_blocks(x, lam, fn):
+    for r, block in _kernel_blocks(x, lam):
         kernel[: block.shape[1]] += weights[r] @ block
     return kernel
 

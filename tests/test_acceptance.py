@@ -253,7 +253,7 @@ def test_criterion_12_stochastic_closed_form(small_run_summary):
                            0, np.inf, weight="cos", wvar=tau, epsabs=1e-12)[0]
             worst = max(worst, abs(float(stochastic_impulse(spec, z, z + tau)) - ref))
 
-    table_ok = impulse_tail_coefficients(2).coeffs == (3, 3, 1)
+    table_ok = impulse_tail_coefficients(2) == (3, 3, 1)
 
     spec = EnsembleSpec(b=2.0, m=1, v=1.0)
     g = TimeGrid(n=2048, dt=0.05, t0=-30.0)

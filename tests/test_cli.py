@@ -222,6 +222,29 @@ class TestRunStochastic:
         s = 0.05**2  # z w^2 / b at the probe frequency w = 0.05 sqrt(b / z)
         assert quadrature == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            MINIMAL.replace("z = 100", "z = 1e-320").replace("omega0 = 2\n", ""),
+            STOCHASTIC.replace("z = 4", "z = 1e-12").replace("mc-samples = 400", "mc-samples = 100")
+            .replace("t0 = -30", "t0 = -20").replace("b = 2", "b = 1e300"),
+        ],
+        ids=["propagate-tiny-z", "stochastic-huge-b"],
+    )
+    def test_probe_is_finite_where_b_over_z_overflows(self, tmp_path, text):
+        # the probe frequency 0.05 sqrt(b/z) is infinite: the ratios are taken
+        # at the value s = z w^2 / b stands for, 0.05^2, and once read nan
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        summary = _summary(tmp_path / "o")
+        s = 0.05**2
+        for key in ("quadrature_vs_closed_form", "laplace_identity"):
+            ratio = float(summary[f"ensemble_kernel_log_ratio_{key}"])
+            assert ratio == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
+
     def test_missing_ensemble_rejected(self):
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]
         with pytest.raises(ConfigValidationError, match="ensemble"):
@@ -401,6 +424,22 @@ class TestRunChirp:
         assert run(parse_config(CHIRP, {"output-dir": str(tmp_path / "b")})) == 0
         ratio = float(_summary(tmp_path / "b")["zero_dc_closed_form_vs_series_ratio"])
         assert ratio == pytest.approx(3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", ["1e-162", "1e-170"])
+    def test_rate_whose_square_underflows_exits_before_writing(self, tmp_path, capsys, alpha):
+        # 2 alpha^2 T^2, the envelope's divisor in chirp_dc_content, is 0
+        path, out = tmp_path / "cfg.ini", tmp_path / "o"
+        path.write_text(CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", f"alpha = {alpha}"))
+        assert main([str(path), "--output-dir", str(out)]) == 1
+        message = f"config error: pulse.alpha: chirp rate {alpha} too small: 2 alpha^2 T^2 underflows to 0"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    def test_least_rate_whose_square_is_subnormal_runs(self, tmp_path):
+        text = CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", "alpha = 1e-160")
+        with pytest.warns(UserWarning, match="alpha\\*T\\^2 >> 1"):
+            assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        assert np.isfinite(float(_summary(tmp_path)["chirp_dc_closed_form"]))
 
     def test_wrong_pulse_kind_rejected(self):
         with pytest.raises(ConfigValidationError, match="chirp-gaussian"):
@@ -921,6 +960,18 @@ class TestMainEntry:
         summary = (tmp_path / "v" / "summary.txt").read_text()
         assert "verify_monte_carlo_vs_quadrature: pass" in summary
         assert "verify_direct_average_closed_form_vs_quadrature: pass" in summary
+
+    def test_verify_takes_a_negative_seed_modulo_2_64(self, tmp_path, capsys):
+        # as gamma_draws does; numpy's default_rng rejects a negative seed
+        path = tmp_path / "cfg.ini"
+        path.write_text("experiment = verify\n")
+        lines = []
+        for seed in ("-5", str(2**64 - 5)):
+            assert main([str(path), "--seed", seed, "--output-dir", str(tmp_path / seed)]) == 0
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            lines.append([line for line in out.splitlines() if line.startswith("CHECK ")])
+        assert len(lines[0]) == 12 and lines[0] == lines[1]
 
     def test_verify_experiment_passes(self, tmp_path):
         path = tmp_path / "cfg.ini"

@@ -17,9 +17,11 @@ run on a given grid of 65,536 samples, a ``stochastic`` run of a rect pulse
 at m = 0 whose spectrum reaches Nyquist, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
-summary's rule probe at m = 1 only), a ``verify`` run, and two runs that
-are config errors: an automatic grid whose span overflows and a pulse width
-whose square overflows.
+summary's rule probe at m = 1 only), a ``verify`` run and one at seed -5,
+a propagate at z = 1e-320, where the summary's probe frequency overflows,
+and three runs that are config errors: an automatic grid whose span
+overflows, a pulse width whose square overflows and a chirp rate whose
+square underflows.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
@@ -202,6 +204,22 @@ v = 1
 
 VERIFY = "experiment = verify\nseed = 3\n"
 
+# reduced modulo 2^64, as the ensemble draws reduce it
+NEGATIVE_SEED_VERIFY = "experiment = verify\nseed = -5\n"
+
+# b/z overflows, and with it the summary's probe frequency 0.05 sqrt(b/z)
+TINY_DEPTH = """
+experiment = propagate
+z = 1e-320
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = quadratic
+a = 1
+v = 1
+"""
+
 # the medium's width sqrt(z/a) overflows, and so does the automatic grid's span
 OVERFLOWING_GRID = """
 experiment = propagate
@@ -227,6 +245,10 @@ variant = quadratic
 a = 1
 v = 1
 """
+
+
+# 2 alpha^2 T^2 underflows to 0
+TINY_CHIRP_RATE = CHIRP.replace("alpha = 20", "alpha = 1e-170")
 
 
 def pulse_csv(path: Path) -> None:
@@ -265,8 +287,11 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "stochastic-rect": RECT_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
         "verify": VERIFY,
+        "verify-negative-seed": NEGATIVE_SEED_VERIFY,
+        "tiny-depth": TINY_DEPTH,
         "overflowing-grid": OVERFLOWING_GRID,
         "huge-pulse-width": HUGE_PULSE_WIDTH,
+        "tiny-chirp-rate": TINY_CHIRP_RATE,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
