@@ -52,9 +52,10 @@ def _write_tables(header: str, shared, files) -> None:
 
     A header line, then one ``%.17g`` field per column, ``,``-separated, per
     row: the bytes ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``
-    writes (:mod:`precursor_lab._csvfmt`).  Blocks of rows are the outer
-    loop, and each block of the ``shared`` columns is laid out once for
-    every file.
+    writes (:mod:`precursor_lab._csvfmt`).  Every file has as many columns.
+    Blocks of rows are the outer loop: each block fills one row-major
+    character buffer, whose ``shared`` columns are laid out and copied once
+    for every file, and whose other columns are overwritten file by file.
     """
     with contextlib.ExitStack() as stack:
         handles = []
@@ -62,12 +63,20 @@ def _write_tables(header: str, shared, files) -> None:
             fh = stack.enter_context(open(path, "wb"))
             fh.write(header.encode() + b"\n")
             handles.append((fh, columns))
-        for start in range(0, len(files[0][1][0]), _CSV_BLOCK_ROWS):
+        n = len(files[0][1][0])
+        width = len(shared) + len(files[0][1])
+        w = _csvfmt.WIDTH
+        fields = [(slice(w * i, w * (i + 1)), "," if i < width - 1 else "\n") for i in range(width)]
+        buf = np.empty((min(n, _CSV_BLOCK_ROWS), w * width), np.uint8)
+        for start in range(0, n, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            head = [_csvfmt.layout(column[rows], ",") for column in shared]
-            for fh, (*body, last) in handles:
-                blocks = head + [_csvfmt.layout(column[rows], ",") for column in body]
-                fh.write(_csvfmt.join(blocks + [_csvfmt.layout(last[rows], "\n")]))
+            chars = buf[: min(n - start, _CSV_BLOCK_ROWS)]
+            for (slot, sep), column in zip(fields, shared):
+                chars[:, slot] = _csvfmt.layout(column[rows], sep).T
+            for fh, columns in handles:
+                for (slot, sep), column in zip(fields[len(shared) :], columns):
+                    chars[:, slot] = _csvfmt.layout(column[rows], sep).T
+                fh.write(_csvfmt.join(chars))
 
 
 def _write_csv(path: Path, header: str, columns) -> None:

@@ -350,8 +350,11 @@ def _validate_for_experiment(cfg: ExperimentConfig):
         if cfg.pulse.alpha <= 0:
             raise ConfigValidationError("pulse.alpha", "chirp experiment needs a positive chirp rate")
         alpha, T = cfg.pulse.alpha, cfg.pulse.T
-        if 2.0 * (alpha * alpha) * (T * T) == 0.0:
+        divisor = 2.0 * (alpha * alpha) * (T * T)
+        if divisor == 0.0:
             raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too small: 2 alpha^2 T^2 underflows to 0")
+        if not divisor < math.inf:
+            raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too large: 2 alpha^2 T^2 overflows")
     if cfg.experiment == "slab":
         if not isinstance(cfg.medium, LayerStack):
             raise ConfigValidationError("medium.variant", "slab experiment needs a layered medium")

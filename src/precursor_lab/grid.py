@@ -65,7 +65,11 @@ class TimeGrid:
         return np.pi / self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+        """t0 + dt * arange(n), byte for byte, formed in place without an integer temporary."""
+        t = np.arange(self.n, dtype=np.float64)
+        t *= self.dt
+        t += self.t0
+        return t
 
     def omegas(self) -> np.ndarray:
         """Angular frequencies of the half spectrum, 0 ... Nyquist (``n//2 + 1`` bins).

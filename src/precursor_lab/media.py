@@ -33,6 +33,10 @@ __all__ = [
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s; all units SI
 
+# exp of a complex exponent whose real part is below this is 0: e^x rounds to 0
+# for x below ln(2^-1075) = -745.13
+_EXP_FLOOR = -746.0
+
 
 @dataclass(frozen=True)
 class QuadraticMedium:
@@ -184,13 +188,21 @@ def transfer_between(medium, z_from: float, z_to: float, omega):
 
     Composing consecutive segments reproduces the full-path transfer exactly:
     transfer_between(0, z1) * transfer_between(z1, z2) == transfer_function(z2).
+    Where the exponent's real part is below -746, exp rounds to 0, and those
+    bins are an exact +0 without evaluating it.
     """
     if z_from < 0 or z_to < z_from:
         raise ValueError(f"need 0 <= z_from <= z_to, got [{z_from}, {z_to}]")
     omega = np.asarray(omega, dtype=np.float64)
     if isinstance(medium, LayerStack):
-        return np.exp(-medium._depth_exponent(float(z_from), float(z_to), omega))
-    return np.exp(-(float(z_to) - float(z_from)) * medium.propagation_constant(omega))
+        exponent = -medium._depth_exponent(float(z_from), float(z_to), omega)
+    else:
+        exponent = -(float(z_to) - float(z_from)) * medium.propagation_constant(omega)
+    # exp is evaluated only where it does not round to 0; a nan exponent stays nan
+    out = np.exp(exponent, out=np.zeros_like(exponent), where=~(exponent.real < _EXP_FLOOR))
+    # a scalar for a scalar omega, as np.exp gives; an array stays a fresh
+    # owner of its data, which numpy may reuse in the product that follows
+    return out if out.ndim else out[()]
 
 
 def quadratic_approximation(medium, omega_probe: float) -> QuadraticMedium:

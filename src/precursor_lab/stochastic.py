@@ -195,7 +195,7 @@ def averaged_log_kernel_rule(spec: EnsembleSpec, z: float, omega: float) -> floa
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    lam = z * omega**2 / (2.0 * spec.b)
+    lam = z * omega**2 / spec.b * 0.5  # not / (2b), which overflows for b >= 2^1023
     return np.log1p(weights @ np.expm1(-y * lam))
 
 

@@ -222,6 +222,14 @@ class TestRunStochastic:
         s = 0.05**2  # z w^2 / b at the probe frequency w = 0.05 sqrt(b / z)
         assert quadrature == pytest.approx(np.log1p(s / 2) / np.log1p(s), rel=1e-15)
 
+    def test_quadrature_log_ratio_where_twice_the_scale_overflows(self):
+        # b >= 2^1023: the rule's lambda = z w^2 / 2b must not divide by 2b = inf
+        text = STOCHASTIC.replace("b = 2", "b = 1e308").replace("z = 4", "z = 1")
+        entries = dict(experiments.discrepancy_entries(parse_config(text)))
+        identity = float(entries["ensemble_kernel_log_ratio_laplace_identity"])
+        quadrature = float(entries["ensemble_kernel_log_ratio_quadrature_vs_closed_form"])
+        assert quadrature == pytest.approx(identity, rel=1e-15)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -434,6 +442,20 @@ class TestRunChirp:
         message = f"config error: pulse.alpha: chirp rate {alpha} too small: 2 alpha^2 T^2 underflows to 0"
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e+155", "1e+200"])
+    def test_rate_whose_square_overflows_exits_before_writing(self, tmp_path, capsys, alpha):
+        # on a given grid, which the automatic grid's own size check cannot pre-empt
+        path, out = tmp_path / "cfg.ini", tmp_path / "o"
+        grid = "[grid]\nn = 1024\ndt = 0.1\nt0 = -20\n"
+        path.write_text(CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", f"alpha = {alpha}") + grid)
+        assert main([str(path), "--output-dir", str(out)]) == 1
+        message = f"config error: pulse.alpha: chirp rate {alpha} too large: 2 alpha^2 T^2 overflows"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    def test_largest_rate_whose_square_is_finite_is_accepted(self):
+        parse_config(CHIRP.replace("alpha = 20", "alpha = 1e153"))
 
     def test_least_rate_whose_square_is_subnormal_runs(self, tmp_path):
         text = CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", "alpha = 1e-160")

@@ -12,12 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import precursor_lab
-from precursor_lab import _csvfmt
+from precursor_lab import _csvfmt, cli
 from precursor_lab.cli import _write_csv
 
 
+def _table(*blocks):
+    """The ``(rows, 30 * columns)`` table of ``blocks``, left to right, as ``cli._write_tables`` fills it."""
+    return np.concatenate([block.T for block in blocks], axis=1)
+
+
 def _formatted(values):
-    return _csvfmt.join([_csvfmt.layout(values, "\n")])
+    return _csvfmt.join(_table(_csvfmt.layout(values, "\n")))
 
 
 def _reference(values):
@@ -109,7 +114,7 @@ def test_any_double(values):
 def test_columns_side_by_side():
     rng = np.random.default_rng(8)
     a, b, c = rng.standard_normal((3, 500)) * 10.0 ** rng.integers(-30, 30, (3, 500))
-    got = _csvfmt.join([_csvfmt.layout(a, ","), _csvfmt.layout(b, ","), _csvfmt.layout(c, "\n")])
+    got = _csvfmt.join(_table(_csvfmt.layout(a, ","), _csvfmt.layout(b, ","), _csvfmt.layout(c, "\n")))
     ref = "".join("%.17g,%.17g,%.17g\n" % row for row in zip(a.tolist(), b.tolist(), c.tolist()))
     assert got == ref.encode()
 
@@ -123,6 +128,22 @@ def test_non_finite_sweep_values_match_savetxt(tmp_path):
         fh.write(header + "\n")
         np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
     assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_shared_column_tables_match_savetxt_over_a_partial_last_block(tmp_path):
+    # two full blocks and 17 rows; each file overwrites its own two columns
+    # of the buffer that holds the shared column once per block
+    n = 2 * cli._CSV_BLOCK_ROWS + 17
+    rng = np.random.default_rng(9)
+    t = np.linspace(-3e-4, 5.0, n)
+    files = [(tmp_path / f"s{i}.csv", list(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))))
+             for i in range(3)]
+    cli._write_tables("t,f,g", [t], files)
+    for path, columns in files:
+        with (tmp_path / "ref.csv").open("w") as fh:
+            fh.write("t,f,g\n")
+            np.savetxt(fh, np.column_stack([t, *columns]), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_import_loads_no_fractions_decimal_or_scipy():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precursor_lab import (
     SampledSignal,
@@ -20,6 +22,20 @@ def test_grid_span_and_nyquist():
     g = TimeGrid(n=2, dt=0.5, t0=-0.5)
     assert g.span == pytest.approx(1.0)
     assert g.nyquist == pytest.approx(2 * np.pi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 70000),
+    st.floats(1e-300, 1e300),
+    st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0]),
+)
+def test_times_are_the_bytes_of_the_integer_ramp(n, dt, t0):
+    with np.errstate(over="ignore"):  # dt * (n - 1) may overflow, alike in both
+        expected = t0 + dt * np.arange(n)
+        got = TimeGrid(n=n, dt=dt, t0=t0).times()
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n,dt", [(0, 1.0), (1, 1.0), (8, 0.0), (8, -0.1)])

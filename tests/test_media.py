@@ -120,6 +120,32 @@ class TestTransferFunction:
         assert np.abs(np.abs(M) - 1.0).max() < 1e-15
         assert np.allclose(M, np.exp(1j * w * 5.0), rtol=1e-14)
 
+    @pytest.mark.parametrize(
+        "medium,z_from,z_to",
+        [
+            (QuadraticMedium(a=1.0, v=1.0), 0.0, 100.0),
+            (ExpKernelMedium(K=10.0, Kp=100.0), 0.0, 100.0),
+            (LayerStack([(40.0, QuadraticMedium(a=1.0, v=1.0)), (80.0, ExpKernelMedium(K=10.0, Kp=100.0))]),
+             20.0, 150.0),
+        ],
+        ids=["quadratic", "exp-kernel", "layered"],
+    )
+    def test_bins_whose_exp_rounds_to_zero_are_exact_zeros(self, medium, z_from, z_to):
+        w = np.append(np.linspace(0.0, 50.0, 20001), np.nan)
+        with np.errstate(invalid="ignore"):  # the exp kernel's w / (w + iK) at w = nan
+            if isinstance(medium, LayerStack):
+                exponent = -medium._depth_exponent(z_from, z_to, w)
+            else:
+                exponent = -(z_to - z_from) * medium.propagation_constant(w)
+            full = np.exp(exponent)
+            got = transfer_between(medium, z_from, z_to, w)
+        kept = ~(exponent.real < -746.0)
+        assert 100 < kept.sum() < w.size - 100
+        assert got[kept].tobytes() == full[kept].tobytes()  # the nan bin included
+        assert np.all(full[~kept] == 0.0)
+        assert got[~kept].tobytes() == bytes(got[~kept].nbytes)  # +0, not -0
+        assert isinstance(transfer_between(medium, z_from, z_to, 3.0), np.complex128)
+
     def test_layered_beyond_stack_without_tail_rejected(self):
         stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))], free_space_tail=False)
         with pytest.raises(ValueError):

@@ -17,7 +17,9 @@ run on a given grid of 65,536 samples, a ``stochastic`` run of a rect pulse
 at m = 0 whose spectrum reaches Nyquist, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
-summary's rule probe at m = 1 only), a ``verify`` run and one at seed -5,
+summary's rule probe at m = 1 only), a ``sweep-z`` on a given grid of 10,000
+samples through a layer stack, where most transfer bins are exact zeros and
+every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
 and three runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows and a chirp rate whose
@@ -247,6 +249,26 @@ v = 1
 """
 
 
+# a given grid of 10,000 samples, so every CSV ends in a partial block of
+# 1,808 rows, through a stack whose transfer exponent passes -746 on most bins
+LAYERED_SWEEP = """
+experiment = sweep-z
+z-list = 20 40 80
+[pulse]
+kind = gaussian
+T = 1
+omega0 = 2
+[medium]
+variant = layered
+layer = 10 quadratic 1 1
+layer = 20 exp-kernel 10 100
+tail = free-space
+[grid]
+n = 10000
+dt = 0.05
+t0 = -100
+"""
+
 # 2 alpha^2 T^2 underflows to 0
 TINY_CHIRP_RATE = CHIRP.replace("alpha = 20", "alpha = 1e-170")
 
@@ -286,6 +308,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "stochastic-wide-grid": WIDE_STOCHASTIC,
         "stochastic-rect": RECT_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
+        "layered-sweep": LAYERED_SWEEP,
         "verify": VERIFY,
         "verify-negative-seed": NEGATIVE_SEED_VERIFY,
         "tiny-depth": TINY_DEPTH,
