@@ -34,8 +34,10 @@ Layered media list one ``layer`` line per layer, innermost first::
 A ``[pulse]`` section with ``kind = csv`` and ``file = path.csv`` reads a
 two-column (t, f) CSV and resamples it onto the grid by linear interpolation.
 
-A key may appear once per section (``layer`` lines excepted); a second one
-is an error that names both lines.
+Every key is declared once, in :data:`KEYS`, with its type and default; a key
+it does not list is an error that names its line.  A key may appear once per
+section (``layer`` lines excepted); a second one is an error that names both
+lines.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
-from .signals import PulseSpec
+from .signals import PULSE_KINDS, PulseSpec
 from .stochastic import MAX_TABLE_ORDER, EnsembleSpec
 
 __all__ = [
@@ -53,10 +55,26 @@ __all__ = [
     "ConfigParseError",
     "ConfigValidationError",
     "ExperimentConfig",
+    "KEYS",
     "parse_config",
 ]
 
 EXPERIMENTS = ("propagate", "sweep-z", "stochastic", "chirp", "slab", "verify")
+
+# Every config key, by section ("" is the top level): the key as messages name
+# it -> (type, default).  A default of None marks a required key, and () or ""
+# one whose absence means none.  A list key may repeat, one value per line; a
+# tuple key holds numbers separated by spaces or commas.
+KEYS = {
+    "": {"experiment": (str, None), "z": (float, ()), "z-list": (tuple, ()), "mc-samples": (int, 10000),
+         "seed": (int, 1), "threads": (int, 1), "output-dir": (str, "out")},
+    "grid": {"n": (int, None), "dt": (float, None), "t0": (float, None)},
+    "pulse": {"kind": (str, None), "file": (str, ""), "T": (float, 0.0), "omega0": (float, 0.0),
+              "alpha": (float, 0.0)},
+    "medium": {"variant": (str, None), "a": (float, 0.0), "v": (float, 0.0), "ell_inv": (float, 0.0),
+               "K": (float, 0.0), "Kp": (float, 0.0), "layer": (list, ()), "tail": (str, "free-space")},
+    "ensemble": {"b": (float, None), "m": (int, None), "v": (float, None)},
+}
 
 
 class ConfigError(Exception):
@@ -114,43 +132,52 @@ def _split_sections(text: str):
         yield section, key, value, line_no
 
 
-def _as_float(key: str, value: str) -> float:
+def _number(name: str, value: str, kind=float):
+    """``value`` as a finite float, or with ``kind=int`` an integer; else a config error naming ``name``."""
     try:
-        out = float(value)
+        out = kind(value)
     except ValueError:
-        raise ConfigValidationError(key, f"not a number: {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigValidationError(key, "not a finite number")
+        what = "an integer" if kind is int else "a number"
+        raise ConfigValidationError(name, f"not {what}: {value!r}") from None
+    if kind is float and not math.isfinite(out):
+        raise ConfigValidationError(name, "not a finite number")
     return out
 
 
-def _as_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigValidationError(key, f"not an integer: {value!r}") from None
+def _read(given: dict, section: str, key: str):
+    """The value given for ``key`` of ``section``, typed as :data:`KEYS` declares, else its default."""
+    kind, default = KEYS[section][key]
+    name = f"{section}.{key}" if section else key
+    if (section, key) not in given:
+        if default is None:
+            raise ConfigValidationError(name, "missing")
+        return default
+    value = given[section, key]
+    if kind is tuple:
+        return tuple(_number(name, part) for part in value.replace(",", " ").split())
+    return value if kind in (str, list) else _number(name, value, kind)
 
 
-def _build_pulse(items: dict) -> tuple[PulseSpec | None, str | None]:
-    kind = items.get("kind")
-    if kind is None:
-        raise ConfigValidationError("pulse.kind", "missing")
+def _fields(given: dict, section: str, keys) -> dict:
+    """``{key: value}`` read for each of ``keys``, which are also the built object's field names."""
+    return {key: _read(given, section, key) for key in keys}
+
+
+def _build_pulse(given: dict) -> tuple[PulseSpec | None, str | None]:
+    kind = _read(given, "pulse", "kind")
     if kind == "csv":
-        path = items.get("file")
-        if path is None:
+        path = _read(given, "pulse", "file")
+        if not path:
             raise ConfigValidationError("pulse.file", "csv pulse needs a file path")
         return None, path
-    if kind not in ("gaussian", "rect", "chirp-gaussian"):
+    if kind not in PULSE_KINDS:
         raise ConfigValidationError(
-            "pulse.kind", f"unknown kind {kind!r}; expected gaussian, rect, chirp-gaussian or csv"
+            "pulse.kind", f"unknown kind {kind!r}; expected {', '.join(PULSE_KINDS)} or csv"
         )
-    T = _as_float("pulse.T", items.get("t", "0"))
-    if T <= 0:
+    if _read(given, "pulse", "T") <= 0:
         raise ConfigValidationError("pulse.T", "pulse width must be positive")
-    omega0 = _as_float("pulse.omega0", items.get("omega0", "0"))
-    alpha = _as_float("pulse.alpha", items.get("alpha", "0"))
     try:
-        return PulseSpec(kind=kind, T=T, omega0=omega0, alpha=alpha), None
+        return PulseSpec(kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha"))), None
     except ValueError as exc:
         raise ConfigValidationError("pulse", str(exc)) from None
 
@@ -160,47 +187,37 @@ def _parse_layer(value: str, index: int):
     key = f"medium.layer[{index}]"
     if len(parts) < 2:
         raise ConfigValidationError(key, "expected: <thickness> <variant> <params...>")
-    thickness = _as_float(key, parts[0])
+    thickness = _number(key, parts[0])
     variant = parts[1]
     try:
         if variant == "quadratic":
             if len(parts) != 4:
                 raise ConfigValidationError(key, "quadratic layer needs: thickness quadratic a v")
-            return thickness, QuadraticMedium(a=_as_float(key, parts[2]), v=_as_float(key, parts[3]))
+            return thickness, QuadraticMedium(a=_number(key, parts[2]), v=_number(key, parts[3]))
         if variant == "exp-kernel":
             if len(parts) != 4:
                 raise ConfigValidationError(key, "exp-kernel layer needs: thickness exp-kernel K Kp")
-            return thickness, ExpKernelMedium(K=_as_float(key, parts[2]), Kp=_as_float(key, parts[3]))
+            return thickness, ExpKernelMedium(K=_number(key, parts[2]), Kp=_number(key, parts[3]))
     except ValueError as exc:
         raise ConfigValidationError(key, str(exc)) from None
     raise ConfigValidationError(key, f"unknown layer variant {variant!r}")
 
 
-def _build_medium(items: dict, layers: list):
-    variant = items.get("variant")
-    if variant is None:
-        raise ConfigValidationError("medium.variant", "missing")
+def _build_medium(given: dict):
+    layers = [_parse_layer(value, i) for i, value in enumerate(_read(given, "medium", "layer"))]
+    variant = _read(given, "medium", "variant")
     try:
         if variant == "quadratic":
-            return QuadraticMedium(
-                a=_as_float("medium.a", items.get("a", "0")),
-                v=_as_float("medium.v", items.get("v", "0")),
-                ell_inv=_as_float("medium.ell_inv", items.get("ell_inv", "0")),
-            )
+            return QuadraticMedium(**_fields(given, "medium", ("a", "v", "ell_inv")))
         if variant == "exp-kernel":
-            return ExpKernelMedium(
-                K=_as_float("medium.K", items.get("k", "0")),
-                Kp=_as_float("medium.Kp", items.get("kp", "0")),
-            )
+            return ExpKernelMedium(**_fields(given, "medium", ("K", "Kp")))
         if variant == "layered":
             if not layers:
                 raise ConfigValidationError("medium.layer", "layered medium needs layer lines")
-            tail = items.get("tail", "free-space")
+            tail = _read(given, "medium", "tail")
             if tail not in ("free-space", "none"):
                 raise ConfigValidationError("medium.tail", f"expected free-space or none, got {tail!r}")
             return LayerStack(layers, free_space_tail=(tail == "free-space"))
-    except ConfigValidationError:
-        raise
     except ValueError as exc:
         raise ConfigValidationError("medium", str(exc)) from None
     raise ConfigValidationError("medium.variant", f"unknown variant {variant!r}")
@@ -212,49 +229,35 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     ``overrides`` maps top-level keys (experiment, output-dir, seed, threads)
     to replacement values, taking precedence over the file contents.
     """
-    root: dict = {}
-    sections: dict[str, dict] = {"grid": {}, "pulse": {}, "medium": {}, "ensemble": {}}
-    layers: list = []
-    seen_sections: set[str] = set()
+    given: dict[tuple[str, str], object] = {}
     first_line: dict[tuple[str, str], int] = {}
-
     for section, key, value, line_no in _split_sections(text):
-        if not (section == "medium" and key == "layer"):
-            first = first_line.setdefault((section, key), line_no)
-            if first != line_no:
-                where = f" in [{section}]" if section else ""
-                raise ConfigParseError(
-                    line_no, f"duplicate key {key!r}{where}; first given on line {first}"
-                )
-        if section == "":
-            root[key] = value
-        elif section in sections:
-            seen_sections.add(section)
-            if section == "medium" and key == "layer":
-                layers.append(_parse_layer(value, len(layers)))
-            else:
-                sections[section][key] = value
-        else:
+        if section not in KEYS:
             raise ConfigParseError(line_no, f"unknown section [{section}]")
-
+        where = f" in [{section}]" if section else ""
+        name = next((k for k in KEYS[section] if k.lower() == key), None)
+        if name is None:
+            raise ConfigParseError(line_no, f"unknown key {key!r}{where}")
+        if KEYS[section][name][0] is list:
+            given.setdefault((section, name), []).append(value)
+            continue
+        first = first_line.setdefault((section, name), line_no)
+        if first != line_no:
+            raise ConfigParseError(line_no, f"duplicate key {key!r}{where}; first given on line {first}")
+        given[section, name] = value
+    sections = {section for section, _ in given}
     for key, value in (overrides or {}).items():
-        root[key] = str(value)
+        given["", key] = str(value)
 
-    experiment = root.get("experiment")
-    if experiment is None:
-        raise ConfigValidationError("experiment", "missing")
+    experiment = _read(given, "", "experiment")
     if experiment not in EXPERIMENTS:
         raise ConfigValidationError(
             "experiment", f"unknown experiment {experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
 
-    z_values: tuple = ()
-    if "z" in root and "z-list" in root:
+    if ("", "z") in given and ("", "z-list") in given:
         raise ConfigValidationError("z", "give either z or z-list, not both")
-    if "z" in root:
-        z_values = (_as_float("z", root["z"]),)
-    elif "z-list" in root:
-        z_values = tuple(_as_float("z-list", p) for p in root["z-list"].replace(",", " ").split())
+    z_values = (_read(given, "", "z"),) if ("", "z") in given else _read(given, "", "z-list")
     # each depth names its output file and summary keys by its {z:g} label
     labelled = {}
     for zv in z_values:
@@ -275,45 +278,33 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=experiment,
         z_values=z_values,
-        mc_samples=_as_int("mc-samples", root.get("mc-samples", "10000")),
-        seed=_as_int("seed", root.get("seed", "1")),
-        threads=_as_int("threads", root.get("threads", "1")),
-        output_dir=root.get("output-dir", "out"),
+        mc_samples=_read(given, "", "mc-samples"),
+        seed=_read(given, "", "seed"),
+        threads=_read(given, "", "threads"),
+        output_dir=_read(given, "", "output-dir"),
     )
     if cfg.mc_samples < 100:
         raise ConfigValidationError("mc-samples", "need at least 100 samples")
     if cfg.threads < 1:
         raise ConfigValidationError("threads", "need at least 1 thread")
 
-    if "grid" in seen_sections:
-        g = sections["grid"]
-        for k in ("n", "dt", "t0"):
-            if k not in g:
-                raise ConfigValidationError(f"grid.{k}", "missing")
+    if "grid" in sections:
         try:
-            cfg.grid = TimeGrid(
-                n=_as_int("grid.n", g["n"]),
-                dt=_as_float("grid.dt", g["dt"]),
-                t0=_as_float("grid.t0", g["t0"]),
-            )
+            cfg.grid = TimeGrid(**_fields(given, "grid", KEYS["grid"]))
         except ValueError as exc:
             raise ConfigValidationError("grid", str(exc)) from None
-
-    if "pulse" in seen_sections:
-        cfg.pulse, cfg.pulse_csv = _build_pulse(sections["pulse"])
-    if "medium" in seen_sections:
-        cfg.medium = _build_medium(sections["medium"], layers)
-    if "ensemble" in seen_sections:
-        e = sections["ensemble"]
-        for k in ("b", "m", "v"):
-            if k not in e:
-                raise ConfigValidationError(f"ensemble.{k}", "missing")
-        try:
-            cfg.ensemble = EnsembleSpec(
-                b=_as_float("ensemble.b", e["b"]),
-                m=_as_int("ensemble.m", e["m"]),
-                v=_as_float("ensemble.v", e["v"]),
+        # every medium squares the frequencies up to Nyquist
+        if not math.isfinite(cfg.grid.nyquist * cfg.grid.nyquist):
+            raise ConfigValidationError(
+                "grid.dt", f"spacing {cfg.grid.dt:g} too small: the Nyquist frequency pi/dt squares to inf"
             )
+    if "pulse" in sections:
+        cfg.pulse, cfg.pulse_csv = _build_pulse(given)
+    if "medium" in sections:
+        cfg.medium = _build_medium(given)
+    if "ensemble" in sections:
+        try:
+            cfg.ensemble = EnsembleSpec(**_fields(given, "ensemble", KEYS["ensemble"]))
         except ValueError as exc:
             raise ConfigValidationError("ensemble", str(exc)) from None
         if cfg.ensemble.m > MAX_TABLE_ORDER:

@@ -139,6 +139,11 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     if not n <= MAX_AUTO_SAMPLES:
         needs = f"{'infinitely many' if n == math.inf else n} samples, more than {MAX_AUTO_SAMPLES}"
         raise config.ConfigValidationError("grid", f"automatic grid needs {needs}; give a [grid] section")
+    if not math.isfinite((np.pi / dt) * (np.pi / dt)):  # as config.py rejects such a given dt
+        raise config.ConfigValidationError(
+            "grid", f"automatic grid spacing {dt:g} too small: the Nyquist frequency pi/dt squares to inf; "
+            "give a coarser [grid] section"
+        )
     return timegrid.TimeGrid(n=n, dt=dt, t0=t0)
 
 
@@ -374,6 +379,14 @@ def run_slab(cfg: config.ExperimentConfig, grid, f0) -> Run:
     a_eff, v_eff = media.effective_params(stack, ell)
     dc = signals.moment(f0, 0)
     t = grid.times()
+    closed_peaks = [
+        float(np.abs(propagate.thin_slab_output(ell, a_eff, v_eff, z, dc, t)).max()) for z in cfg.z_values
+    ]
+    for z, closed_peak in zip(cfg.z_values, closed_peaks):
+        if not closed_peak > 0:
+            raise config.ConfigValidationError(
+                "z", f"the thin-slab closed form at depth {z:g} misses the grid (zero at every sample)"
+            )
     outputs = _propagate_over_z(f0, stack, cfg.z_values, cfg.threads)
     records = _sweep_records(outputs, f0)
     entries = [
@@ -383,10 +396,8 @@ def run_slab(cfg: config.ExperimentConfig, grid, f0) -> Run:
         ("dc_moment", _fmt(dc)),
         _grid_entry(grid),
     ]
-    for r in records:
-        closed = propagate.thin_slab_output(ell, a_eff, v_eff, r.z, dc, t)
-        closed_peak = float(np.abs(closed).max())
-        rel = abs(r.peak_amp - closed_peak) / closed_peak if closed_peak > 0 else np.inf
+    for r, closed_peak in zip(records, closed_peaks):
+        rel = abs(r.peak_amp - closed_peak) / closed_peak
         entries.append((f"peak_amp[z={r.z:g}]", _fmt(r.peak_amp)))
         entries.append((f"slab_closed_form_peak[z={r.z:g}]", _fmt(closed_peak)))
         entries.append((f"slab_peak_rel_err[z={r.z:g}]", _fmt(rel)))

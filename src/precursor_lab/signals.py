@@ -54,19 +54,29 @@ class PulseSpec:
         return self.alpha * self.T**2 > 10.0
 
 
-def _envelope(t, T):
-    """exp(-t^2/2T^2); near the least width T, t^2/2T^2 overflows to inf far out, and exp(-inf) = 0 is right."""
-    with np.errstate(over="ignore"):
-        return np.exp(-(t * t) / (2.0 * T**2))
+def _carried(spec: PulseSpec, t):
+    """exp(-t^2/2T^2) * cos(omega0 t + alpha t^2/2), the envelope times the carrier.
+
+    Far out the envelope's exponent overflows to -inf, near the least width T,
+    and exp(-inf) = 0 is right.  On a wide grid the phase overflows to inf too,
+    whose cosine is nan; where the envelope is 0, so is the pulse.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(-(t * t) / (2.0 * spec.T**2))
+        vanished = vals == 0.0
+        phase = spec.omega0 * t
+        if spec.alpha:
+            phase += 0.5 * spec.alpha * t * t
+        vals *= np.cos(phase, out=phase)
+    vals[vanished & np.isnan(vals)] = 0.0
+    return vals
 
 
 def gaussian_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     """Gaussian envelope times carrier: exp(-t^2/2T^2) * cos(omega0 t)."""
     if spec.kind != "gaussian":
         raise ValueError(f"expected kind 'gaussian', got {spec.kind!r}")
-    t = grid.times()
-    vals = _envelope(t, spec.T) * np.cos(spec.omega0 * t)
-    return SampledSignal(grid, vals)
+    return SampledSignal(grid, _carried(spec, grid.times()))
 
 
 def rect_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
@@ -80,7 +90,8 @@ def rect_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
         raise ValueError(f"expected kind 'rect', got {spec.kind!r}")
     t = grid.times()
     half = spec.T / 2.0
-    carrier = np.cos(spec.omega0 * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan carrier far out lies outside the pulse
+        carrier = np.cos(spec.omega0 * t)
     vals = np.where(np.abs(t) < half, carrier, 0.0)
     edge = np.isclose(np.abs(t), half, rtol=0.0, atol=1e-12 * max(spec.T, 1.0))
     vals[edge] = carrier[edge] / 2.0
@@ -94,10 +105,7 @@ def chirp_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     """
     if spec.kind != "chirp-gaussian":
         raise ValueError(f"expected kind 'chirp-gaussian', got {spec.kind!r}")
-    t = grid.times()
-    phase = spec.omega0 * t + 0.5 * spec.alpha * t * t
-    vals = _envelope(t, spec.T) * np.cos(phase)
-    return SampledSignal(grid, vals)
+    return SampledSignal(grid, _carried(spec, grid.times()))
 
 
 def moment(f: SampledSignal, k: int) -> float:

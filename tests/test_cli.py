@@ -1,5 +1,7 @@
+import re
 import warnings
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from precursor_lab import experiments, media, verify
 from precursor_lab import grid as timegrid
 from precursor_lab.cli import _write_csv, _write_outputs, main, run
 from precursor_lab.config import (
+    KEYS,
     ConfigParseError,
     ConfigValidationError,
     parse_config,
@@ -97,8 +100,31 @@ class TestParseConfig:
             parse_config(MINIMAL.replace("z = 100", "z = 100\nz = 200"))
 
     def test_same_key_in_two_sections_is_not_duplicate(self):
-        cfg = parse_config(MINIMAL.replace("omega0 = 2", "omega0 = 2\nv = 5"))
-        assert cfg.medium.v == 1.0
+        cfg = parse_config(MINIMAL + "[ensemble]\nb = 2\nm = 1\nv = 5\n")
+        assert cfg.medium.v == 1.0 and cfg.ensemble.v == 5.0
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("mc-sample = 200\n" + MINIMAL, "line 1: unknown key 'mc-sample'"),
+            (MINIMAL.replace("omega0 = 2", "omega = 2"), "line 8: unknown key 'omega' in [pulse]"),
+            (MINIMAL + "[ensemble]\nvariant = quadratic\n", "line 15: unknown key 'variant' in [ensemble]"),
+            (
+                MINIMAL.replace("omega0 = 2", "omega0 = 2\nlayer = 1 quadratic 1 1"),
+                "line 9: unknown key 'layer' in [pulse]",
+            ),
+        ],
+    )
+    def test_unknown_key_names_its_line(self, text, message):
+        with pytest.raises(ConfigParseError, match=rf"^{re.escape(message)}$"):
+            parse_config(text)
+
+    def test_readme_names_every_key_by_section(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        for section, keys in KEYS.items():
+            label = f"- `[{section}]`:" if section else "- top level:"
+            line = next(line for line in readme if line.startswith(label))
+            assert [key for key in keys if f"`{key}`" not in line] == []
 
     def test_override_is_not_duplicate(self):
         cfg = parse_config(MINIMAL.replace("z = 100", "z = 100\nseed = 3"), {"seed": 42})
@@ -956,6 +982,76 @@ class TestMainEntry:
         text = text.replace("t0 = -30", "t0 = -30.05")
         assert "T = 0.01" in text and "t0 = -30.05" in text
         self._zero_pulse_error(tmp_path, capsys, text)
+
+    def test_misspelled_keys_exit_before_writing(self, tmp_path, capsys):
+        text = (
+            "experiment = stochastic\nz = 4\nmc-sample = 200\n"
+            "[pulse]\nkind = gaussian\nT = 1\nomega = 5\n"
+            "[ensemble]\nb = 2\nm = 1\nv = 1\nvariant = quadratic\n"
+        )
+        self._one_line_error(tmp_path, capsys, text, "line 3: unknown key 'mc-sample'")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # the free-space tail's 0.5 w^2/inf would be inf/inf = nan past the stack
+            (
+                "experiment = propagate\nz = 10\n[pulse]\nkind = gaussian\nT = 1\n"
+                "[medium]\nvariant = layered\nlayer = 1.6 quadratic 0.17 1.9\ntail = free-space\n"
+                "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
+                "grid.dt: spacing 1e-160 too small: the Nyquist frequency pi/dt squares to inf",
+            ),
+            (
+                MINIMAL.replace("omega0 = 2", "omega0 = 0").replace("z = 100", "z = 10")
+                + "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
+                "grid.dt: spacing 1e-160 too small: the Nyquist frequency pi/dt squares to inf",
+            ),
+            # the automatic spacing 0.1 T of the least width T
+            (
+                MINIMAL.replace("T = 1\nomega0 = 2", "T = 2e-154").replace("z = 100", "z = 1e-300"),
+                "grid: automatic grid spacing 2e-155 too small: the Nyquist frequency pi/dt squares "
+                "to inf; give a coarser [grid] section",
+            ),
+        ],
+        ids=["layered", "homogeneous", "automatic"],
+    )
+    def test_grid_whose_nyquist_frequency_squares_to_inf(self, tmp_path, capsys, text, message):
+        self._one_line_error(tmp_path, capsys, text, message)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "pulse",
+        [
+            "kind = chirp-gaussian\nT = 0.277\nomega0 = 0\nalpha = 21.6",
+            "kind = gaussian\nT = 1\nomega0 = 1e10",
+            "kind = rect\nT = 1\nomega0 = 1e10",
+        ],
+        ids=["chirp", "gaussian", "rect"],
+    )
+    def test_pulse_whose_phase_overflows_on_a_far_grid(self, tmp_path, capsys, pulse):
+        # the phase overflows to inf where the envelope is 0, and cos(inf) is nan
+        text = (
+            f"experiment = {'chirp' if 'alpha' in pulse else 'propagate'}\nz = 1\n[pulse]\n{pulse}\n"
+            "[medium]\nvariant = quadratic\na = 1\nv = 1\n[grid]\nn = 2\ndt = 1e300\nt0 = -1.65e300\n"
+        )
+        self._zero_pulse_error(tmp_path, capsys, text)
+        assert not (tmp_path / "o").exists()
+
+    def test_slab_closed_form_off_the_grid(self, tmp_path, capsys):
+        # with v = 1e-12 the closed form arrives near t = 1.7e11, far past the grid
+        text = (
+            "experiment = slab\nz-list = 3.161883 3.435876 31.3092\n"
+            "[pulse]\nkind = gaussian\nT = 0.2126\nomega0 = 0\n"
+            "[medium]\nvariant = layered\nlayer = 0.1657 quadratic 0.1996 1e-12\n"
+            "layer = 0.1223 quadratic 0.2515 0.2345\n"
+            "[grid]\nn = 1000\ndt = 0.0806\nt0 = -40.76\n"
+        )
+        self._one_line_error(
+            tmp_path, capsys, text,
+            "z: the thin-slab closed form at depth 3.16188 misses the grid (zero at every sample)",
+        )
+        assert not (tmp_path / "o").exists()
 
     def _zero_pulse_error(self, tmp_path, capsys, text):
         cfg = parse_config(text)

@@ -71,8 +71,8 @@ def layered(draw):
 def ensemble(draw):
     b, m, v = draw(st.floats(1.0, 4.0)), draw(st.integers(0, 30)), draw(st.floats(0.5, 2.0))
     z = draw(st.floats(0.1, 2.0))
-    return _pulse(draw, "stochastic") + (
-        f"mc-samples = 100\n[ensemble]\nb = {b!r}\nm = {m}\nv = {v!r}\n"
+    return "mc-samples = 100\n" + _pulse(draw, "stochastic") + (
+        f"[ensemble]\nb = {b!r}\nm = {m}\nv = {v!r}\n"
     ), z
 
 

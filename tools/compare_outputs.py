@@ -21,9 +21,11 @@ summary's rule probe at m = 1 only), a ``sweep-z`` on a given grid of 10,000
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
-and three runs that are config errors: an automatic grid whose span
-overflows, a pulse width whose square overflows and a chirp rate whose
-square underflows.
+and seven runs that are config errors: an automatic grid whose span
+overflows, a pulse width whose square overflows, a chirp rate whose square
+underflows, misspelled keys, a given grid whose Nyquist frequency squares to
+inf, a chirp whose phase overflows on a far grid and a slab whose closed form
+misses the grid.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
@@ -272,6 +274,71 @@ t0 = -100
 # 2 alpha^2 T^2 underflows to 0
 TINY_CHIRP_RATE = CHIRP.replace("alpha = 20", "alpha = 1e-170")
 
+# a key no section declares, at the top level and in two sections
+MISSPELLED_KEYS = """
+experiment = stochastic
+z = 4
+mc-sample = 200
+[pulse]
+kind = gaussian
+T = 1
+omega = 5
+[ensemble]
+b = 2
+m = 1
+v = 1
+variant = quadratic
+"""
+
+# pi/dt squares to inf, and the free-space tail's 0.5 w^2/inf would be nan
+TINY_SPACING = """
+experiment = propagate
+z = 10
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = layered
+layer = 1.6 quadratic 0.17 1.9
+tail = free-space
+[grid]
+n = 256
+dt = 1e-160
+t0 = -1e-158
+"""
+
+# alpha t^2/2 overflows at both samples, where the envelope is 0
+FAR_CHIRP = """
+experiment = chirp
+[pulse]
+kind = chirp-gaussian
+T = 0.277
+omega0 = 0
+alpha = 21.6
+[grid]
+n = 2
+dt = 1e300
+t0 = -1.65e300
+"""
+
+# with v = 1e-12 the thin-slab closed form arrives near t = 1.7e11, off the grid
+SLAB_OFF_GRID = """
+experiment = slab
+z-list = 3.161883 3.435876 31.3092
+[pulse]
+kind = gaussian
+T = 0.2126
+omega0 = 0
+[medium]
+variant = layered
+layer = 0.1657 quadratic 0.1996 1e-12
+layer = 0.1223 quadratic 0.2515 0.2345
+[grid]
+n = 1000
+dt = 0.0806
+t0 = -40.76
+"""
+
 
 def pulse_csv(path: Path) -> None:
     """A sampled two-sided exponential pulse, coarser than the grid it is resampled on."""
@@ -315,6 +382,10 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "overflowing-grid": OVERFLOWING_GRID,
         "huge-pulse-width": HUGE_PULSE_WIDTH,
         "tiny-chirp-rate": TINY_CHIRP_RATE,
+        "misspelled-keys": MISSPELLED_KEYS,
+        "tiny-spacing": TINY_SPACING,
+        "far-chirp": FAR_CHIRP,
+        "slab-off-grid": SLAB_OFF_GRID,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
