@@ -1,8 +1,9 @@
 """Vectorised ``%.17g`` text of float64 columns, byte for byte what ``'%.17g' % x`` gives.
 
-``layout(values, sep)`` lays out one column as a ``(30, rows)`` uint8
-block: character position ``i`` of every value's text is row ``i``, and a
-byte that a value's text does not use is 0.  A table is a C-order
+``layout(values, seps)`` lays out columns of equal length, concatenated, as
+a ``(30, values)`` uint8 block, each value followed by its column's
+separator: character position ``i`` of every value's text is row ``i``, and
+a byte that a value's text does not use is 0.  A table is a C-order
 ``(rows, 30 * columns)`` uint8 buffer that holds column ``i``'s block,
 transposed, in bytes ``30 i ... 30 i + 29`` of each row; ``join(chars)``
 drops its zero bytes, which leaves the rows of the table as text.
@@ -116,10 +117,12 @@ def _digits(x: np.ndarray):
     return D, k, fallback
 
 
-def layout(values, sep: str) -> np.ndarray:
-    """The ``(30, rows)`` uint8 block of ``'%.17g' % v + sep`` for each of ``values``.
+def layout(values, seps: str) -> np.ndarray:
+    """The ``(30, values)`` uint8 block of ``'%.17g' % v + sep`` for each of ``values``.
 
-    Row i holds character i of every value's text; unused bytes are 0.
+    ``values`` is ``len(seps)`` columns of equal length, concatenated, and
+    column j's values take separator ``seps[j]``.  Row i holds character i of
+    every value's text; unused bytes are 0.
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
@@ -176,7 +179,7 @@ def layout(values, sep: str) -> np.ndarray:
     out[_EXP + 2] = (hundreds + _ZERO) * (sci8 & (hundreds > 0).view(np.uint8))
     out[_EXP + 3] = (tens + _ZERO) * sci8
     out[_EXP + 4] = (e - tens * _U8(10) + _ZERO) * sci8
-    out[_SEP] = ord(sep)
+    out[_SEP].reshape(len(seps), -1)[:] = np.frombuffer(seps.encode(), np.uint8)[:, None]
 
     if fallback.any():
         rows = np.flatnonzero(fallback)

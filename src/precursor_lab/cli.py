@@ -43,8 +43,24 @@ _EXPERIMENTS = {
 
 _SWEEP_COLUMNS = ("z", "t_peak", "peak_amp", "rms_width", "energy_ratio")
 
-# rows formatted per write; keeps the character blocks O(block) instead of O(file)
+# rows formatted per write, and values per layout call; keeps the character
+# blocks O(block) instead of O(file)
 _CSV_BLOCK_ROWS = 4096
+
+
+def _layouts(columns, seps: str):
+    """Yield the ``(30, rows)`` layout of each of ``columns``, all of one length, with its separator.
+
+    Whole columns side by side share ``_csvfmt.layout`` calls of up to
+    ``_CSV_BLOCK_ROWS`` values each, which saves each call's fixed cost on
+    short columns.
+    """
+    rows = len(columns[0])
+    per_call = max(1, _CSV_BLOCK_ROWS // rows)
+    for i in range(0, len(columns), per_call):
+        laid = _csvfmt.layout(np.concatenate(columns[i : i + per_call]), seps[i : i + per_call])
+        for j in range(0, laid.shape[1], rows):
+            yield laid[:, j : j + rows]
 
 
 def _write_tables(header: str, shared, files) -> None:
@@ -53,9 +69,10 @@ def _write_tables(header: str, shared, files) -> None:
     A header line, then one ``%.17g`` field per column, ``,``-separated, per
     row: the bytes ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``
     writes (:mod:`precursor_lab._csvfmt`).  Every file has as many columns.
-    Blocks of rows are the outer loop: each block fills one row-major
-    character buffer, whose ``shared`` columns are laid out and copied once
-    for every file, and whose other columns are overwritten file by file.
+    Blocks of rows are the outer loop: each block lays out the ``shared``
+    columns and every file's columns, in that order (:func:`_layouts`), and
+    fills one row-major character buffer, whose ``shared`` columns are copied
+    once for every file, and whose other columns are overwritten file by file.
     """
     with contextlib.ExitStack() as stack:
         handles = []
@@ -66,16 +83,19 @@ def _write_tables(header: str, shared, files) -> None:
         n = len(files[0][1][0])
         width = len(shared) + len(files[0][1])
         w = _csvfmt.WIDTH
-        fields = [(slice(w * i, w * (i + 1)), "," if i < width - 1 else "\n") for i in range(width)]
+        slots = [slice(w * i, w * (i + 1)) for i in range(width)]
+        seps = "," * (width - 1) + "\n"
+        seps = seps[: len(shared)] + seps[len(shared) :] * len(files)
         buf = np.empty((min(n, _CSV_BLOCK_ROWS), w * width), np.uint8)
         for start in range(0, n, _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
             chars = buf[: min(n - start, _CSV_BLOCK_ROWS)]
-            for (slot, sep), column in zip(fields, shared):
-                chars[:, slot] = _csvfmt.layout(column[rows], sep).T
-            for fh, columns in handles:
-                for (slot, sep), column in zip(fields[len(shared) :], columns):
-                    chars[:, slot] = _csvfmt.layout(column[rows], sep).T
+            laid = _layouts([c[rows] for c in shared] + [c[rows] for _, cs in handles for c in cs], seps)
+            for slot, block in zip(slots[: len(shared)], laid):
+                chars[:, slot] = block.T
+            for fh, _ in handles:
+                for slot, block in zip(slots[len(shared) :], laid):
+                    chars[:, slot] = block.T
                 fh.write(_csvfmt.join(chars))
 
 

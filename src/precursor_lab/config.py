@@ -109,7 +109,7 @@ class ExperimentConfig:
 
 
 def _split_sections(text: str):
-    """Yield (section, key, value, line_no); section '' before any header."""
+    """Yield (section, key, value, line_no); section '' before any header, key None for a header."""
     section = ""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,6 +119,7 @@ def _split_sections(text: str):
             if not line.endswith("]") or len(line) < 3:
                 raise ConfigParseError(line_no, f"malformed section header {raw.strip()!r}")
             section = line[1:-1].strip().lower()
+            yield section, None, None, line_no
             continue
         if "=" not in line:
             raise ConfigParseError(line_no, f"expected 'key = value', got {raw.strip()!r}")
@@ -231,7 +232,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """
     given: dict[tuple[str, str], object] = {}
     first_line: dict[tuple[str, str], int] = {}
+    sections = set()  # every header counts, with keys or without
     for section, key, value, line_no in _split_sections(text):
+        if key is None:
+            sections.add(section)
+            continue
         if section not in KEYS:
             raise ConfigParseError(line_no, f"unknown section [{section}]")
         where = f" in [{section}]" if section else ""
@@ -245,7 +250,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         if first != line_no:
             raise ConfigParseError(line_no, f"duplicate key {key!r}{where}; first given on line {first}")
         given[section, name] = value
-    sections = {section for section, _ in given}
     for key, value in (overrides or {}).items():
         given["", key] = str(value)
 
@@ -346,6 +350,12 @@ def _validate_for_experiment(cfg: ExperimentConfig):
             raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too small: 2 alpha^2 T^2 underflows to 0")
         if not divisor < math.inf:
             raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too large: 2 alpha^2 T^2 overflows")
+        # the integrand's phase, as propagate.chirp_dc_quadrature forms it, at either end of its span
+        span = 12.0 * T
+        if not all(math.isfinite(cfg.pulse.omega0 * s + 0.5 * alpha * s * s) for s in (-span, span)):
+            raise ConfigValidationError(
+                "pulse.alpha", f"chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span |s| <= {span:g}"
+            )
     if cfg.experiment == "slab":
         if not isinstance(cfg.medium, LayerStack):
             raise ConfigValidationError("medium.variant", "slab experiment needs a layered medium")

@@ -23,7 +23,8 @@ Two averaged kernels are provided and deliberately kept apart:
   the density and seeded Monte Carlo over sampled media all converge to it.
   The rule and the Monte Carlo draws share one weighted kernel sum,
   sum_i w_i exp(-x_i lambda_j), with the media x_i as rows and ascending
-  lambda_j as columns, formed block by block (``_weighted_kernel``).
+  lambda_j as columns, formed block by block (``_weighted_kernel``); the
+  Monte Carlo mean drops the terms too small to reach its column's sum.
 
 The two kernels differ by a factor of two inside the argument; both are
 exposed so the batch runner can report the ratio.  The closed-form pair is
@@ -287,31 +288,48 @@ _BLOCK_BYTES = 1 << 20  # size of the one buffer in which every ensemble kernel 
 _EXP_LIMIT = 700.0
 
 
-def _exp_columns(x, lam) -> int:
-    """How many leading columns of ascending ``lam`` have min(x) lam, as rounded, at most ``_EXP_LIMIT``."""
-    return int(np.searchsorted(np.min(x) * lam, _EXP_LIMIT, side="right"))
+def _relative_limit(x, lam) -> np.ndarray:
+    """Per column of ascending ``lam``, min(_EXP_LIMIT, x[0] lam + ln N + 60 ln 2) over the N ascending ``x``.
+
+    The uniform mean of exp(-x_i lam_j) is at least exp(-x[0] lam_j) / N, and
+    the terms whose x_i lam_j exceeds this limit sum to less than 2^-60 of it.
+    """
+    return np.minimum(x[0] * lam + (math.log(x.size) + 60.0 * math.log(2.0)), _EXP_LIMIT)
 
 
-def _kernel_blocks(x, lam):
+def _exp_columns(x, lam, limit=_EXP_LIMIT) -> int:
+    """One past the last column of ``lam`` where min(x) lam, as rounded, is at most ``limit``, one or per column."""
+    kept = np.flatnonzero(np.min(x) * lam <= limit)
+    return int(kept[-1]) + 1 if kept.size else 0
+
+
+def _kernel_blocks(x, lam, limit=_EXP_LIMIT):
     """Yield ``(r, exp(-x[r] lam[:c]))`` over slices r of whole rows, in row order.
 
     Blocks share one buffer of ``_BLOCK_BYTES`` (or of one row, if larger), as
     many rows as fit, so use each before asking for the next.  ``lam`` is
     ascending and x >= 0.  A term is kept where its own rounded product x lam
-    is at most ``_EXP_LIMIT``, and is exactly 0 elsewhere, so no term's fate
-    depends on how the rows are split.  A block holds only the leading ``c``
-    columns, contiguous, where the row of least x keeps a term; the columns
-    before ``a``, where the row of largest x still does, go through plain
-    ``exp``, and the staircase between a and c evaluates only its kept terms.
-    c is 0 for a block wholly past the cut, which needs lam[0] > 0; the
-    callers pass the bins, whose lam starts at 0, so there c >= 1.
+    is at most ``limit``, one value or one per column, and is exactly 0
+    elsewhere, so no term's fate depends on how the rows are split.  A block
+    holds only the leading ``c`` columns, contiguous, through the last where
+    the row of least x keeps a term, with c rounded up to a multiple of 4 (at
+    most ``lam.size``) so that ``weights @ block`` rounds each column as it
+    would in the full-width block.  The columns before ``a``, where the row of
+    largest x keeps every term, go through plain ``exp``, and the staircase
+    between a and c evaluates only its kept terms.  c is 0 for a block wholly
+    past the cut, which needs lam[0] > 0; the callers pass the bins, whose
+    lam starts at 0, so there c >= 1.
     """
     cols = lam.size
+    limit = np.broadcast_to(limit, lam.shape)
+    neg_limit = -limit
     rows = max(1, _BLOCK_BYTES // (8 * cols))
     buf = np.empty(min(rows, x.size) * cols)
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
-        a, c = _exp_columns(x[r].max(), lam), _exp_columns(x[r], lam)
+        past = np.flatnonzero(x[r].max() * lam > limit)
+        a = int(past[0]) if past.size else cols
+        c = min(-(-_exp_columns(x[r], lam, limit) // 4) * 4, cols)
         block = buf[: (r.stop - i0) * c].reshape(r.stop - i0, c)
         # the bytes of np.multiply.outer(-x[r], lam[:c]), at vector speed
         np.copyto(block, lam[:c])
@@ -319,32 +337,32 @@ def _kernel_blocks(x, lam):
         np.exp(block[:, :a], out=block[:, :a])
         if a < c:
             stair = block[:, a:]
-            np.exp(stair, out=stair, where=stair >= -_EXP_LIMIT)
+            np.exp(stair, out=stair, where=stair >= neg_limit[a:c])
             np.maximum(stair, 0.0, out=stair)
         yield r, block
 
 
-def _weighted_kernel(x, lam, weights) -> np.ndarray:
+def _weighted_kernel(x, lam, weights, limit=_EXP_LIMIT) -> np.ndarray:
     """sum_i weights[i] exp(-x[i] lam) per ascending lam, the media x as rows, block by block in row order."""
     kernel = np.zeros_like(lam)
-    for r, block in _kernel_blocks(x, lam):
+    for r, block in _kernel_blocks(x, lam, limit):
         kernel[: block.shape[1]] += weights[r] @ block
     return kernel
 
 
-def _mean_output(delayed: Spectrum, z: float, x, weights) -> np.ndarray:
-    """Weighted mean over media x (ascending) of their outputs irfft(delayed exp(-x z w^2 / 2)).
+def _mean_output(delayed: Spectrum, lam, x, weights, limit) -> np.ndarray:
+    """Weighted mean over media x (ascending) of their outputs irfft(delayed exp(-x lam)).
 
     The outputs are linear in the kernel, so this is one inverse transform of
     the weighted kernel sum.
     """
-    return inverse_rows(delayed, _weighted_kernel(x, 0.5 * z * delayed.grid.omegas() ** 2, weights))
+    return inverse_rows(delayed, _weighted_kernel(x, lam, weights, limit))
 
 
-def _spread(delayed: Spectrum, z: float, x, weights, mean) -> np.ndarray:
+def _spread(delayed: Spectrum, lam, x, weights, mean) -> np.ndarray:
     """Weighted variance about ``mean`` of the outputs of :func:`_mean_output`, one transform per medium."""
     var = np.zeros_like(mean)
-    for r, block in _kernel_blocks(x, 0.5 * z * delayed.grid.omegas() ** 2):
+    for r, block in _kernel_blocks(x, lam, _EXP_LIMIT):
         var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
     return var
 
@@ -361,11 +379,12 @@ def monte_carlo_output(
     mean.  The mean is linear in the spectrum, so it is one inverse transform
     of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
     summed over the draws in ascending order, so the result depends neither
-    on the order the draws come in nor on the degree of parallelism; sorted,
-    each block forms fewer of the terms below e^-700, which are taken as 0
-    (see ``_kernel_blocks``).  With ``return_stderr`` the pointwise sample
-    standard error of the mean is returned alongside, from the centred spread
-    of each draw's inverse transform, at a cost.
+    on the order the draws come in nor on the degree of parallelism.  Sorted,
+    the least draw x_0 bounds the mean from below by exp(-x_0 z w^2 / 2) / N,
+    so a term is taken as 0 where x_i z w^2 / 2 passes ``_relative_limit``,
+    which is at most 700 (see ``_kernel_blocks``).  With ``return_stderr``
+    the pointwise sample standard error of the mean is returned alongside,
+    from the centred spread of each draw's inverse transform, at a cost.
     """
     if draws.size < 100:
         raise ValueError(f"need at least 100 samples, got {draws.size}")
@@ -373,11 +392,11 @@ def monte_carlo_output(
         raise ValueError(f"depth must be >= 0, got z={z}")
     draws = np.sort(draws)
     weights = np.full(draws.size, 1.0 / draws.size)
-    delayed = _delayed(spectrum, spec, z)
-    mean = _mean_output(delayed, z, draws, weights)
+    delayed, lam = _delayed(spectrum, spec, z), 0.5 * z * spectrum.grid.omegas() ** 2
+    mean = _mean_output(delayed, lam, draws, weights, _relative_limit(draws, lam))
     if not return_stderr:
         return SampledSignal(spectrum.grid, mean)
-    var = _spread(delayed, z, draws, weights, mean)
+    var = _spread(delayed, lam, draws, weights, mean)
     return SampledSignal(spectrum.grid, mean), np.sqrt(var / (draws.size - 1))
 
 
@@ -425,8 +444,8 @@ def draw_std(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> np.ndarray:
     if z < 0:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
-    x, delayed = y / spec.b, _delayed(spectrum, spec, z)
-    return np.sqrt(_spread(delayed, z, x, weights, _mean_output(delayed, z, x, weights)))
+    x, delayed, lam = y / spec.b, _delayed(spectrum, spec, z), 0.5 * z * spectrum.grid.omegas() ** 2
+    return np.sqrt(_spread(delayed, lam, x, weights, _mean_output(delayed, lam, x, weights, _EXP_LIMIT)))
 
 
 def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):

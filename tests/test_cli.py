@@ -480,6 +480,22 @@ class TestRunChirp:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
+    def test_phase_that_overflows_over_the_quadrature_span_exits_before_writing(self, tmp_path, capsys):
+        # alpha s^2/2 is inf at s = 12 T = 1.08e155, where the quadrature's cosine would be nan
+        path, out = tmp_path / "cfg.ini", tmp_path / "o"
+        wide = CHIRP.replace("T = 1\nomega0 = 10\nalpha = 20", "T = 9e153\nomega0 = 0\nalpha = 1")
+        path.write_text(wide + "[grid]\nn = 64\ndt = 1e153\nt0 = -3.2e154\n")
+        assert main([str(path), "--output-dir", str(out)]) == 1
+        message = (
+            "config error: pulse.alpha: chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span "
+            "|s| <= 1.08e+155"
+        )
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
+    def test_phase_that_is_finite_over_the_quadrature_span_is_accepted(self):
+        parse_config(CHIRP.replace("T = 1\nomega0 = 10\nalpha = 20", "T = 1e150\nomega0 = 1e5\nalpha = 1"))
+
     def test_largest_rate_whose_square_is_finite_is_accepted(self):
         parse_config(CHIRP.replace("alpha = 20", "alpha = 1e153"))
 
@@ -982,6 +998,19 @@ class TestMainEntry:
         text = text.replace("t0 = -30", "t0 = -30.05")
         assert "T = 0.01" in text and "t0 = -30.05" in text
         self._zero_pulse_error(tmp_path, capsys, text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (MINIMAL + "[grid]\n", "grid.n: missing"),
+            (MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2\n", ""), "pulse.kind: missing"),
+            (MINIMAL.replace("variant = quadratic\na = 1\nv = 1\n", "# no keys\n"), "medium.variant: missing"),
+        ],
+        ids=["grid", "pulse", "medium"],
+    )
+    def test_empty_section_header_counts_as_given(self, tmp_path, capsys, text, message):
+        self._one_line_error(tmp_path, capsys, text, message)
+        assert not (tmp_path / "o").exists()
 
     def test_misspelled_keys_exit_before_writing(self, tmp_path, capsys):
         text = (

@@ -119,6 +119,18 @@ def test_columns_side_by_side():
     assert got == ref.encode()
 
 
+def test_columns_laid_out_together_match_one_call_per_column():
+    # each column holds nan, +-inf, +-0, a subnormal, a tie and random doubles
+    rng = np.random.default_rng(10)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1000000000000000.25, -np.nan]
+    columns = [np.concatenate([rng.permutation(special), rng.standard_normal(30) * 10.0 ** rng.integers(-300, 300, 30)])
+               for _ in range(4)]
+    seps = ",;\n,"
+    together = _csvfmt.layout(np.concatenate(columns), seps)
+    apart = np.concatenate([_csvfmt.layout(column, sep) for column, sep in zip(columns, seps)], axis=1)
+    assert together.tobytes() == apart.tobytes()
+
+
 def test_non_finite_sweep_values_match_savetxt(tmp_path):
     header = "z,t_peak,peak_amp,rms_width,energy_ratio"
     columns = ([1.0, 2.0, 3.0], [np.nan, -np.inf, np.inf], [0.0, -0.0, 5e-324], [1e-310, 1e300, -1e-5],
@@ -144,6 +156,37 @@ def test_shared_column_tables_match_savetxt_over_a_partial_last_block(tmp_path):
             fh.write("t,f,g\n")
             np.savetxt(fh, np.column_stack([t, *columns]), fmt="%.17g", delimiter=",")
         assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows,files,calls", [(1024, 6, 2), (4096, 5, 6), (4097, 1, 3), (3, 2, 1)])
+def test_short_columns_share_layout_calls(tmp_path, monkeypatch, rows, files, calls):
+    # whole columns of a block, the shared t first, share calls of up to
+    # 4,096 values: the stochastic workload's 7 columns of 1,024 rows take 2
+    layout, seen = _csvfmt.layout, []
+
+    def counting(values, seps):
+        seen.append(len(values))
+        return layout(values, seps)
+
+    monkeypatch.setattr(_csvfmt, "layout", counting)
+    rng = np.random.default_rng(11)
+    t = np.linspace(-30.0, 30.0, rows)
+    outputs = [(tmp_path / f"s{i}.csv", [rng.standard_normal(rows)]) for i in range(files)]
+    cli._write_tables("t,f", [t], outputs)
+    assert len(seen) == calls and max(seen) <= cli._CSV_BLOCK_ROWS
+    for path, columns in outputs:
+        with (tmp_path / "ref.csv").open("w") as fh:
+            fh.write("t,f\n")
+            np.savetxt(fh, np.column_stack([t, *columns]), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_sweep_columns_share_one_layout_call(tmp_path, monkeypatch):
+    layout, seen = _csvfmt.layout, []
+    monkeypatch.setattr(_csvfmt, "layout", lambda values, seps: seen.append(seps) or layout(values, seps))
+    _write_csv(tmp_path / "sweep.csv", "z,t_peak,peak_amp,rms_width,energy_ratio", [[1.0, 2.0, 4.0]] * 5)
+    assert seen == [",,,,\n"]
+    assert (tmp_path / "sweep.csv").read_bytes().splitlines()[1:] == [b"1,1,1,1,1", b"2,2,2,2,2", b"4,4,4,4,4"]
 
 
 def test_import_loads_no_fractions_decimal_or_scipy():

@@ -606,6 +606,49 @@ class TestKernelBlocks:
         assert monte_carlo_output(spectrum, spec, z, draws).values.tobytes() == mean.tobytes()
         assert draw_std(spectrum, spec, z).tobytes() == std.tobytes()
 
+    def test_relative_cut_halves_the_reference_run_terms(self, monkeypatch):
+        # the 10,000-draw reference run (z = 4 8 16, n = 4,096): the uniform
+        # mean forms fewer than half the terms that the floor at 700 alone
+        # leaves, and keeps every byte
+        spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (4.0, 8.0, 16.0)
+        grid = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None)
+        assert grid.n == 4096
+        spectrum, draws = forward_transform(gaussian_pulse(pulse, grid)), sample_inverse_a(spec, 10000, seed=1)
+        cut, cut_terms = _counted_means(monkeypatch, spectrum, spec, draws, zs)
+        monkeypatch.setattr(stochastic, "_relative_limit", lambda x, lam: stochastic._EXP_LIMIT)
+        uncut, uncut_terms = _counted_means(monkeypatch, spectrum, spec, draws, zs)
+        assert cut_terms < 0.5 * uncut_terms
+        assert [m.tobytes() for m in cut] == [m.tobytes() for m in uncut]
+
+    @pytest.mark.parametrize("count", [2000, 100])
+    def test_relative_cut_keeps_the_mean_bytes_over_seeds(self, monkeypatch, count):
+        # the stochastic workload (z = 0.5 1 2, n = 1,024) at seeds 1-20, and
+        # at the least draw count, whose cut ln N + 60 ln 2 is the smallest
+        spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (0.5, 1.0, 2.0)
+        grid = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None)
+        assert grid.n == 1024
+        spectrum = forward_transform(gaussian_pulse(pulse, grid))
+        draws = [sample_inverse_a(spec, count, seed) for seed in range(1, 21)]
+        cut = [monte_carlo_output(spectrum, spec, z, d).values.tobytes() for d in draws for z in zs]
+        monkeypatch.setattr(stochastic, "_relative_limit", lambda x, lam: stochastic._EXP_LIMIT)
+        assert cut == [monte_carlo_output(spectrum, spec, z, d).values.tobytes() for d in draws for z in zs]
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 37, 255])
+    def test_block_sums_at_any_cut_match_the_full_width_block(self, rows):
+        # a limit of inf before column c and -1 from it on cuts the one block
+        # at c; its weighted sum keeps the bytes of the same columns of the
+        # full-width block with zeros from c on, as weights @ block rounds the
+        # last columns of a width that is not a multiple of 4 differently
+        lam = np.linspace(0.0, 3.0, 513)
+        x = np.sort(sample_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0), rows, seed=4))
+        weights = np.full(rows, 1.0 / rows)
+        full, cols = np.exp(-np.outer(x, lam)), np.arange(lam.size)
+        for c in range(1, lam.size + 1):
+            [(_, block)] = stochastic._kernel_blocks(x, lam, np.where(cols < c, np.inf, -1.0))
+            assert block.shape[1] == min(-(-c // 4) * 4, lam.size)
+            ref = weights @ np.where(cols < c, full, 0.0)
+            assert (weights @ block).tobytes() == ref[: block.shape[1]].tobytes(), c
+
     def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):
         # with columns that start above 0, here the rule's nodes, a block of
         # rows can lie wholly past the cut: it has no columns
@@ -650,6 +693,21 @@ class TestKernelBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (name, peak, bound)
+
+
+def _counted_means(monkeypatch, spectrum, spec, draws, zs):
+    """The Monte Carlo means at depths ``zs``, and how many kernel terms they form: the blocks' nonzero terms."""
+    blocks, formed = stochastic._kernel_blocks, []
+
+    def counting(*args):
+        for r, block in blocks(*args):
+            formed.append(np.count_nonzero(block))
+            yield r, block
+
+    monkeypatch.setattr(stochastic, "_kernel_blocks", counting)
+    means = [monte_carlo_output(spectrum, spec, z, draws).values for z in zs]
+    monkeypatch.setattr(stochastic, "_kernel_blocks", blocks)
+    return means, sum(formed)
 
 
 def _auto_grid(pulse, spec, z):

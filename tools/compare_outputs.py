@@ -17,15 +17,17 @@ run on a given grid of 65,536 samples, a ``stochastic`` run of a rect pulse
 at m = 0 whose spectrum reaches Nyquist, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
-summary's rule probe at m = 1 only), a ``sweep-z`` on a given grid of 10,000
+summary's rule probe at m = 1 only), the ``stochastic`` workload at 100 draws,
+the least count, whose Monte Carlo mean has the tightest relative cut, a ``sweep-z`` on a given grid of 10,000
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
-and seven runs that are config errors: an automatic grid whose span
+and ten runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
-inf, a chirp whose phase overflows on a far grid and a slab whose closed form
-misses the grid.
+inf, a chirp whose phase overflows on a far grid, a slab whose closed form
+misses the grid, a chirp whose phase overflows over its quadrature span, and
+an empty ``[grid]`` and an empty ``[pulse]`` header.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
@@ -190,6 +192,22 @@ m = 1
 v = 1
 """
 
+# the stochastic workload at the least draw count, where the Monte Carlo
+# mean's relative cut ln N + 60 ln 2 is the smallest
+FEW_DRAWS_STOCHASTIC = """
+experiment = stochastic
+z-list = 0.5 1 2
+mc-samples = 100
+seed = 1
+[pulse]
+kind = gaussian
+T = 1
+[ensemble]
+b = 2
+m = 1
+v = 1
+"""
+
 # the highest ensemble order at a far scale and depth, so that the summary's
 # rule probe runs at m = 30
 HIGH_ORDER_STOCHASTIC = """
@@ -340,6 +358,25 @@ t0 = -40.76
 """
 
 
+# alpha s^2/2 overflows at the quadrature's span s = 12 T = 1.08e155
+WIDE_CHIRP = """
+experiment = chirp
+[pulse]
+kind = chirp-gaussian
+T = 9e153
+omega0 = 0
+alpha = 1
+[grid]
+n = 64
+dt = 1e153
+t0 = -3.2e154
+"""
+
+# a section header without keys counts as given
+EMPTY_GRID = EXP_KERNEL + "[grid]\n"
+EMPTY_PULSE = EXP_KERNEL.replace("kind = gaussian\nT = 1\nomega0 = 1\n", "")
+
+
 def pulse_csv(path: Path) -> None:
     """A sampled two-sided exponential pulse, coarser than the grid it is resampled on."""
     rows = ["t,f"] + [f"{0.25 * k:.2f},{2.0 ** -abs(k / 4):.17g}" for k in range(-40, 41)]
@@ -375,6 +412,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "stochastic-wide-grid": WIDE_STOCHASTIC,
         "stochastic-rect": RECT_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
+        "stochastic-few-draws": FEW_DRAWS_STOCHASTIC,
         "layered-sweep": LAYERED_SWEEP,
         "verify": VERIFY,
         "verify-negative-seed": NEGATIVE_SEED_VERIFY,
@@ -386,6 +424,9 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "tiny-spacing": TINY_SPACING,
         "far-chirp": FAR_CHIRP,
         "slab-off-grid": SLAB_OFF_GRID,
+        "wide-chirp": WIDE_CHIRP,
+        "empty-grid": EMPTY_GRID,
+        "empty-pulse": EMPTY_PULSE,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
