@@ -1,12 +1,18 @@
-"""Vectorised ``%.17g`` text of float64 columns, byte for byte what ``'%.17g' % x`` gives.
+"""CSV tables of float64 columns, the bytes ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")`` writes.
 
-``layout(values, seps)`` lays out columns of equal length, concatenated, as
-a ``(30, values)`` uint8 block, each value followed by its column's
-separator: character position ``i`` of every value's text is row ``i``, and
-a byte that a value's text does not use is 0.  A table is a C-order
-``(rows, 30 * columns)`` uint8 buffer that holds column ``i``'s block,
-transposed, in bytes ``30 i ... 30 i + 29`` of each row; ``join(chars)``
-drops its zero bytes, which leaves the rows of the table as text.
+``write_tables(header, shared, files)`` writes each ``(path, columns)`` of
+``files`` as a CSV: the ``header`` line, then rows of the ``shared`` columns
+followed by the file's own, all of one length.  Blocks of
+``_CSV_BLOCK_ROWS`` rows are the outer loop.  ``layout(values, seps)`` lays
+out a block's columns, ``shared`` first, whole columns side by side in calls
+of up to ``_CSV_BLOCK_ROWS`` values (each call has a fixed cost), as
+``(30, values)`` uint8 blocks: row ``i`` holds character ``i`` of every
+value's text and its column's separator, and unused bytes are 0.  A block's
+table is one C-order ``(rows, 30 * columns)`` uint8 buffer that holds
+column ``i``'s block, transposed, in bytes ``30 i ... 30 i + 29`` of each
+row.  The ``shared`` columns are copied in once per block; each file
+overwrites the rest with its own and writes ``join(chars)``, the buffer's
+bytes without its zeros, which are the table's rows as text.
 
 The 17 significant digits of x come from an exact product.  With
 k = floor(log10|x|) and 10^(16-k) = (hi + lo) 2^s taken from a table of
@@ -22,15 +28,19 @@ platform.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
 
-__all__ = ["WIDTH", "layout", "join"]
+__all__ = ["write_tables"]
+
+# rows formatted per write, and values per layout call
+_CSV_BLOCK_ROWS = 4096
 
 # bytes per value: sign, "0." and up to three zeros, 17 digits with the one
 # point among them, "e", the exponent's sign and three digits, the separator
-WIDTH = 30
+_WIDTH = 30
 _LEAD, _DIGITS, _EXP, _SEP = 1, 6, 24, 29
 
 _JMIN, _JMAX = -292, 340  # 10^j for every j = 16 - k of a finite nonzero double
@@ -126,7 +136,7 @@ def layout(values, seps: str) -> np.ndarray:
     """
     x = np.asarray(values, dtype=np.float64)
     n = x.size
-    out = np.empty((WIDTH, n), np.uint8)
+    out = np.empty((_WIDTH, n), np.uint8)
     with np.errstate(all="ignore"):
         D, k, fallback = _digits(x)
     sci = (k < -4) | (k > 16)
@@ -192,3 +202,39 @@ def join(chars) -> bytes:
     """The text of the table buffer ``chars``: its bytes in C order, zeros dropped."""
     # bytes.translate drops them in one C pass, ahead of numpy's boolean index
     return chars.tobytes().translate(None, b"\0")
+
+
+def _layouts(columns, seps: str):
+    """Yield the ``(30, rows)`` layout of each of ``columns``, with its separator, in shared calls."""
+    rows = len(columns[0])
+    per_call = max(1, _CSV_BLOCK_ROWS // rows)
+    for i in range(0, len(columns), per_call):
+        laid = layout(np.concatenate(columns[i : i + per_call]), seps[i : i + per_call])
+        for j in range(0, laid.shape[1], rows):
+            yield laid[:, j : j + rows]
+
+
+def write_tables(header: str, shared, files) -> None:
+    """Write each ``(path, columns)`` of ``files`` as a CSV whose rows are ``shared`` then ``columns``."""
+    with contextlib.ExitStack() as stack:
+        handles = []
+        for path, columns in files:
+            fh = stack.enter_context(open(path, "wb"))
+            fh.write(header.encode() + b"\n")
+            handles.append((fh, columns))
+        n = len(files[0][1][0])
+        width = len(shared) + len(files[0][1])
+        slots = [slice(_WIDTH * i, _WIDTH * (i + 1)) for i in range(width)]
+        seps = "," * (width - 1) + "\n"
+        seps = seps[: len(shared)] + seps[len(shared) :] * len(files)
+        buf = np.empty((min(n, _CSV_BLOCK_ROWS), _WIDTH * width), np.uint8)
+        for start in range(0, n, _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            chars = buf[: min(n - start, _CSV_BLOCK_ROWS)]
+            laid = _layouts([c[rows] for c in shared] + [c[rows] for _, cs in handles for c in cs], seps)
+            for slot, block in zip(slots[: len(shared)], laid):
+                chars[:, slot] = block.T
+            for fh, _ in handles:
+                for slot, block in zip(slots[len(shared) :], laid):
+                    chars[:, slot] = block.T
+                fh.write(join(chars))

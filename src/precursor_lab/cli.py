@@ -5,7 +5,8 @@
 :func:`run` plans the grid, loads the pulse and calls the experiment
 (:mod:`precursor_lab.experiments`, :mod:`precursor_lab.verify`), which
 returns a :class:`~precursor_lab.experiments.Run`; only then does it create
-the output directory and write the record:
+the output directory and write the record, its CSV tables through
+:func:`precursor_lab._csvfmt.write_tables`:
 
 * ``signal_<z>.csv`` -- propagated waveform per depth, columns ``t,f``;
 * ``sweep.csv`` -- per-depth metrics, columns
@@ -21,11 +22,8 @@ Identical config and seed give byte-identical outputs for any ``--threads``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import _csvfmt, experiments, verify
 from .config import ConfigError, ExperimentConfig, parse_config
@@ -43,71 +41,6 @@ _EXPERIMENTS = {
 
 _SWEEP_COLUMNS = ("z", "t_peak", "peak_amp", "rms_width", "energy_ratio")
 
-# rows formatted per write, and values per layout call; keeps the character
-# blocks O(block) instead of O(file)
-_CSV_BLOCK_ROWS = 4096
-
-
-def _layouts(columns, seps: str):
-    """Yield the ``(30, rows)`` layout of each of ``columns``, all of one length, with its separator.
-
-    Whole columns side by side share ``_csvfmt.layout`` calls of up to
-    ``_CSV_BLOCK_ROWS`` values each, which saves each call's fixed cost on
-    short columns.
-    """
-    rows = len(columns[0])
-    per_call = max(1, _CSV_BLOCK_ROWS // rows)
-    for i in range(0, len(columns), per_call):
-        laid = _csvfmt.layout(np.concatenate(columns[i : i + per_call]), seps[i : i + per_call])
-        for j in range(0, laid.shape[1], rows):
-            yield laid[:, j : j + rows]
-
-
-def _write_tables(header: str, shared, files) -> None:
-    """Write each ``(path, columns)`` of ``files`` as a CSV whose rows are ``shared`` then ``columns``.
-
-    A header line, then one ``%.17g`` field per column, ``,``-separated, per
-    row: the bytes ``np.savetxt(fh, data, fmt="%.17g", delimiter=",")``
-    writes (:mod:`precursor_lab._csvfmt`).  Every file has as many columns.
-    Blocks of rows are the outer loop: each block lays out the ``shared``
-    columns and every file's columns, in that order (:func:`_layouts`), and
-    fills one row-major character buffer, whose ``shared`` columns are copied
-    once for every file, and whose other columns are overwritten file by file.
-    """
-    with contextlib.ExitStack() as stack:
-        handles = []
-        for path, columns in files:
-            fh = stack.enter_context(open(path, "wb"))
-            fh.write(header.encode() + b"\n")
-            handles.append((fh, columns))
-        n = len(files[0][1][0])
-        width = len(shared) + len(files[0][1])
-        w = _csvfmt.WIDTH
-        slots = [slice(w * i, w * (i + 1)) for i in range(width)]
-        seps = "," * (width - 1) + "\n"
-        seps = seps[: len(shared)] + seps[len(shared) :] * len(files)
-        buf = np.empty((min(n, _CSV_BLOCK_ROWS), w * width), np.uint8)
-        for start in range(0, n, _CSV_BLOCK_ROWS):
-            rows = slice(start, start + _CSV_BLOCK_ROWS)
-            chars = buf[: min(n - start, _CSV_BLOCK_ROWS)]
-            laid = _layouts([c[rows] for c in shared] + [c[rows] for _, cs in handles for c in cs], seps)
-            for slot, block in zip(slots[: len(shared)], laid):
-                chars[:, slot] = block.T
-            for fh, _ in handles:
-                for slot, block in zip(slots[len(shared) :], laid):
-                    chars[:, slot] = block.T
-                fh.write(_csvfmt.join(chars))
-
-
-def _write_csv(path: Path, header: str, columns) -> None:
-    """One CSV of ``columns``, each a sequence of floats."""
-    _write_tables(header, [], [(path, columns)])
-
-
-def _write_outputs(out_dir: Path, t: np.ndarray, files) -> None:
-    """Write each ``(name, values)`` of ``files`` as a ``t,f`` CSV on the shared times ``t``."""
-    _write_tables("t,f", [t], [(out_dir / name, [values]) for name, values in files])
-
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute an experiment and write its record; returns the process exit status."""
@@ -121,10 +54,10 @@ def run(cfg: ExperimentConfig) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if record.files:
-        _write_outputs(out_dir, grid.times(), record.files)
+        _csvfmt.write_tables("t,f", [grid.times()], [(out_dir / name, [values]) for name, values in record.files])
     if record.records:
         columns = [[getattr(r, name) for r in record.records] for name in _SWEEP_COLUMNS]
-        _write_csv(out_dir / "sweep.csv", ",".join(_SWEEP_COLUMNS), columns)
+        _csvfmt.write_tables(",".join(_SWEEP_COLUMNS), [], [(out_dir / "sweep.csv", columns)])
     (out_dir / "summary.txt").write_text("".join(f"{k}: {v}\n" for k, v in entries))
     return record.status
 
@@ -142,8 +75,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"io-error: cannot read config: {exc}", file=sys.stderr)
         return 1
 

@@ -148,24 +148,36 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
 
 
 def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:
-    """The ``(t, f)`` rows of a ``csv`` pulse's file, sorted by t; None for any other pulse."""
+    """The ``(t, f)`` rows of a ``csv`` pulse's file, sorted by t; None for any other pulse.
+
+    The file is UTF-8 text.  Lines before its first row of two numbers are
+    headers; after that row, every non-blank line must be two finite
+    numbers.  Anything else is a ``pulse.file`` error naming the line.
+    """
     if cfg.pulse_csv is None:
         return None
     path = Path(cfg.pulse_csv)
+
+    def bad_line(line_no, message):
+        return config.ConfigValidationError("pulse.file", f"{path} line {line_no}: {message}")
+
     rows = []
-    with path.open() as fh:
+    with path.open("rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            parts = raw.strip().replace(",", " ").split()
-            if len(parts) < 2:
-                continue
             try:
-                row = (float(parts[0]), float(parts[1]))
+                parts = raw.decode().replace(",", " ").split()
+            except UnicodeDecodeError:
+                raise bad_line(line_no, "not UTF-8 text") from None
+            try:
+                row = tuple(map(float, parts))
             except ValueError:
-                continue  # header line
+                row = ()
+            if len(row) != 2:
+                if rows and parts:
+                    raise bad_line(line_no, "not two numbers t, f")
+                continue  # a blank line, or a header before the first row
             if not (math.isfinite(row[0]) and math.isfinite(row[1])):
-                raise config.ConfigValidationError(
-                    "pulse.file", f"{path} line {line_no}: not a finite number"
-                )
+                raise bad_line(line_no, "not a finite number")
             rows.append(row)
     if not rows:
         raise config.ConfigError(f"no numeric (t, f) rows found in {path}")

@@ -20,7 +20,6 @@ from precursor_lab import (
     Spectrum,
     SweepRecord,
     TimeGrid,
-    analytic_gaussian_output,
     averaged_transfer_quadrature,
     causality_metric,
     chirp_dc_content,
@@ -48,9 +47,9 @@ from precursor_lab import (
     thin_slab_output,
     transfer_between,
 )
-from precursor_lab import experiments
+from precursor_lab import verify
 from precursor_lab.cli import run
-from precursor_lab.config import ExperimentConfig, parse_config
+from precursor_lab.config import parse_config
 
 
 def _report(num, name, ok, detail):
@@ -82,19 +81,8 @@ def long_range_grid():
 
 
 def test_criterion_01_oracle_equivalence():
-    medium = QuadraticMedium(a=1.0, v=1.0)
-    worst = 0.0
-    for z in (10.0, 100.0, 1000.0):
-        for T in (0.5, 1.0):
-            for omega0 in (0.0, 2.0):
-                pulse = PulseSpec(kind="gaussian", T=T, omega0=omega0)
-                cfg = ExperimentConfig("propagate", z_values=(z,), pulse=pulse, medium=medium)
-                g = experiments.plan_grid(cfg, None)
-                f0 = gaussian_pulse(pulse, g)
-                out = propagate_fft(f0, medium, z)
-                ref = analytic_gaussian_output(T, omega0, 1.0, 1.0, z, g.times())
-                worst = max(worst, float(np.abs(out.values - ref).max()))
-    _report(1, "oracle_equivalence", worst < 1e-8, f"max abs err {worst:.3e} < 1e-8")
+    ok, detail = verify.gaussian_closed_form_oracle()
+    _report(1, "oracle_equivalence", ok, f"{detail} < 1e-8")
 
 
 def test_criterion_02_inverse_sqrt_decay(gaussian_sweep):

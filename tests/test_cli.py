@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from precursor_lab import cli, propagate, stochastic
+from precursor_lab import _csvfmt, cli, propagate, stochastic
 from precursor_lab import experiments, media, verify
 from precursor_lab import grid as timegrid
-from precursor_lab.cli import _write_csv, _write_outputs, main, run
+from precursor_lab.cli import main, run
 from precursor_lab.config import (
     KEYS,
     ConfigParseError,
@@ -609,7 +609,7 @@ class TestCsvWriter:
         t = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
         f = np.resize(np.array(self.SPECIAL), n)
         f[len(self.SPECIAL)::3] = rng.integers(-10**6, 10**6, f[len(self.SPECIAL)::3].size)
-        _write_csv(tmp_path / "got.csv", "t,f", (t, f))
+        _csvfmt.write_tables("t,f", [], [(tmp_path / "got.csv", (t, f))])
         ref = _savetxt_bytes(tmp_path / "ref.csv", "t,f", (t, f))
         assert (tmp_path / "got.csv").read_bytes() == ref
 
@@ -622,7 +622,7 @@ class TestCsvWriter:
             [1.7976931348623157e308, 2.0, 3.0],
             [1 / 3, 2 / 3, 1.0],
         )
-        _write_csv(tmp_path / "sweep.csv", header, columns)
+        _csvfmt.write_tables(header, [], [(tmp_path / "sweep.csv", columns)])
         ref = _savetxt_bytes(tmp_path / "ref.csv", header, columns)
         assert (tmp_path / "sweep.csv").read_bytes() == ref
 
@@ -653,7 +653,7 @@ class TestSignalWriter:
         return files
 
     def _check(self, tmp_path, t, files):
-        _write_outputs(tmp_path, t, files)
+        _csvfmt.write_tables("t,f", [t], [(tmp_path / name, [values]) for name, values in files])
         for name, values in files:
             ref = _savetxt_bytes(tmp_path / "ref.csv", "t,f", (t, values))
             assert (tmp_path / name).read_bytes() == ref
@@ -670,17 +670,17 @@ class TestSignalWriter:
         self._check(tmp_path, t, self._files(np.random.default_rng(0), t.size, 2))
 
     def test_stochastic_pair_written_in_one_pass(self, tmp_path, monkeypatch):
-        calls = []
+        calls, write = [], _csvfmt.write_tables
 
-        def spy(out_dir, t, files):
-            calls.append([name for name, _ in files])
-            return _write_outputs(out_dir, t, files)
+        def spy(header, shared, files):
+            calls.append([path.name for path, _ in files])
+            return write(header, shared, files)
 
-        monkeypatch.setattr(cli, "_write_outputs", spy)
+        monkeypatch.setattr(_csvfmt, "write_tables", spy)
         text = STOCHASTIC.replace("z = 4", "z-list = 2 4")
         assert run(parse_config(text, {"output-dir": str(tmp_path / "o")})) == 0
         names = ["signal_2.csv", "signal_4.csv", "mc_signal_2.csv", "mc_signal_4.csv"]
-        assert calls == [names]
+        assert calls == [names, ["sweep.csv"]]
         for name in names:
             got = (tmp_path / "o" / name).read_bytes()
             data = np.loadtxt(tmp_path / "o" / name, delimiter=",", skiprows=1)
@@ -921,6 +921,49 @@ class TestMainEntry:
         src.write_text("t,f\n-1,0\n0,nan\n1,0\n")
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
+
+    @staticmethod
+    def _gaussian_rows():
+        """201 rows of a unit Gaussian at t = -1 ... 1, the peak on line 102 after the header."""
+        return [f"{t:.6f},{np.exp(-0.5 * t * t):.17g}" for t in np.linspace(-1.0, 1.0, 201)]
+
+    def test_csv_pulse_mistyped_row_exits_before_writing(self, tmp_path, capsys):
+        rows = self._gaussian_rows()
+        assert rows[100] == "0.000000,1"
+        rows[100] = "0.000000,1.0.0"
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n" + "\n".join(rows) + "\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 102: not two numbers t, f")
+
+    @pytest.mark.parametrize("line", ["1,2,3", "0.5", "t,f", "1;2"])
+    def test_csv_pulse_row_after_the_first_must_be_two_numbers(self, tmp_path, capsys, line):
+        src = tmp_path / "wave.csv"
+        src.write_text(f"t,f\n-1,0\n\n0,1\n{line}\n1,0\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 5: not two numbers t, f")
+
+    def test_csv_pulse_headers_and_blank_lines_are_skipped(self, tmp_path):
+        src = tmp_path / "wave.csv"
+        src.write_text("# a unit Gaussian\nt,f,unused\n\n" + "\r\n".join(self._gaussian_rows()) + "\n\n \n")
+        text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        rows = experiments.read_pulse_csv(parse_config(text))
+        assert rows.shape == (201, 2) and rows[100].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("prefix,line", [(b"", 1), (b"t,f\n-1,0\n", 3), (b"t,f\r\n-1,0\r\n0,", 3)])
+    def test_csv_pulse_that_is_not_utf8(self, tmp_path, capsys, prefix, line):
+        src = tmp_path / "wave.csv"
+        src.write_bytes(prefix + b"\xff1\n1,0\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line {line}: not UTF-8 text")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_bytes(MINIMAL.encode().replace(b"experiment = propagate", b"experiment = propagate\xff"))
+        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("io-error: cannot read config: ")
+        assert "0xff" in err[0] and not (tmp_path / "o").exists()
 
     def test_csv_pulse_far_out_needs_a_given_grid(self, tmp_path, capsys):
         # an automatic grid from zero to t = 1e9 at dt = 0.1 would hold 2^34 samples

@@ -12,17 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import precursor_lab
-from precursor_lab import _csvfmt, cli
-from precursor_lab.cli import _write_csv
-
-
-def _table(*blocks):
-    """The ``(rows, 30 * columns)`` table of ``blocks``, left to right, as ``cli._write_tables`` fills it."""
-    return np.concatenate([block.T for block in blocks], axis=1)
+from precursor_lab import _csvfmt
 
 
 def _formatted(values):
-    return _csvfmt.join(_table(_csvfmt.layout(values, "\n")))
+    # the table of one column is its block, transposed
+    return _csvfmt.join(_csvfmt.layout(values, "\n").T)
 
 
 def _reference(values):
@@ -111,12 +106,12 @@ def test_any_double(values):
     _check(values)
 
 
-def test_columns_side_by_side():
+def test_columns_side_by_side(tmp_path):
     rng = np.random.default_rng(8)
     a, b, c = rng.standard_normal((3, 500)) * 10.0 ** rng.integers(-30, 30, (3, 500))
-    got = _csvfmt.join(_table(_csvfmt.layout(a, ","), _csvfmt.layout(b, ","), _csvfmt.layout(c, "\n")))
+    _csvfmt.write_tables("a,b,c", [], [(tmp_path / "abc.csv", [a, b, c])])
     ref = "".join("%.17g,%.17g,%.17g\n" % row for row in zip(a.tolist(), b.tolist(), c.tolist()))
-    assert got == ref.encode()
+    assert (tmp_path / "abc.csv").read_bytes() == b"a,b,c\n" + ref.encode()
 
 
 def test_columns_laid_out_together_match_one_call_per_column():
@@ -135,7 +130,7 @@ def test_non_finite_sweep_values_match_savetxt(tmp_path):
     header = "z,t_peak,peak_amp,rms_width,energy_ratio"
     columns = ([1.0, 2.0, 3.0], [np.nan, -np.inf, np.inf], [0.0, -0.0, 5e-324], [1e-310, 1e300, -1e-5],
                [np.nan, 1e16, 1e17])
-    _write_csv(tmp_path / "sweep.csv", header, columns)
+    _csvfmt.write_tables(header, [], [(tmp_path / "sweep.csv", columns)])
     with (tmp_path / "ref.csv").open("w") as fh:
         fh.write(header + "\n")
         np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",")
@@ -145,12 +140,12 @@ def test_non_finite_sweep_values_match_savetxt(tmp_path):
 def test_shared_column_tables_match_savetxt_over_a_partial_last_block(tmp_path):
     # two full blocks and 17 rows; each file overwrites its own two columns
     # of the buffer that holds the shared column once per block
-    n = 2 * cli._CSV_BLOCK_ROWS + 17
+    n = 2 * _csvfmt._CSV_BLOCK_ROWS + 17
     rng = np.random.default_rng(9)
     t = np.linspace(-3e-4, 5.0, n)
     files = [(tmp_path / f"s{i}.csv", list(rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))))
              for i in range(3)]
-    cli._write_tables("t,f,g", [t], files)
+    _csvfmt.write_tables("t,f,g", [t], files)
     for path, columns in files:
         with (tmp_path / "ref.csv").open("w") as fh:
             fh.write("t,f,g\n")
@@ -172,8 +167,8 @@ def test_short_columns_share_layout_calls(tmp_path, monkeypatch, rows, files, ca
     rng = np.random.default_rng(11)
     t = np.linspace(-30.0, 30.0, rows)
     outputs = [(tmp_path / f"s{i}.csv", [rng.standard_normal(rows)]) for i in range(files)]
-    cli._write_tables("t,f", [t], outputs)
-    assert len(seen) == calls and max(seen) <= cli._CSV_BLOCK_ROWS
+    _csvfmt.write_tables("t,f", [t], outputs)
+    assert len(seen) == calls and max(seen) <= _csvfmt._CSV_BLOCK_ROWS
     for path, columns in outputs:
         with (tmp_path / "ref.csv").open("w") as fh:
             fh.write("t,f\n")
@@ -184,7 +179,7 @@ def test_short_columns_share_layout_calls(tmp_path, monkeypatch, rows, files, ca
 def test_sweep_columns_share_one_layout_call(tmp_path, monkeypatch):
     layout, seen = _csvfmt.layout, []
     monkeypatch.setattr(_csvfmt, "layout", lambda values, seps: seen.append(seps) or layout(values, seps))
-    _write_csv(tmp_path / "sweep.csv", "z,t_peak,peak_amp,rms_width,energy_ratio", [[1.0, 2.0, 4.0]] * 5)
+    _csvfmt.write_tables("z,t_peak,peak_amp,rms_width,energy_ratio", [], [(tmp_path / "sweep.csv", [[1.0, 2.0, 4.0]] * 5)])
     assert seen == [",,,,\n"]
     assert (tmp_path / "sweep.csv").read_bytes().splitlines()[1:] == [b"1,1,1,1,1", b"2,2,2,2,2", b"4,4,4,4,4"]
 

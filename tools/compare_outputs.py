@@ -27,7 +27,10 @@ overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
 inf, a chirp whose phase overflows on a far grid, a slab whose closed form
 misses the grid, a chirp whose phase overflows over its quadrature span, and
-an empty ``[grid]`` and an empty ``[pulse]`` header.
+an empty ``[grid]`` and an empty ``[pulse]`` header, and three runs on bad
+input files: a config whose first line holds a byte that is not UTF-8, a
+csv pulse whose header is Latin-1, and a csv pulse of 201 rows whose peak row
+is mistyped as ``0.000000,1.0.0``.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
@@ -376,6 +379,9 @@ t0 = -3.2e154
 EMPTY_GRID = EXP_KERNEL + "[grid]\n"
 EMPTY_PULSE = EXP_KERNEL.replace("kind = gaussian\nT = 1\nomega0 = 1\n", "")
 
+# the first line ends in the byte 0xff, which UTF-8 never uses
+NON_UTF8_CONFIG = EXP_KERNEL.lstrip().encode().replace(b"propagate", b"propagate\xff", 1)
+
 
 def pulse_csv(path: Path) -> None:
     """A sampled two-sided exponential pulse, coarser than the grid it is resampled on."""
@@ -394,12 +400,28 @@ def far_pulse_csv(path: Path) -> None:
     path.write_text("t,f\n1e9,1\n1.000000001e9,2\n")
 
 
+def latin1_pulse_csv(path: Path) -> None:
+    """The narrow pulse's rows under a header that names microseconds in Latin-1."""
+    pulse_csv(path)
+    path.write_bytes(path.read_bytes().replace(b"t,f", b"t (\xb5s),f", 1))
+
+
+def mistyped_pulse_csv(path: Path) -> None:
+    """A unit Gaussian sampled at t = -5, -4.95, ..., 5, its peak row mistyped as ``0.000000,1.0.0``."""
+    rows = [f"{(k - 100) / 20:.6f},{math.exp(-0.5 * ((k - 100) / 20) ** 2):.17g}" for k in range(201)]
+    rows[100] = rows[100].replace(",1", ",1.0.0")
+    path.write_text("t,f\n" + "\n".join(rows) + "\n")
+
+
 def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
     """Case name -> (config file, extra CLI arguments)."""
     csv, wide, far = inputs / "pulse.csv", inputs / "wide-pulse.csv", inputs / "far-pulse.csv"
+    latin1, mistyped = inputs / "latin1-pulse.csv", inputs / "mistyped-pulse.csv"
     pulse_csv(csv)
     wide_pulse_csv(wide)
     far_pulse_csv(far)
+    latin1_pulse_csv(latin1)
+    mistyped_pulse_csv(mistyped)
     texts = {
         "chirp": CHIRP,
         "slab": SLAB,
@@ -427,6 +449,9 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "wide-chirp": WIDE_CHIRP,
         "empty-grid": EMPTY_GRID,
         "empty-pulse": EMPTY_PULSE,
+        "non-utf8-config": NON_UTF8_CONFIG,
+        "latin1-csv-pulse": CSV_PULSE.format(csv=latin1),
+        "mistyped-csv-pulse": CSV_PULSE.format(csv=mistyped),
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
@@ -436,7 +461,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
                 out[f"{workload}-seed{seed}-threads{threads}"] = (WORKLOADS / f"{workload}.ini", args)
     for name, text in texts.items():
         path = inputs / f"{name}.ini"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out[name] = (path, [])
     many = inputs / "stochastic-many-draws.ini"
     many.write_text(MANY_DRAWS_STOCHASTIC)
