@@ -47,8 +47,9 @@ from dataclasses import dataclass
 
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
+from .propagate import CHIRP_SPAN_WIDTHS
 from .signals import PULSE_KINDS, PulseSpec
-from .stochastic import MAX_TABLE_ORDER, EnsembleSpec
+from .stochastic import MAX_MC_SAMPLES, MAX_TABLE_ORDER, EnsembleSpec
 
 __all__ = [
     "ConfigError",
@@ -289,6 +290,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     )
     if cfg.mc_samples < 100:
         raise ConfigValidationError("mc-samples", "need at least 100 samples")
+    if cfg.mc_samples > MAX_MC_SAMPLES:
+        raise ConfigValidationError(
+            "mc-samples", f"need at most {MAX_MC_SAMPLES} samples ({MAX_MC_SAMPLES * 8 >> 20} MiB of draws), got {cfg.mc_samples}"
+        )
     if cfg.threads < 1:
         raise ConfigValidationError("threads", "need at least 1 thread")
 
@@ -351,7 +356,7 @@ def _validate_for_experiment(cfg: ExperimentConfig):
         if not divisor < math.inf:
             raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too large: 2 alpha^2 T^2 overflows")
         # the integrand's phase, as propagate.chirp_dc_quadrature forms it, at either end of its span
-        span = 12.0 * T
+        span = CHIRP_SPAN_WIDTHS * T
         if not all(math.isfinite(cfg.pulse.omega0 * s + 0.5 * alpha * s * s) for s in (-span, span)):
             raise ConfigValidationError(
                 "pulse.alpha", f"chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span |s| <= {span:g}"

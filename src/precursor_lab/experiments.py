@@ -180,7 +180,7 @@ def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:
                 raise bad_line(line_no, "not a finite number")
             rows.append(row)
     if not rows:
-        raise config.ConfigError(f"no numeric (t, f) rows found in {path}")
+        raise config.ConfigValidationError("pulse.file", f"no numeric (t, f) rows found in {path}")
     data = np.array(rows)
     return data[np.argsort(data[:, 0])]
 

@@ -48,6 +48,9 @@ __all__ = [
 # Above this multiple of a*T^2 the long-range approximations are accepted.
 LARGE_Z_FACTOR = 100.0
 
+# chirp_dc_quadrature integrates over |s| <= CHIRP_SPAN_WIDTHS * T.
+CHIRP_SPAN_WIDTHS = 12.0
+
 
 class GridAdequacyWarning(UserWarning):
     """The sampling grid looks too small or too coarse for the requested run."""
@@ -57,12 +60,12 @@ class RegimeError(ValueError):
     """A closed form was evaluated outside its validity regime."""
 
 
-def _edge_mass_ok(values: np.ndarray, frac: float = 1e-6) -> bool:
+def _edge_mass_ok(values: np.ndarray) -> bool:
     peak = np.abs(values).max()
     if peak == 0.0:
         return True
     edge = max(np.abs(values[0]), np.abs(values[-1]))
-    return edge <= frac * peak
+    return edge <= 1e-6 * peak
 
 
 def input_spectrum(f0: SampledSignal) -> Spectrum:
@@ -333,7 +336,7 @@ def chirp_dc_quadrature(T: float, omega0: float, alpha: float) -> tuple[float, f
 
     if alpha < 0:
         raise ValueError(f"chirp rate must be >= 0, got alpha={alpha}")
-    span = 12.0 * T
+    span = CHIRP_SPAN_WIDTHS * T
     val, abserr = quad(
         lambda s: np.exp(-s * s / (2.0 * T * T)) * np.cos(omega0 * s + 0.5 * alpha * s * s),
         -span,

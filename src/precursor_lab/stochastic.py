@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 MAX_TABLE_ORDER = 30  # (2m-1)!! outgrows float64 usefulness quickly past this
+MAX_MC_SAMPLES = 1 << 24  # 128 MiB of float64 draws; gamma_draws peaks at 48 bytes a draw
 RULE_STEP = 0.05  # spacing of the exp-sinh rule that takes moments over the ensemble
 
 

@@ -3,12 +3,13 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  Expected values come from closed forms evaluated
 independently of the code paths under test (direct quadrature, analytic
-formulas, exact power laws).
+formulas, exact power laws).  Criteria 1, 5, 6 and 12 call the checks of
+:mod:`precursor_lab.verify`, which the ``verify`` experiment runs, so each of
+those checks is written once, there.
 """
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from precursor_lab import (
     EnsembleSpec,
@@ -21,7 +22,6 @@ from precursor_lab import (
     SweepRecord,
     TimeGrid,
     averaged_transfer_quadrature,
-    causality_metric,
     chirp_dc_content,
     chirp_dc_quadrature,
     effective_params,
@@ -30,8 +30,6 @@ from precursor_lab import (
     forward_transform,
     gaussian_impulse_response,
     gaussian_pulse,
-    impulse_response_fft,
-    impulse_tail_coefficients,
     inverse_transform,
     moment,
     moment_expansion_output,
@@ -45,7 +43,6 @@ from precursor_lab import (
     shape_rms_diff,
     stochastic_impulse,
     thin_slab_output,
-    transfer_between,
 )
 from precursor_lab import verify
 from precursor_lab.cli import run
@@ -116,41 +113,18 @@ def test_criterion_04_energy_ratio(gaussian_sweep):
 
 
 def test_criterion_05_semigroup():
-    media = {
-        "quadratic": QuadraticMedium(a=1.0, v=1.0, ell_inv=0.1),
-        "exp-kernel": ExpKernelMedium(K=10.0, Kp=100.0),
-        "layered": LayerStack(
-            [(0.7, QuadraticMedium(a=1.0, v=1.0)), (0.8, ExpKernelMedium(K=10.0, Kp=100.0))]
-        ),
-    }
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for medium in media.values():
-        for _ in range(100):  # 100 blocks x 100 frequencies = 1e4 triples
-            z1 = float(rng.uniform(0.0, 1.5))
-            z2 = float(rng.uniform(0.0, 1.5))
-            w = rng.uniform(-10.0, 10.0, 100)
-            lhs = transfer_between(medium, 0.0, z1, w) * transfer_between(medium, z1, z1 + z2, w)
-            rhs = transfer_between(medium, 0.0, z1 + z2, w)
-            worst = max(worst, float((np.abs(lhs - rhs) / np.abs(rhs)).max()))
-    _report(5, "semigroup", worst < 1e-12,
-            f"max rel err {worst:.3e} < 1e-12 over 1e4 triples per variant")
+    results = [verify.semigroup(medium, rng) for medium in verify._MEDIA.values()]
+    ok = all(passed for passed, _ in results)
+    _, detail = max(results, key=lambda result: float(result[1].split()[-1]))
+    _report(5, "semigroup", ok, f"{detail} < 1e-12 over 1e4 triples per variant")
 
 
 def test_criterion_06_approximate_causality():
-    g = TimeGrid(n=1 << 15, dt=0.01, t0=-50.0)
-    deep = causality_metric(
-        SampledSignal(g, gaussian_impulse_response(1.0, 1.0, 100.0, g.times()))
-    )
-    g2 = TimeGrid(n=1 << 15, dt=0.001, t0=-10.0)
-    shallow = causality_metric(
-        SampledSignal(g2, gaussian_impulse_response(1.0, 1.0, 1.0, g2.times()))
-    )
-    g3 = TimeGrid(n=1 << 13, dt=0.01, t0=-20.0)
-    exp_kernel = causality_metric(impulse_response_fft(ExpKernelMedium(K=10.0, Kp=100.0), 20.0, g3))
-    ok = deep < 1e-12 and exp_kernel < 1e-3 and abs(shallow - 0.159) <= 0.01
+    ok, detail = verify.causality_regimes()
+    bounds = ("< 1e-12", "< 1e-3", "~ 0.159")
     _report(6, "approximate_causality", ok,
-            f"deep {deep:.2e} < 1e-12; exp-kernel {exp_kernel:.2e} < 1e-3; shallow {shallow:.4f} ~ 0.159")
+            "; ".join(f"{part} {bound}" for part, bound in zip(detail.split("; "), bounds)))
 
 
 def test_criterion_07_exp_kernel_moment_relations():
@@ -228,21 +202,13 @@ def test_criterion_11_composite_media():
 
 
 def test_criterion_12_stochastic_closed_form(small_run_summary):
-    worst = 0.0
-    for m in range(0, 4):
-        spec = EnsembleSpec(b=1.0, m=m, v=1.0)
-        z = 1.0
-        for tau in (0.0, 0.3, 1.0, 2.5, 7.0):
-            if tau == 0.0:
-                ref = quad(lambda w: (1 + z * w * w / spec.b) ** (-(m + 1)) / np.pi,
-                           0, np.inf, epsabs=1e-12)[0]
-            else:
-                ref = quad(lambda w: (1 + z * w * w / spec.b) ** (-(m + 1)) / np.pi,
-                           0, np.inf, weight="cos", wvar=tau, epsabs=1e-12)[0]
-            worst = max(worst, abs(float(stochastic_impulse(spec, z, z + tau)) - ref))
+    closed_ok, closed_detail = verify.stochastic_closed_form_vs_quadrature()
+    table_ok, table_detail = verify.coefficient_recurrence()
 
-    table_ok = impulse_tail_coefficients(2) == (3, 3, 1)
-
+    # the Monte Carlo mean against the quadrature kernel, in sample standard
+    # errors, where the reference carries real support (> 1e-6 of peak): in the
+    # far tails the sample mean is dominated by a handful of rare draws and
+    # normal-theory intervals do not apply
     spec = EnsembleSpec(b=2.0, m=1, v=1.0)
     g = TimeGrid(n=2048, dt=0.05, t0=-30.0)
     f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
@@ -255,9 +221,9 @@ def test_criterion_12_stochastic_closed_form(small_run_summary):
     dev = float((np.abs(mc.values - ref.values)[sel] / (stderr[sel] + 1e-12 * pk)).max())
 
     reported = "ensemble_kernel_log_ratio_quadrature_vs_closed_form: 0.5" in small_run_summary
-    ok = worst < 1e-8 and table_ok and dev < 4.0 and reported
+    ok = closed_ok and table_ok and dev < 4.0 and reported
     _report(12, "stochastic_closed_form", ok,
-            f"closed form vs quadrature {worst:.2e} < 1e-8; table m=2 {table_ok}; "
+            f"closed form vs quadrature {closed_detail} < 1e-8; table {table_detail}: {table_ok}; "
             f"mc dev {dev:.2f} < 4 sigma; kernel diagnostic reported: {reported}")
 
 

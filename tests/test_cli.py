@@ -754,6 +754,23 @@ class TestMainEntry:
             tmp_path, capsys, text, f"ensemble.m: shape order {m} exceeds the supported maximum 30"
         )
 
+    def test_mc_samples_at_the_bound_parse(self):
+        cfg = parse_config(STOCHASTIC.replace("mc-samples = 400", f"mc-samples = {1 << 24}"))
+        assert cfg.mc_samples == 1 << 24
+
+    def test_mc_samples_past_the_bound_rejected(self):
+        # through the parser only: nothing is drawn, so no count is allocated
+        text = STOCHASTIC.replace("mc-samples = 400", f"mc-samples = {(1 << 24) + 1}")
+        with pytest.raises(ConfigValidationError, match=r"^mc-samples: need at most 16777216 samples"):
+            parse_config(text)
+
+    def test_huge_mc_samples_exit_before_drawing(self, tmp_path, capsys):
+        text = STOCHASTIC.replace("mc-samples = 400", "mc-samples = 10000000000000")
+        self._one_line_error(
+            tmp_path, capsys, text,
+            "mc-samples: need at most 16777216 samples (128 MiB of draws), got 10000000000000",
+        )
+
     def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
         text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
             "z = 100", "z-list = 100 100 200 400"
@@ -921,6 +938,12 @@ class TestMainEntry:
         src.write_text("t,f\n-1,0\n0,nan\n1,0\n")
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
+
+    def test_csv_pulse_without_a_row_of_two_numbers(self, tmp_path, capsys):
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f,g\n0,1,2\n1,2,3\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: no numeric (t, f) rows found in {src}")
 
     @staticmethod
     def _gaussian_rows():

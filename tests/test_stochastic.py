@@ -103,24 +103,6 @@ class TestStochasticImpulse:
         p4 = stochastic_impulse(spec, 8.0, 8.0)
         assert p1 / p4 == pytest.approx(2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 3])
-    def test_matches_kernel_quadrature(self, m):
-        # independent route: numerically invert the averaged kernel
-        spec = EnsembleSpec(b=1.0, m=m, v=1.0)
-        z = 1.0
-        for tau in (0.0, 0.3, 1.0, 2.5, 7.0):
-            if tau == 0.0:
-                ref = quad(
-                    lambda w: (1 + z * w * w / spec.b) ** (-(m + 1)) / np.pi,
-                    0, np.inf, epsabs=1e-12,
-                )[0]
-            else:
-                ref = quad(
-                    lambda w: (1 + z * w * w / spec.b) ** (-(m + 1)) / np.pi,
-                    0, np.inf, weight="cos", wvar=tau, epsabs=1e-12,
-                )[0]
-            assert stochastic_impulse(spec, z, z + tau) == pytest.approx(ref, abs=1e-8)
-
     def test_exponential_tail_slope(self):
         for m, b, z, xlo, xhi, tol in [
             (0, 1.0, 1.0, 1.0, 10.0, 1e-10),
@@ -303,24 +285,6 @@ class TestObservedOutput:
 
 
 class TestMonteCarlo:
-    def test_agrees_with_quadrature_average_within_4_sigma(self):
-        # compared where the reference carries real support (> 1e-6 of peak):
-        # in the far tails the sample mean is dominated by a handful of rare
-        # draws and normal-theory intervals do not apply
-        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        g, f0 = _mc_fixture()
-        z = 4.0
-        mc, stderr = monte_carlo_output(
-            forward_transform(f0), spec, z, sample_inverse_a(spec, 10000, 42), return_stderr=True
-        )
-        F0 = forward_transform(f0)
-        qk = averaged_transfer_quadrature(spec, z, g.omegas())
-        ref = inverse_transform(Spectrum(g, F0.values * qk))
-        peak = np.abs(ref.values).max()
-        sel = np.abs(ref.values) > 1e-6 * peak
-        dev = np.abs(mc.values - ref.values)[sel] / (stderr[sel] + 1e-12 * peak)
-        assert dev.max() < 4.0
-
     def test_mc_mean_diverges_from_closed_form_kernel(self):
         # the closed-form kernel argument is twice the directly averaged one,
         # so the Monte Carlo mean must NOT match the closed-form output

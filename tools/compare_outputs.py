@@ -22,15 +22,17 @@ the least count, whose Monte Carlo mean has the tightest relative cut, a ``sweep
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
-and ten runs that are config errors: an automatic grid whose span
+and eleven runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
 inf, a chirp whose phase overflows on a far grid, a slab whose closed form
-misses the grid, a chirp whose phase overflows over its quadrature span, and
-an empty ``[grid]`` and an empty ``[pulse]`` header, and three runs on bad
-input files: a config whose first line holds a byte that is not UTF-8, a
-csv pulse whose header is Latin-1, and a csv pulse of 201 rows whose peak row
-is mistyped as ``0.000000,1.0.0``.
+misses the grid, a chirp whose phase overflows over its quadrature span,
+an empty ``[grid]`` and an empty ``[pulse]`` header, and the ``stochastic``
+workload at ``mc-samples = 10^13`` (a count whose draws no host can hold),
+and four runs on bad input files: a config whose first line holds a byte that
+is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
+whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
+all have three fields, so that no row is two numbers.
 
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
@@ -210,6 +212,9 @@ b = 2
 m = 1
 v = 1
 """
+
+# the stochastic workload at a draw count whose draws would take 80 TB
+HUGE_DRAWS_STOCHASTIC = FEW_DRAWS_STOCHASTIC.replace("mc-samples = 100", "mc-samples = 10000000000000")
 
 # the highest ensemble order at a far scale and depth, so that the summary's
 # rule probe runs at m = 30
@@ -413,15 +418,22 @@ def mistyped_pulse_csv(path: Path) -> None:
     path.write_text("t,f\n" + "\n".join(rows) + "\n")
 
 
+def no_numeric_rows_csv(path: Path) -> None:
+    """A header and two rows of three fields each, so that no row is two numbers t, f."""
+    path.write_text("t,f,g\n0,1,2\n1,2,3\n")
+
+
 def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
     """Case name -> (config file, extra CLI arguments)."""
     csv, wide, far = inputs / "pulse.csv", inputs / "wide-pulse.csv", inputs / "far-pulse.csv"
     latin1, mistyped = inputs / "latin1-pulse.csv", inputs / "mistyped-pulse.csv"
+    no_numeric = inputs / "no-numeric-rows.csv"
     pulse_csv(csv)
     wide_pulse_csv(wide)
     far_pulse_csv(far)
     latin1_pulse_csv(latin1)
     mistyped_pulse_csv(mistyped)
+    no_numeric_rows_csv(no_numeric)
     texts = {
         "chirp": CHIRP,
         "slab": SLAB,
@@ -449,9 +461,11 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "wide-chirp": WIDE_CHIRP,
         "empty-grid": EMPTY_GRID,
         "empty-pulse": EMPTY_PULSE,
+        "huge-mc-samples": HUGE_DRAWS_STOCHASTIC,
         "non-utf8-config": NON_UTF8_CONFIG,
         "latin1-csv-pulse": CSV_PULSE.format(csv=latin1),
         "mistyped-csv-pulse": CSV_PULSE.format(csv=mistyped),
+        "csv-no-numeric-rows": CSV_PULSE.format(csv=no_numeric),
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
