@@ -11,6 +11,7 @@ from precursor_lab import experiments, media, verify
 from precursor_lab import grid as timegrid
 from precursor_lab.cli import main, run
 from precursor_lab.config import (
+    EXPERIMENTS,
     KEYS,
     ConfigParseError,
     ConfigValidationError,
@@ -34,6 +35,9 @@ variant = quadratic
 a = 1
 v = 1
 """
+
+# MINIMAL with the body of its [medium] section left to fill in
+_MEDIUM = MINIMAL.replace("variant = quadratic\na = 1\nv = 1", "{}")
 
 
 class TestParseConfig:
@@ -1086,6 +1090,75 @@ class TestMainEntry:
         )
         self._one_line_error(tmp_path, capsys, text, "line 3: unknown key 'mc-sample'")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[grid\n" + MINIMAL, "line 1: malformed section header '[grid'"),
+            ("= 5\n" + MINIMAL, "line 1: empty key"),
+            ("seed =\n" + MINIMAL, "line 1: empty value for key 'seed'"),
+            (MINIMAL.replace("z = 100", "z = deep"), "z: not a number: 'deep'"),
+            ("seed = 1.5\n" + MINIMAL, "seed: not an integer: '1.5'"),
+            (MINIMAL.replace("kind = gaussian", "kind = csv"), "pulse.file: csv pulse needs a file path"),
+            (
+                MINIMAL.replace("kind = gaussian", "kind = sawtooth"),
+                "pulse.kind: unknown kind 'sawtooth'; expected gaussian, rect, chirp-gaussian or csv",
+            ),
+            (MINIMAL.replace("T = 1", "T = 0"), "pulse.T: pulse width must be positive"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5"),
+             "medium.layer[0]: expected: <thickness> <variant> <params...>"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic 1"),
+             "medium.layer[0]: quadratic layer needs: thickness quadratic a v"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5 exp-kernel 10"),
+             "medium.layer[0]: exp-kernel layer needs: thickness exp-kernel K Kp"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic -1 1"),
+             "medium.layer[0]: curvature scale must be positive, got a=-1.0"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5 glass 1 1"),
+             "medium.layer[0]: unknown layer variant 'glass'"),
+            (_MEDIUM.format("variant = layered"), "medium.layer: layered medium needs layer lines"),
+            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic 1 1\ntail = mirror"),
+             "medium.tail: expected free-space or none, got 'mirror'"),
+            (_MEDIUM.format("variant = glass"), "medium.variant: unknown variant 'glass'"),
+            ("z-list = 1 2\n" + MINIMAL, "z: give either z or z-list, not both"),
+            (STOCHASTIC.replace("mc-samples = 400", "mc-samples = 99"), "mc-samples: need at least 100 samples"),
+            ("threads = 0\n" + MINIMAL, "threads: need at least 1 thread"),
+            (MINIMAL + "[grid]\nn = 1\ndt = 0.1\nt0 = 0\n", "grid: grid needs at least 2 samples, got n=1"),
+            (STOCHASTIC.replace("b = 2", "b = -2"), "ensemble: scale parameter must be positive, got b=-2.0"),
+            (MINIMAL.split("[pulse]")[0], "pulse: experiment 'propagate' needs a [pulse] section"),
+            (MINIMAL.split("[medium]")[0], "medium: experiment 'propagate' needs a [medium] section"),
+            (MINIMAL.replace("z = 100", ""), "z: experiment 'propagate' needs z or z-list"),
+            (STOCHASTIC.replace("z = 4", ""), "z: stochastic experiment needs z or z-list"),
+            (
+                CHIRP.replace("kind = chirp-gaussian", "kind = gaussian").replace("alpha = 20", ""),
+                "pulse.kind: chirp experiment needs kind = chirp-gaussian",
+            ),
+            (
+                CHIRP.replace("kind = chirp-gaussian", "kind = csv\nfile = wave.csv"),
+                "pulse: chirp experiment needs an explicit chirp pulse",
+            ),
+            (
+                SLAB.replace("variant = layered\nlayer = 1.0 quadratic 0.01 2e8\ntail = free-space",
+                             "variant = quadratic\na = 1\nv = 1"),
+                "medium.variant: slab experiment needs a layered medium",
+            ),
+        ],
+        ids=[
+            "malformed-header", "empty-key", "empty-value", "not-a-number", "not-an-integer",
+            "csv-without-file", "unknown-pulse-kind", "zero-width", "layer-too-short",
+            "quadratic-layer-arity", "exp-kernel-layer-arity", "layer-constructor", "unknown-layer-variant",
+            "layered-without-layers", "unknown-tail", "unknown-medium-variant", "z-and-z-list",
+            "too-few-mc-samples", "zero-threads", "grid-constructor", "ensemble-constructor",
+            "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
+            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic",
+        ],
+    )
+    def test_every_config_error_is_one_line(self, tmp_path, capsys, text, message):
+        self._one_line_error(tmp_path, capsys, text, message)
+        assert not (tmp_path / "o").exists()
+
+    def test_every_experiment_has_a_runner(self):
+        # a name config accepts but cli cannot dispatch would end in a KeyError traceback
+        assert set(cli._EXPERIMENTS) == set(EXPERIMENTS)
 
     @pytest.mark.parametrize(
         "text,message",
