@@ -56,7 +56,7 @@ from .propagate import (
     zero_dc_rect_output,
     zero_dc_rect_output_series,
 )
-from .signals import PulseSpec, chirp_pulse, gaussian_pulse, moment, rect_pulse
+from .signals import PulseSpec, moment, sample_pulse
 from .stochastic import (
     EnsembleSpec,
     averaged_transfer,

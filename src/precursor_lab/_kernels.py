@@ -17,6 +17,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
+_CHUNK = 1 << 16  # draws formed at once by gamma_draws
 
 
 def _u01(seed: int, counter: np.ndarray) -> np.ndarray:
@@ -35,13 +36,16 @@ def gamma_draws(seed: int, count: int, shape_k: int, rate: float) -> np.ndarray:
 
     Integer shape only: each draw is the sum of ``shape_k`` exponentials,
     which is exact (no rejection loop, so the counter budget per draw is
-    fixed and parallel-safe).
+    fixed and parallel-safe).  The draws are formed ``_CHUNK`` at a time in
+    the result, so beyond its 8 bytes a draw the temporaries stay bounded.
     """
-    idx = np.arange(count, dtype=np.uint64)
-    acc = np.zeros(count, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for j in range(shape_k):
-            counter = idx * np.uint64(shape_k) + np.uint64(j)
-            acc -= np.log(_u01(seed, counter))
-    return acc / rate
-
+    out = np.empty(count)
+    for start in range(0, count, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
+        acc = out[start : start + idx.size]
+        acc.fill(0.0)
+        with np.errstate(over="ignore"):
+            for j in range(shape_k):
+                acc -= np.log(_u01(seed, idx * np.uint64(shape_k) + np.uint64(j)))
+        acc /= rate
+    return out

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 EXPERIMENTS = ("propagate", "sweep-z", "stochastic", "chirp", "slab", "verify")
+MAX_GRID_SAMPLES = 1 << 24  # 128 MiB per float64 array, the byte budget of MAX_MC_SAMPLES's draws
 
 # Every config key, by section ("" is the top level): the key as messages name
 # it -> (type, default).  A default of None marks a required key, and () or ""
@@ -165,6 +166,14 @@ def _fields(given: dict, section: str, keys) -> dict:
     return {key: _read(given, section, key) for key in keys}
 
 
+def _make(key: str, cls, **fields):
+    """``cls(**fields)``, its ``ValueError`` turned into a config error naming ``key``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigValidationError(key, str(exc)) from None
+
+
 def _build_pulse(given: dict) -> tuple[PulseSpec | None, str | None]:
     kind = _read(given, "pulse", "kind")
     if kind == "csv":
@@ -178,10 +187,7 @@ def _build_pulse(given: dict) -> tuple[PulseSpec | None, str | None]:
         )
     if _read(given, "pulse", "T") <= 0:
         raise ConfigValidationError("pulse.T", "pulse width must be positive")
-    try:
-        return PulseSpec(kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha"))), None
-    except ValueError as exc:
-        raise ConfigValidationError("pulse", str(exc)) from None
+    return _make("pulse", PulseSpec, kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha"))), None
 
 
 def _parse_layer(value: str, index: int):
@@ -191,37 +197,31 @@ def _parse_layer(value: str, index: int):
         raise ConfigValidationError(key, "expected: <thickness> <variant> <params...>")
     thickness = _number(key, parts[0])
     variant = parts[1]
-    try:
-        if variant == "quadratic":
-            if len(parts) != 4:
-                raise ConfigValidationError(key, "quadratic layer needs: thickness quadratic a v")
-            return thickness, QuadraticMedium(a=_number(key, parts[2]), v=_number(key, parts[3]))
-        if variant == "exp-kernel":
-            if len(parts) != 4:
-                raise ConfigValidationError(key, "exp-kernel layer needs: thickness exp-kernel K Kp")
-            return thickness, ExpKernelMedium(K=_number(key, parts[2]), Kp=_number(key, parts[3]))
-    except ValueError as exc:
-        raise ConfigValidationError(key, str(exc)) from None
+    if variant == "quadratic":
+        if len(parts) != 4:
+            raise ConfigValidationError(key, "quadratic layer needs: thickness quadratic a v")
+        return thickness, _make(key, QuadraticMedium, a=_number(key, parts[2]), v=_number(key, parts[3]))
+    if variant == "exp-kernel":
+        if len(parts) != 4:
+            raise ConfigValidationError(key, "exp-kernel layer needs: thickness exp-kernel K Kp")
+        return thickness, _make(key, ExpKernelMedium, K=_number(key, parts[2]), Kp=_number(key, parts[3]))
     raise ConfigValidationError(key, f"unknown layer variant {variant!r}")
 
 
 def _build_medium(given: dict):
     layers = [_parse_layer(value, i) for i, value in enumerate(_read(given, "medium", "layer"))]
     variant = _read(given, "medium", "variant")
-    try:
-        if variant == "quadratic":
-            return QuadraticMedium(**_fields(given, "medium", ("a", "v", "ell_inv")))
-        if variant == "exp-kernel":
-            return ExpKernelMedium(**_fields(given, "medium", ("K", "Kp")))
-        if variant == "layered":
-            if not layers:
-                raise ConfigValidationError("medium.layer", "layered medium needs layer lines")
-            tail = _read(given, "medium", "tail")
-            if tail not in ("free-space", "none"):
-                raise ConfigValidationError("medium.tail", f"expected free-space or none, got {tail!r}")
-            return LayerStack(layers, free_space_tail=(tail == "free-space"))
-    except ValueError as exc:
-        raise ConfigValidationError("medium", str(exc)) from None
+    if variant == "quadratic":
+        return _make("medium", QuadraticMedium, **_fields(given, "medium", ("a", "v", "ell_inv")))
+    if variant == "exp-kernel":
+        return _make("medium", ExpKernelMedium, **_fields(given, "medium", ("K", "Kp")))
+    if variant == "layered":
+        if not layers:
+            raise ConfigValidationError("medium.layer", "layered medium needs layer lines")
+        tail = _read(given, "medium", "tail")
+        if tail not in ("free-space", "none"):
+            raise ConfigValidationError("medium.tail", f"expected free-space or none, got {tail!r}")
+        return _make("medium", LayerStack, layers=layers, free_space_tail=(tail == "free-space"))
     raise ConfigValidationError("medium.variant", f"unknown variant {variant!r}")
 
 
@@ -298,24 +298,23 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigValidationError("threads", "need at least 1 thread")
 
     if "grid" in sections:
-        try:
-            cfg.grid = TimeGrid(**_fields(given, "grid", KEYS["grid"]))
-        except ValueError as exc:
-            raise ConfigValidationError("grid", str(exc)) from None
+        cfg.grid = _make("grid", TimeGrid, **_fields(given, "grid", KEYS["grid"]))
         # every medium squares the frequencies up to Nyquist
         if not math.isfinite(cfg.grid.nyquist * cfg.grid.nyquist):
             raise ConfigValidationError(
                 "grid.dt", f"spacing {cfg.grid.dt:g} too small: the Nyquist frequency pi/dt squares to inf"
+            )
+        if cfg.grid.n > MAX_GRID_SAMPLES:
+            raise ConfigValidationError(
+                "grid.n", f"need at most {MAX_GRID_SAMPLES} samples ({MAX_GRID_SAMPLES * 8 >> 20} MiB per array), "
+                f"got {cfg.grid.n}"
             )
     if "pulse" in sections:
         cfg.pulse, cfg.pulse_csv = _build_pulse(given)
     if "medium" in sections:
         cfg.medium = _build_medium(given)
     if "ensemble" in sections:
-        try:
-            cfg.ensemble = EnsembleSpec(**_fields(given, "ensemble", KEYS["ensemble"]))
-        except ValueError as exc:
-            raise ConfigValidationError("ensemble", str(exc)) from None
+        cfg.ensemble = _make("ensemble", EnsembleSpec, **_fields(given, "ensemble", KEYS["ensemble"]))
         if cfg.ensemble.m > MAX_TABLE_ORDER:
             raise ConfigValidationError(
                 "ensemble.m",

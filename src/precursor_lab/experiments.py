@@ -44,6 +44,11 @@ def _grid_entry(grid: timegrid.TimeGrid):
     return ("grid", f"n={grid.n} dt={grid.dt:g} t0={grid.t0:g}")
 
 
+def _at_depth(z: float, **values):
+    """The summary entries ``(<key>[z=<z:g>], value)`` of ``values`` at depth ``z``, in their order."""
+    return [(f"{key}[z={z:g}]", _fmt(value)) for key, value in values.items()]
+
+
 def _signal_files(prefix: str, outputs):
     """``(file name, values)`` of each ``(z, signal)``, named ``<prefix>_<z>.csv``."""
     return [(f"{prefix}_{z:g}.csv", sig.values) for z, sig in outputs]
@@ -197,12 +202,8 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
         f0 = timegrid.SampledSignal(grid, vals)
     elif cfg.pulse is None:
         return None
-    elif cfg.pulse.kind == "gaussian":
-        f0 = signals.gaussian_pulse(cfg.pulse, grid)
-    elif cfg.pulse.kind == "rect":
-        f0 = signals.rect_pulse(cfg.pulse, grid)
     else:
-        f0 = signals.chirp_pulse(cfg.pulse, grid)
+        f0 = signals.sample_pulse(cfg.pulse, grid)
     if not np.any(f0.values):
         t = grid.times()
         raise config.ConfigValidationError(
@@ -316,10 +317,9 @@ def run_propagation(cfg: config.ExperimentConfig, grid, f0) -> Run:
     records = _sweep_records(outputs, f0)
     entries = [("medium", _describe_medium(cfg.medium)), _grid_entry(grid)]
     for r in records:
-        entries.append((f"peak_time[z={r.z:g}]", _fmt(r.t_peak)))
-        entries.append((f"peak_amp[z={r.z:g}]", _fmt(r.peak_amp)))
-        entries.append((f"rms_width[z={r.z:g}]", _fmt(r.rms_width)))
-        entries.append((f"energy_ratio[z={r.z:g}]", _fmt(r.energy_ratio)))
+        entries += _at_depth(
+            r.z, peak_time=r.t_peak, peak_amp=r.peak_amp, rms_width=r.rms_width, energy_ratio=r.energy_ratio
+        )
     if cfg.experiment == "sweep-z":
         slope, stderr = analysis.fit_decay_exponent(records)
         entries.append(("decay_slope", _fmt(slope)))
@@ -352,9 +352,7 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
         _grid_entry(grid),
     ]
     for r, dev in zip(records, devs):
-        entries.append((f"peak_amp[z={r.z:g}]", _fmt(r.peak_amp)))
-        entries.append((f"rms_width[z={r.z:g}]", _fmt(r.rms_width)))
-        entries.append((f"mc_max_deviation_sigmas[z={r.z:g}]", _fmt(dev)))
+        entries += _at_depth(r.z, peak_amp=r.peak_amp, rms_width=r.rms_width, mc_max_deviation_sigmas=dev)
     return Run(entries, _signal_files("signal", observed) + _signal_files("mc_signal", mc), records)
 
 
@@ -410,8 +408,7 @@ def run_slab(cfg: config.ExperimentConfig, grid, f0) -> Run:
     ]
     for r, closed_peak in zip(records, closed_peaks):
         rel = abs(r.peak_amp - closed_peak) / closed_peak
-        entries.append((f"peak_amp[z={r.z:g}]", _fmt(r.peak_amp)))
-        entries.append((f"slab_closed_form_peak[z={r.z:g}]", _fmt(closed_peak)))
-        entries.append((f"slab_peak_rel_err[z={r.z:g}]", _fmt(rel)))
-        entries.append((f"rms_width[z={r.z:g}]", _fmt(r.rms_width)))
+        entries += _at_depth(
+            r.z, peak_amp=r.peak_amp, slab_closed_form_peak=closed_peak, slab_peak_rel_err=rel, rms_width=r.rms_width
+        )
     return Run(entries, _signal_files("signal", outputs), records)

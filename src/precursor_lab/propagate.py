@@ -121,8 +121,6 @@ def propagate_fft(f0: SampledSignal, medium, z: float) -> SampledSignal:
 
 def impulse_response_fft(medium, z: float, grid) -> SampledSignal:
     """Numerical impulse response: inverse transform of the transfer function."""
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
     vals = transfer_function(medium, z, grid.omegas())
     return inverse_transform(Spectrum(grid, vals))
 

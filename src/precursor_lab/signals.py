@@ -1,4 +1,4 @@
-"""Input waveform generators (Gaussian, rectangular, chirped) and temporal moments."""
+"""Input pulses (Gaussian, rectangular, chirped), sampled on a grid, and their temporal moments."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 
 from .grid import SampledSignal, TimeGrid
 
-__all__ = ["PulseSpec", "gaussian_pulse", "rect_pulse", "chirp_pulse", "moment"]
+__all__ = ["PulseSpec", "sample_pulse", "moment"]
 
 PULSE_KINDS = ("gaussian", "rect", "chirp-gaussian")
 
@@ -72,23 +72,19 @@ def _carried(spec: PulseSpec, t):
     return vals
 
 
-def gaussian_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Gaussian envelope times carrier: exp(-t^2/2T^2) * cos(omega0 t)."""
-    if spec.kind != "gaussian":
-        raise ValueError(f"expected kind 'gaussian', got {spec.kind!r}")
-    return SampledSignal(grid, _carried(spec, grid.times()))
+def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
+    """The pulse ``spec`` sampled on ``grid``: its envelope times its carrier.
 
-
-def rect_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Rectangular envelope times carrier, half amplitude exactly at |t| = T/2.
-
-    The midpoint edge convention keeps Riemann-sum moments first-order
-    accurate: samples landing on the edges (to within grid round-off)
-    contribute cos(omega0 t)/2.
+    ``gaussian`` and ``chirp-gaussian`` are exp(-t^2/2T^2) * cos(omega0 t +
+    alpha t^2 / 2), so a chirp with alpha = 0 is the Gaussian bit for bit.
+    ``rect`` is the rectangular envelope times cos(omega0 t), half amplitude
+    exactly at |t| = T/2: the midpoint edge convention keeps Riemann-sum
+    moments first-order accurate, so samples landing on the edges (to within
+    grid round-off) contribute cos(omega0 t)/2.
     """
-    if spec.kind != "rect":
-        raise ValueError(f"expected kind 'rect', got {spec.kind!r}")
     t = grid.times()
+    if spec.kind != "rect":
+        return SampledSignal(grid, _carried(spec, t))
     half = spec.T / 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # a nan carrier far out lies outside the pulse
         carrier = np.cos(spec.omega0 * t)
@@ -96,16 +92,6 @@ def rect_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     edge = np.isclose(np.abs(t), half, rtol=0.0, atol=1e-12 * max(spec.T, 1.0))
     vals[edge] = carrier[edge] / 2.0
     return SampledSignal(grid, vals)
-
-
-def chirp_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
-    """Linearly chirped Gaussian: exp(-t^2/2T^2) * cos(omega0 t + alpha t^2 / 2).
-
-    With alpha = 0 this reproduces :func:`gaussian_pulse` bit for bit.
-    """
-    if spec.kind != "chirp-gaussian":
-        raise ValueError(f"expected kind 'chirp-gaussian', got {spec.kind!r}")
-    return SampledSignal(grid, _carried(spec, grid.times()))
 
 
 def moment(f: SampledSignal, k: int) -> float:

@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 MAX_TABLE_ORDER = 30  # (2m-1)!! outgrows float64 usefulness quickly past this
-MAX_MC_SAMPLES = 1 << 24  # 128 MiB of float64 draws; gamma_draws peaks at 48 bytes a draw
+MAX_MC_SAMPLES = 1 << 24  # 128 MiB of float64 draws; gamma_draws adds 2.6 MB of temporaries
 RULE_STEP = 0.05  # spacing of the exp-sinh rule that takes moments over the ensemble
 
 
@@ -268,8 +268,6 @@ def sample_inverse_a(spec: EnsembleSpec, count: int, seed: int) -> np.ndarray:
 
 def observed_output(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> SampledSignal:
     """Propagate the input half spectrum through the closed-form averaged kernel."""
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
     return propagate.apply_transfer(spectrum, averaged_transfer(spec, z, spectrum.grid.omegas()))
 
 
@@ -351,17 +349,8 @@ def _weighted_kernel(x, lam, weights, limit=_EXP_LIMIT) -> np.ndarray:
     return kernel
 
 
-def _mean_output(delayed: Spectrum, lam, x, weights, limit) -> np.ndarray:
-    """Weighted mean over media x (ascending) of their outputs irfft(delayed exp(-x lam)).
-
-    The outputs are linear in the kernel, so this is one inverse transform of
-    the weighted kernel sum.
-    """
-    return inverse_rows(delayed, _weighted_kernel(x, lam, weights, limit))
-
-
 def _spread(delayed: Spectrum, lam, x, weights, mean) -> np.ndarray:
-    """Weighted variance about ``mean`` of the outputs of :func:`_mean_output`, one transform per medium."""
+    """Weighted variance about ``mean`` of the media x's outputs irfft(delayed exp(-x lam)), one transform per medium."""
     var = np.zeros_like(mean)
     for r, block in _kernel_blocks(x, lam, _EXP_LIMIT):
         var += weights[r] @ np.square(inverse_rows(delayed, block) - mean)
@@ -394,7 +383,7 @@ def monte_carlo_output(
     draws = np.sort(draws)
     weights = np.full(draws.size, 1.0 / draws.size)
     delayed, lam = _delayed(spectrum, spec, z), 0.5 * z * spectrum.grid.omegas() ** 2
-    mean = _mean_output(delayed, lam, draws, weights, _relative_limit(draws, lam))
+    mean = inverse_rows(delayed, _weighted_kernel(draws, lam, weights, _relative_limit(draws, lam)))
     if not return_stderr:
         return SampledSignal(spectrum.grid, mean)
     var = _spread(delayed, lam, draws, weights, mean)
@@ -446,7 +435,7 @@ def draw_std(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> np.ndarray:
         raise ValueError(f"depth must be >= 0, got z={z}")
     y, weights = _gamma_rule(spec.m, RULE_STEP)
     x, delayed, lam = y / spec.b, _delayed(spectrum, spec, z), 0.5 * z * spectrum.grid.omegas() ** 2
-    return np.sqrt(_spread(delayed, lam, x, weights, _mean_output(delayed, lam, x, weights, _EXP_LIMIT)))
+    return np.sqrt(_spread(delayed, lam, x, weights, inverse_rows(delayed, _weighted_kernel(x, lam, weights))))
 
 
 def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):

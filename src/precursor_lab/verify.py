@@ -67,7 +67,7 @@ def gaussian_closed_form_oracle():
         pulse = signals.PulseSpec(kind="gaussian", T=T, omega0=omega0)
         cfg = config.ExperimentConfig(experiment="propagate", z_values=(z,), pulse=pulse, medium=medium)
         g = experiments.plan_grid(cfg, None)
-        out = propagate.propagate_fft(signals.gaussian_pulse(pulse, g), medium, z)
+        out = propagate.propagate_fft(signals.sample_pulse(pulse, g), medium, z)
         ref = propagate.analytic_gaussian_output(T, omega0, 1.0, 1.0, z, g.times())
         worst = max(worst, float(np.abs(out.values - ref).max()))
     return worst < 1e-8, f"max abs err {worst:.3e}"
@@ -157,7 +157,7 @@ def direct_average_closed_form_vs_quadrature():
 def monte_carlo_vs_quadrature(seed: int):
     spec = stochastic.EnsembleSpec(b=2.0, m=1, v=1.0)
     g = timegrid.TimeGrid(n=2048, dt=0.05, t0=-30.0)
-    f0 = signals.gaussian_pulse(signals.PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+    f0 = signals.sample_pulse(signals.PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
     draws = stochastic.sample_inverse_a(spec, 10000, seed)
     _, dev = experiments.monte_carlo_deviation(propagate.input_spectrum(f0), spec, 4.0, draws)
     return dev < 4.0, f"max deviation {dev:.2f} sigma"

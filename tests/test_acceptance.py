@@ -29,7 +29,6 @@ from precursor_lab import (
     fit_decay_exponent,
     forward_transform,
     gaussian_impulse_response,
-    gaussian_pulse,
     inverse_transform,
     moment,
     moment_expansion_output,
@@ -37,9 +36,9 @@ from precursor_lab import (
     peak,
     propagate_fft,
     quadratic_approximation,
-    rect_pulse,
     rms_width,
     sample_inverse_a,
+    sample_pulse,
     shape_rms_diff,
     stochastic_impulse,
     thin_slab_output,
@@ -66,7 +65,7 @@ def gaussian_sweep():
     """FFT outputs for the standard Gaussian/quadratic setup, z in 100..1600 aT^2."""
     medium = QuadraticMedium(a=1.0, v=1.0)
     grid = TimeGrid(n=1 << 15, dt=0.1, t0=-200.0)
-    f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), grid)
+    f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), grid)
     outputs = {z: propagate_fft(f0, medium, z) for z in SWEEP_Z}
     return grid, f0, outputs
 
@@ -143,10 +142,10 @@ def test_criterion_08_shape_universality(long_range_grid):
     medium = QuadraticMedium(a=1.0, v=1.0)
     z = 1e4
     out_gauss = propagate_fft(
-        gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g), medium, z
+        sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g), medium, z
     )
     out_rect = propagate_fft(
-        rect_pulse(PulseSpec(kind="rect", T=1.0, omega0=2.0), g), medium, z
+        sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=2.0), g), medium, z
     )
     rel = shape_rms_diff(out_gauss, out_rect)
     _report(8, "shape_universality", rel <= 0.02,
@@ -156,7 +155,7 @@ def test_criterion_08_shape_universality(long_range_grid):
 def test_criterion_09_zero_dc_case(long_range_grid, small_run_summary):
     g = long_range_grid
     z = 1e4
-    f0 = rect_pulse(PulseSpec(kind="rect", T=1.0, omega0=2.0 * np.pi), g)
+    f0 = sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=2.0 * np.pi), g)
     order0_peak = float(np.abs(
         gaussian_impulse_response(1.0, 1.0, z, g.times()) * moment(f0, 0)
     ).max())
@@ -186,7 +185,7 @@ def test_criterion_11_composite_media():
     stack = LayerStack([(ell, QuadraticMedium(a=0.01, v=2e8))])
     a_eff, v_eff = effective_params(stack, ell)
     g = TimeGrid(n=1 << 14, dt=0.01, t0=-60.0)
-    f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+    f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
     dc = moment(f0, 0)
     peaks_rel = []
     widths = []
@@ -211,7 +210,7 @@ def test_criterion_12_stochastic_closed_form(small_run_summary):
     # normal-theory intervals do not apply
     spec = EnsembleSpec(b=2.0, m=1, v=1.0)
     g = TimeGrid(n=2048, dt=0.05, t0=-30.0)
-    f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+    f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
     draws = sample_inverse_a(spec, 10000, 42)
     mc, stderr = monte_carlo_output(forward_transform(f0), spec, 4.0, draws, return_stderr=True)
     qk = averaged_transfer_quadrature(spec, 4.0, g.omegas())

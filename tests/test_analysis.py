@@ -19,11 +19,10 @@ from precursor_lab import (
     energy_ratio,
     fit_decay_exponent,
     gaussian_impulse_response,
-    gaussian_pulse,
     peak,
     propagate_fft,
-    rect_pulse,
     rms_width,
+    sample_pulse,
     shape_rms_diff,
 )
 from precursor_lab import experiments
@@ -44,7 +43,7 @@ class TestPeak:
 
     def test_input_gaussian(self):
         g = _grid()
-        t_peak, amp = peak(gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g))
+        t_peak, amp = peak(sample_pulse(PulseSpec(kind="gaussian", T=1.0), g))
         assert t_peak == pytest.approx(0.0, abs=1e-9)
         assert amp == pytest.approx(1.0, rel=1e-9)
 
@@ -63,7 +62,7 @@ class TestPeak:
 
     def test_translation_covariance(self):
         g = _grid()
-        base = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        base = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         shifted = SampledSignal(g, np.roll(base.values, 700))
         t1, a1 = peak(base)
         t2, a2 = peak(shifted)
@@ -80,7 +79,7 @@ class TestRmsWidth:
     def test_rect_envelope(self):
         # half-weight edge samples bias the discrete second moment by O(dt/T)
         g = _grid(n=1 << 13, dt=0.001)
-        f = rect_pulse(PulseSpec(kind="rect", T=2.0), g)
+        f = sample_pulse(PulseSpec(kind="rect", T=2.0), g)
         assert rms_width(f) == pytest.approx(2.0 / (2 * np.sqrt(3.0)), rel=1e-3)
 
     def test_broadening_ratio_at_two_depths(self):
@@ -88,14 +87,14 @@ class TestRmsWidth:
         pulse = PulseSpec(kind="gaussian", T=1.0, omega0=2.0)
         cfg = ExperimentConfig("propagate", z_values=(400.0, 1600.0), pulse=pulse, medium=medium)
         g = experiments.plan_grid(cfg, None)
-        f0 = gaussian_pulse(pulse, g)
+        f0 = sample_pulse(pulse, g)
         w1 = rms_width(propagate_fft(f0, medium, 400.0))
         w2 = rms_width(propagate_fft(f0, medium, 1600.0))
         assert w2 / w1 == pytest.approx(2.0, abs=0.02)
 
     def test_translation_invariance(self):
         g = _grid()
-        base = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=5.0), g)
+        base = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=5.0), g)
         shifted = SampledSignal(g, np.roll(base.values, 512))
         assert rms_width(shifted) == pytest.approx(rms_width(base), rel=1e-9)
 
@@ -171,7 +170,7 @@ class TestDecayFit:
 class TestEnergyRatio:
     def test_identity_at_zero_depth(self):
         g = _grid()
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
         out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), 0.0)
         assert energy_ratio(out, f0) == pytest.approx(1.0, abs=1e-12)
 
@@ -180,7 +179,7 @@ class TestEnergyRatio:
         medium, pulse = QuadraticMedium(a=1.0, v=1.0), PulseSpec(kind="gaussian", T=1.0)
         cfg = ExperimentConfig("propagate", z_values=(100.0,), pulse=pulse, medium=medium)
         g = experiments.plan_grid(cfg, None)
-        f0 = gaussian_pulse(pulse, g)
+        f0 = sample_pulse(pulse, g)
         out = propagate_fft(f0, medium, 100.0)
         assert energy_ratio(out, f0) == pytest.approx(0.1, rel=0.02)
 
@@ -220,13 +219,13 @@ class TestCausalityMetric:
 class TestShapeRmsDiff:
     def test_identical_shapes_differing_by_amplitude(self):
         g = _grid()
-        f = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        f = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         scaled = SampledSignal(g, 17.0 * f.values)
         assert shape_rms_diff(f, scaled) == pytest.approx(0.0, abs=1e-14)
 
     def test_mismatched_grids_rejected(self):
-        f = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), _grid())
-        h = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), _grid(n=2048))
+        f = sample_pulse(PulseSpec(kind="gaussian", T=1.0), _grid())
+        h = sample_pulse(PulseSpec(kind="gaussian", T=1.0), _grid(n=2048))
         with pytest.raises(ValueError):
             shape_rms_diff(f, h)
 

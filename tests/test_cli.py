@@ -775,6 +775,24 @@ class TestMainEntry:
             "mc-samples: need at most 16777216 samples (128 MiB of draws), got 10000000000000",
         )
 
+    def test_given_grid_at_the_bound_parses(self):
+        cfg = parse_config(MINIMAL + f"[grid]\nn = {1 << 24}\ndt = 0.1\nt0 = -200\n")
+        assert cfg.grid.n == 1 << 24
+
+    def test_given_grid_past_the_bound_rejected(self):
+        # through the parser only: no grid is sampled, so nothing is allocated
+        text = MINIMAL + f"[grid]\nn = {(1 << 24) + 1}\ndt = 0.1\nt0 = -200\n"
+        with pytest.raises(ConfigValidationError, match=r"^grid\.n: need at most 16777216 samples"):
+            parse_config(text)
+
+    def test_huge_given_grid_exit_before_sampling(self, tmp_path, capsys):
+        text = MINIMAL + f"[grid]\nn = {1 << 45}\ndt = 0.1\nt0 = -200\n"
+        self._one_line_error(
+            tmp_path, capsys, text,
+            "grid.n: need at most 16777216 samples (128 MiB per array), got 35184372088832",
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
         text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
             "z = 100", "z-list = 100 100 200 400"

@@ -20,13 +20,12 @@ from precursor_lab import (
     free_space,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,
-    gaussian_pulse,
     input_spectrum,
     inverse_transform,
     moment,
     moment_expansion_output,
     propagate_fft,
-    rect_pulse,
+    sample_pulse,
     thin_slab_output,
     transfer_function,
     zero_dc_rect_output,
@@ -45,7 +44,7 @@ def _planned_grid(pulse, medium, z):
 class TestPropagateFFT:
     def test_zero_depth_identity(self):
         g = TimeGrid(n=1024, dt=0.05, t0=-25.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
         out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), 0.0)
         assert np.abs(out.values - f0.values).max() < 1e-12
 
@@ -53,27 +52,27 @@ class TestPropagateFFT:
         pulse = PulseSpec(kind="gaussian", T=1.0, omega0=2.0)
         medium = QuadraticMedium(a=1.0, v=1.0)
         g = _planned_grid(pulse, medium, 10.0)
-        f0 = gaussian_pulse(pulse, g)
+        f0 = sample_pulse(pulse, g)
         out = propagate_fft(f0, medium, 10.0)
         ref = analytic_gaussian_output(1.0, 2.0, 1.0, 1.0, 10.0, g.times())
         assert np.abs(out.values - ref).max() < 1e-8
 
     def test_pure_delay_shifts_input(self):
         g = TimeGrid(n=2048, dt=0.05, t0=-25.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         out = propagate_fft(f0, free_space(v=1.0), 5.0)
         expected = np.exp(-((g.times() - 5.0) ** 2) / 2)
         assert np.abs(out.values - expected).max() < 1e-10
 
     def test_warns_when_output_runs_off_grid(self):
         g = TimeGrid(n=512, dt=0.05, t0=-12.8)  # far too short for z = 50
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         with pytest.warns(GridAdequacyWarning):
             propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), 50.0)
 
     def test_negative_depth_rejected(self):
         g = TimeGrid(n=256, dt=0.05, t0=-6.4)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         with pytest.raises(ValueError):
             propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), -1.0)
 
@@ -94,7 +93,7 @@ class TestApplyTransfer:
     def test_shared_spectrum_equals_propagate_fft(self, name, n):
         medium = self.MEDIA[name]
         g = TimeGrid(n=n, dt=0.05, t0=-20.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
         spectrum = input_spectrum(f0)
         for z in (0.5, 1.0, 2.0, 5.0):
             got = apply_transfer(spectrum, transfer_function(medium, z, g.omegas())).values
@@ -172,7 +171,7 @@ class TestRectLargeDepth:
         pulse, medium = PulseSpec(kind="rect", T=T, omega0=w0), QuadraticMedium(a=1.0, v=1.0)
         g = _planned_grid(pulse, medium, z)
         g = TimeGrid(n=g.n * 4, dt=g.dt / 4, t0=g.t0)  # fine dt for the sharp edges
-        f0 = rect_pulse(pulse, g)
+        f0 = sample_pulse(pulse, g)
         out = propagate_fft(f0, medium, z)
         i = np.argmax(np.abs(out.values))
         ref = analytic_rect_output_largez(T, w0, 1.0, 1.0, z, g.times()[i])
@@ -182,11 +181,11 @@ class TestRectLargeDepth:
 class TestMomentExpansion:
     def _rect_zero_dc(self):
         g = TimeGrid(n=1 << 13, dt=1.0 / 1024, t0=-4.0)
-        return rect_pulse(PulseSpec(kind="rect", T=1.0, omega0=2 * np.pi), g)
+        return sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=2 * np.pi), g)
 
     def test_order0_equals_impulse_times_dc(self):
         g = TimeGrid(n=1 << 12, dt=1.0 / 512, t0=-4.0)
-        f0 = rect_pulse(PulseSpec(kind="rect", T=1.0, omega0=np.pi), g)
+        f0 = sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=np.pi), g)
         t_eval = np.linspace(9800.0, 10200.0, 64)
         got = moment_expansion_output(f0, 1.0, 1.0, 1e4, 0, t_eval)
         ref = gaussian_impulse_response(1.0, 1.0, 1e4, t_eval) * moment(f0, 0)
@@ -220,7 +219,7 @@ class TestMomentExpansion:
         # impulse response times the DC moment reproduces the long-range
         # Gaussian amplitude sqrt(aT^2/z) e^{-(w0 T)^2/2}
         g = TimeGrid(n=1 << 12, dt=0.01, t0=-20.48)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=2.0), g)
         z = 1e4
         t_eval = np.linspace(z - 300.0, z + 300.0, 41)
         got = moment_expansion_output(f0, 1.0, 1.0, z, 0, t_eval)
@@ -254,7 +253,7 @@ class TestZeroDCRect:
         # series value, not the doubled closed form
         z = 1e4
         g = TimeGrid(n=1 << 22, dt=1.0 / 256, t0=-1500.0)
-        f0 = rect_pulse(PulseSpec(kind="rect", T=1.0, omega0=2 * np.pi), g)
+        f0 = sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=2 * np.pi), g)
         out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), z)
         fft_peak = np.abs(out.values).max()
         series_peak = np.abs(zero_dc_rect_output_series(1, 1.0, 1.0, 1.0, z, g.times())).max()
@@ -282,7 +281,7 @@ class TestThinSlab:
         stack = self._stack()
         a_eff, v_eff = effective_params(stack, 1.0)
         g = TimeGrid(n=1 << 14, dt=0.01, t0=-60.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0), g)
         dc = moment(f0, 0)
         for z in (2.0, 8.0):
             out = propagate_fft(f0, stack, z)

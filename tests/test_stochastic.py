@@ -20,14 +20,13 @@ from precursor_lab import (
     draw_std,
     forward_transform,
     gaussian_draw_std,
-    gaussian_pulse,
     impulse_tail_coefficients,
     inverse_transform,
     moment,
     monte_carlo_output,
     observed_output,
-    rect_pulse,
     sample_inverse_a,
+    sample_pulse,
     stochastic_impulse,
     tail_decay_lengths,
 )
@@ -248,7 +247,7 @@ class TestSampling:
 
 def _mc_fixture(n=2048, dt=0.05, t0=-30.0):
     g = TimeGrid(n=n, dt=dt, t0=t0)
-    f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+    f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
     return g, f0
 
 
@@ -261,7 +260,7 @@ class TestObservedOutput:
     def test_narrow_input_reduces_to_impulse_response(self):
         spec = EnsembleSpec(b=1.0, m=1, v=1.0)
         g = TimeGrid(n=1 << 15, dt=0.005, t0=-80.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
         out = observed_output(forward_transform(f0), spec, 4.0)
         ref = stochastic_impulse(spec, 4.0, g.times()) * moment(f0, 0)
         rel = np.linalg.norm(out.values - ref) / np.linalg.norm(ref)
@@ -274,7 +273,7 @@ class TestObservedOutput:
         # the closed-form slope test above)
         spec = EnsembleSpec(b=1.0, m=0, v=1.0)
         g = TimeGrid(n=1 << 15, dt=0.005, t0=-80.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=0.1, omega0=0.0), g)
         z = 4.0
         out = observed_output(forward_transform(f0), spec, z)
         t = g.times()
@@ -315,7 +314,7 @@ class TestMonteCarlo:
         # repetitions are needed before the ratio stabilizes near sqrt(2)
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g = TimeGrid(n=512, dt=0.1, t0=-15.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
         F0 = forward_transform(f0)
         qk = averaged_transfer_quadrature(spec, 4.0, g.omegas())
         ref = inverse_transform(Spectrum(g, F0.values * qk)).values
@@ -339,7 +338,7 @@ class TestMonteCarlo:
         # to irfft on the Hermitian half spectrum
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g = TimeGrid(n=512, dt=0.1, t0=-15.0)
-        f0 = gaussian_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
+        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
         z, n_draws = 4.0, 600
         draws = sample_inverse_a(spec, n_draws, 5)
         mc, stderr = monte_carlo_output(forward_transform(f0), spec, z, draws, return_stderr=True)
@@ -399,7 +398,7 @@ class TestMonteCarlo:
         # every draw's own output, on the grid of the stochastic benchmark
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         pulse = PulseSpec(kind="gaussian", T=1.0, omega0=0.0)
-        f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, 2.0))
+        f0 = sample_pulse(pulse, _auto_grid(pulse, spec, 2.0))
         g, draws = f0.grid, sample_inverse_a(spec, 2000, seed=1)
         for z in (0.5, 1.0, 2.0):
             fast = monte_carlo_output(forward_transform(f0), spec, z, draws)
@@ -562,7 +561,7 @@ class TestKernelBlocks:
         # same blocks with every np.exp evaluated
         spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 16.0
         pulse = PulseSpec(kind="gaussian", T=1.0)
-        f0 = gaussian_pulse(pulse, _auto_grid(pulse, spec, z))
+        f0 = sample_pulse(pulse, _auto_grid(pulse, spec, z))
         spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 2000, seed=1)
         assert f0.grid.n == 4096
         mean, std = monte_carlo_output(spectrum, spec, z, draws).values, draw_std(spectrum, spec, z)
@@ -577,7 +576,7 @@ class TestKernelBlocks:
         spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (4.0, 8.0, 16.0)
         grid = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None)
         assert grid.n == 4096
-        spectrum, draws = forward_transform(gaussian_pulse(pulse, grid)), sample_inverse_a(spec, 10000, seed=1)
+        spectrum, draws = forward_transform(sample_pulse(pulse, grid)), sample_inverse_a(spec, 10000, seed=1)
         cut, cut_terms = _counted_means(monkeypatch, spectrum, spec, draws, zs)
         monkeypatch.setattr(stochastic, "_relative_limit", lambda x, lam: stochastic._EXP_LIMIT)
         uncut, uncut_terms = _counted_means(monkeypatch, spectrum, spec, draws, zs)
@@ -591,7 +590,7 @@ class TestKernelBlocks:
         spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (0.5, 1.0, 2.0)
         grid = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None)
         assert grid.n == 1024
-        spectrum = forward_transform(gaussian_pulse(pulse, grid))
+        spectrum = forward_transform(sample_pulse(pulse, grid))
         draws = [sample_inverse_a(spec, count, seed) for seed in range(1, 21)]
         cut = [monte_carlo_output(spectrum, spec, z, d).values.tobytes() for d in draws for z in zs]
         monkeypatch.setattr(stochastic, "_relative_limit", lambda x, lam: stochastic._EXP_LIMIT)
@@ -682,7 +681,7 @@ def _auto_grid(pulse, spec, z):
 
 def _pulse_on_auto_grid(kind, T, spec, z):
     pulse = PulseSpec(kind=kind, T=T, omega0=0.0)
-    return (gaussian_pulse if kind == "gaussian" else rect_pulse)(pulse, _auto_grid(pulse, spec, z))
+    return sample_pulse(pulse, _auto_grid(pulse, spec, z))
 
 
 class TestDrawStd:

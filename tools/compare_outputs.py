@@ -22,13 +22,16 @@ the least count, whose Monte Carlo mean has the tightest relative cut, a ``sweep
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
-and eleven runs that are config errors: an automatic grid whose span
+and twelve runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
 inf, a chirp whose phase overflows on a far grid, a slab whose closed form
 misses the grid, a chirp whose phase overflows over its quadrature span,
-an empty ``[grid]`` and an empty ``[pulse]`` header, and the ``stochastic``
+an empty ``[grid]`` and an empty ``[pulse]`` header, the ``stochastic``
 workload at ``mc-samples = 10^13`` (a count whose draws no host can hold),
+and a propagate on a given grid of 2^45 samples (whose times alone would take
+256 TiB; revisions that do not bound a given grid fail to allocate them at
+once, with a traceback),
 and four runs on bad input files: a config whose first line holds a byte that
 is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
@@ -300,6 +303,23 @@ t0 = -100
 # 2 alpha^2 T^2 underflows to 0
 TINY_CHIRP_RATE = CHIRP.replace("alpha = 20", "alpha = 1e-170")
 
+# a given grid of 2^45 samples, whose times alone would take 256 TiB
+HUGE_GIVEN_GRID = """
+experiment = propagate
+z = 100
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = quadratic
+a = 1
+v = 1
+[grid]
+n = 35184372088832
+dt = 0.1
+t0 = -200
+"""
+
 # a key no section declares, at the top level and in two sections
 MISSPELLED_KEYS = """
 experiment = stochastic
@@ -462,6 +482,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "empty-grid": EMPTY_GRID,
         "empty-pulse": EMPTY_PULSE,
         "huge-mc-samples": HUGE_DRAWS_STOCHASTIC,
+        "huge-given-grid": HUGE_GIVEN_GRID,
         "non-utf8-config": NON_UTF8_CONFIG,
         "latin1-csv-pulse": CSV_PULSE.format(csv=latin1),
         "mistyped-csv-pulse": CSV_PULSE.format(csv=mistyped),
