@@ -2,9 +2,9 @@
 
 ``precursor-lab <config> [--output-dir PATH] [--experiment NAME] [--seed N]
 [--threads N]`` reads a config file (format in :mod:`precursor_lab.config`).
-:func:`run` plans the grid, loads the pulse and calls the experiment
-(:mod:`precursor_lab.experiments`, :mod:`precursor_lab.verify`), which
-returns a :class:`~precursor_lab.experiments.Run`; only then does it create
+:func:`run` looks the experiment up (``experiments.EXPERIMENTS``), plans the
+grid, loads the pulse and calls the experiment's runner, which returns a
+:class:`~precursor_lab.experiments.Run`; only then does it create
 the output directory and write the record, its CSV tables through
 :func:`precursor_lab._csvfmt.write_tables`:
 
@@ -25,29 +25,21 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import _csvfmt, experiments, verify
+from . import _csvfmt, experiments
 from .config import ConfigError, ExperimentConfig, parse_config
 
 __all__ = ["main", "run"]
-
-_EXPERIMENTS = {
-    "propagate": experiments.run_propagation,
-    "sweep-z": experiments.run_propagation,
-    "stochastic": experiments.run_stochastic,
-    "chirp": experiments.run_chirp,
-    "slab": experiments.run_slab,
-    "verify": verify.run_verify,
-}
 
 _SWEEP_COLUMNS = ("z", "t_peak", "peak_amp", "rms_width", "energy_ratio")
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute an experiment and write its record; returns the process exit status."""
+    entry = experiments.experiment(cfg)
     rows = experiments.read_pulse_csv(cfg)
     grid = experiments.plan_grid(cfg, rows)
     f0 = experiments.load_pulse(cfg, grid, rows)
-    record = _EXPERIMENTS[cfg.experiment](cfg, grid, f0)
+    record = entry.run(cfg, grid, f0)
     entries = [("experiment", cfg.experiment), *record.entries]
     entries.extend(experiments.discrepancy_entries(cfg))
 

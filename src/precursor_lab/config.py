@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
-from .propagate import CHIRP_SPAN_WIDTHS
 from .signals import PULSE_KINDS, PulseSpec
 from .stochastic import MAX_MC_SAMPLES, MAX_TABLE_ORDER, EnsembleSpec
 
@@ -60,7 +59,6 @@ __all__ = [
     "parse_config",
 ]
 
-EXPERIMENTS = ("propagate", "sweep-z", "stochastic", "chirp", "slab", "verify")
 MAX_GRID_SAMPLES = 1 << 24  # 128 MiB per float64 array, the byte budget of MAX_MC_SAMPLES's draws
 
 # Every config key, by section ("" is the top level): the key as messages name
@@ -226,10 +224,11 @@ def _build_medium(given: dict):
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate configuration text into an :class:`ExperimentConfig`.
+    """Parse configuration text into an :class:`ExperimentConfig`, checking its format and values.
 
     ``overrides`` maps top-level keys (experiment, output-dir, seed, threads)
-    to replacement values, taking precedence over the file contents.
+    to replacement values, taking precedence over the file contents.  The
+    experiment's name and needs are checked by ``experiments.experiment``.
     """
     given: dict[tuple[str, str], object] = {}
     first_line: dict[tuple[str, str], int] = {}
@@ -255,11 +254,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         given["", key] = str(value)
 
     experiment = _read(given, "", "experiment")
-    if experiment not in EXPERIMENTS:
-        raise ConfigValidationError(
-            "experiment", f"unknown experiment {experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
-        )
-
     if ("", "z") in given and ("", "z-list") in given:
         raise ConfigValidationError("z", "give either z or z-list, not both")
     z_values = (_read(given, "", "z"),) if ("", "z") in given else _read(given, "", "z-list")
@@ -320,57 +314,4 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 "ensemble.m",
                 f"shape order {cfg.ensemble.m} exceeds the supported maximum {MAX_TABLE_ORDER}",
             )
-
-    _validate_for_experiment(cfg)
     return cfg
-
-
-def _validate_for_experiment(cfg: ExperimentConfig):
-    need_pulse = cfg.experiment in ("propagate", "sweep-z", "stochastic", "chirp", "slab")
-    if need_pulse and cfg.pulse is None and cfg.pulse_csv is None:
-        raise ConfigValidationError("pulse", f"experiment {cfg.experiment!r} needs a [pulse] section")
-    if cfg.experiment in ("propagate", "sweep-z", "slab"):
-        if cfg.medium is None:
-            raise ConfigValidationError("medium", f"experiment {cfg.experiment!r} needs a [medium] section")
-        if not cfg.z_values:
-            raise ConfigValidationError("z", f"experiment {cfg.experiment!r} needs z or z-list")
-    if cfg.experiment == "sweep-z" and len(set(cfg.z_values)) < 3:
-        raise ConfigValidationError("z-list", "sweep-z needs at least 3 distinct depths")
-    if cfg.experiment == "stochastic":
-        if cfg.ensemble is None:
-            raise ConfigValidationError("ensemble", "stochastic experiment needs an [ensemble] section")
-        if not cfg.z_values:
-            raise ConfigValidationError("z", "stochastic experiment needs z or z-list")
-    if cfg.experiment == "chirp":
-        if cfg.pulse is not None and cfg.pulse.kind != "chirp-gaussian":
-            raise ConfigValidationError("pulse.kind", "chirp experiment needs kind = chirp-gaussian")
-        if cfg.pulse is None:
-            raise ConfigValidationError("pulse", "chirp experiment needs an explicit chirp pulse")
-        if cfg.pulse.alpha <= 0:
-            raise ConfigValidationError("pulse.alpha", "chirp experiment needs a positive chirp rate")
-        alpha, T = cfg.pulse.alpha, cfg.pulse.T
-        divisor = 2.0 * (alpha * alpha) * (T * T)
-        if divisor == 0.0:
-            raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too small: 2 alpha^2 T^2 underflows to 0")
-        if not divisor < math.inf:
-            raise ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too large: 2 alpha^2 T^2 overflows")
-        # the integrand's phase, as propagate.chirp_dc_quadrature forms it, at either end of its span
-        span = CHIRP_SPAN_WIDTHS * T
-        if not all(math.isfinite(cfg.pulse.omega0 * s + 0.5 * alpha * s * s) for s in (-span, span)):
-            raise ConfigValidationError(
-                "pulse.alpha", f"chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span |s| <= {span:g}"
-            )
-    if cfg.experiment == "slab":
-        if not isinstance(cfg.medium, LayerStack):
-            raise ConfigValidationError("medium.variant", "slab experiment needs a layered medium")
-        for i, (_, layer_medium) in enumerate(cfg.medium.layers):
-            if not isinstance(layer_medium, QuadraticMedium) or layer_medium.ell_inv != 0:
-                raise ConfigValidationError(
-                    f"medium.layer[{i}]",
-                    "slab experiment needs lossless-at-DC quadratic layers "
-                    "(the closed form uses their effective parameters)",
-                )
-        total = cfg.medium.total_thickness
-        for zv in cfg.z_values:
-            if zv <= total:
-                raise ConfigValidationError("z", f"slab depths must exceed the stack thickness {total}")

@@ -1,11 +1,13 @@
-"""The experiments of the batch runner, each a function of ``(cfg, grid, f0)``.
+"""The experiments of the batch runner, each declared once in :data:`EXPERIMENTS`.
 
-An experiment computes a :class:`Run` and writes nothing.  :func:`plan_grid`
-chooses the grid, :func:`load_pulse` samples the input on it, and
-:func:`discrepancy_entries` gives the lines every summary ends with.
-Package functions are called through their modules
-(``propagate.apply_transfer``, never a name bound by ``from ... import``),
-so that a wrapper set on a module attribute sees every call.
+An :class:`Experiment` holds the runner, a function of ``(cfg, grid, f0)``
+that computes a :class:`Run` and writes nothing, the config parts it needs
+and its own check, which :func:`experiment` applies: adding an experiment is
+one entry and its runner.  :func:`plan_grid` chooses the grid, :func:`load_pulse`
+samples the input on it, and :func:`discrepancy_entries` gives the lines every
+summary ends with.  Package functions are called through their modules
+(``propagate.apply_transfer``, never a name bound by ``from ... import``), so
+that a wrapper set on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,8 @@ from . import analysis, config, media, propagate, signals, stochastic
 from . import grid as timegrid
 
 __all__ = [
-    "Run", "plan_grid", "read_pulse_csv", "load_pulse", "discrepancy_entries",
-    "monte_carlo_deviation", "run_propagation", "run_stochastic", "run_chirp", "run_slab",
+    "EXPERIMENTS", "Experiment", "Run", "experiment", "plan_grid", "read_pulse_csv", "load_pulse", "discrepancy_entries",
+    "monte_carlo_deviation", "run_propagation", "run_stochastic", "run_chirp", "run_slab", "run_verify",
 ]
 
 
@@ -34,6 +37,13 @@ class Run:
     files: list = field(default_factory=list)  # (file name, values) on the grid's times
     records: list = field(default_factory=list)  # SweepRecords: sweep.csv, when there are any
     status: int = 0  # the exit status
+
+
+@dataclass(frozen=True)
+class Experiment:
+    run: object  # (cfg, grid, f0) -> Run
+    needs: tuple = ()  # keys of _NEEDS, checked in this order
+    check: object = lambda cfg: None  # then this, which raises a config error where cfg fails it
 
 
 def _fmt(x) -> str:
@@ -129,7 +139,7 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
         # a chirp's instantaneous frequency six widths out
         T, omega0 = cfg.pulse.T, cfg.pulse.omega0 + 6.0 * cfg.pulse.alpha * cfg.pulse.T
         lead = trail = gaussian_tail * T
-    if cfg.experiment == "stochastic":
+    if "ensemble" in EXPERIMENTS[cfg.experiment].needs:
         spec = cfg.ensemble
         arrival = z_max / spec.v
         spread = stochastic.tail_decay_lengths(spec.m, eps) * np.sqrt(z_max / spec.b)
@@ -311,8 +321,8 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
     return entries
 
 
-def run_propagation(cfg: config.ExperimentConfig, grid, f0) -> Run:
-    """``propagate`` and ``sweep-z``: the pulse at each depth; ``sweep-z`` fits the decay."""
+def run_propagation(cfg: config.ExperimentConfig, grid, f0, fit_decay: bool = False) -> Run:
+    """The pulse at each depth; with ``fit_decay``, the peak amplitude's decay exponent too."""
     outputs = _propagate_over_z(f0, cfg.medium, cfg.z_values, cfg.threads)
     records = _sweep_records(outputs, f0)
     entries = [("medium", _describe_medium(cfg.medium)), _grid_entry(grid)]
@@ -320,7 +330,7 @@ def run_propagation(cfg: config.ExperimentConfig, grid, f0) -> Run:
         entries += _at_depth(
             r.z, peak_time=r.t_peak, peak_amp=r.peak_amp, rms_width=r.rms_width, energy_ratio=r.energy_ratio
         )
-    if cfg.experiment == "sweep-z":
+    if fit_decay:
         slope, stderr = analysis.fit_decay_exponent(records)
         entries.append(("decay_slope", _fmt(slope)))
         entries.append(("decay_slope_stderr", _fmt(stderr)))
@@ -412,3 +422,91 @@ def run_slab(cfg: config.ExperimentConfig, grid, f0) -> Run:
             r.z, peak_amp=r.peak_amp, slab_closed_form_peak=closed_peak, slab_peak_rel_err=rel, rms_width=r.rms_width
         )
     return Run(entries, _signal_files("signal", outputs), records)
+
+
+def run_verify(cfg: config.ExperimentConfig, grid, f0) -> Run:
+    """Run every check of :mod:`precursor_lab.verify`, printing one ``CHECK`` line each; status 2 when any fails."""
+    # verify imports this module at its top (plan_grid, monte_carlo_deviation);
+    # importing verify here, when a run starts, keeps the two out of an import cycle
+    from . import verify
+    entries, failures = [], 0
+    for name, passed, detail in verify.checks(cfg.seed):
+        print(f"CHECK {name}: {'PASS' if passed else 'FAIL'} ({detail})")
+        entries.append((f"verify_{name}", f"{'pass' if passed else 'fail'} ({detail})"))
+        failures += not passed
+    print(f"verify: {failures} failure(s)")
+    return Run(entries, status=2 if failures else 0)
+
+
+def _check_sweep(cfg: config.ExperimentConfig):
+    if len(set(cfg.z_values)) < 3:
+        raise config.ConfigValidationError("z-list", "sweep-z needs at least 3 distinct depths")
+
+
+def _check_chirp(cfg: config.ExperimentConfig):
+    if cfg.pulse is not None and cfg.pulse.kind != "chirp-gaussian":
+        raise config.ConfigValidationError("pulse.kind", "chirp experiment needs kind = chirp-gaussian")
+    if cfg.pulse is None:
+        raise config.ConfigValidationError("pulse", "chirp experiment needs an explicit chirp pulse")
+    if cfg.pulse.alpha <= 0:
+        raise config.ConfigValidationError("pulse.alpha", "chirp experiment needs a positive chirp rate")
+    alpha, T = cfg.pulse.alpha, cfg.pulse.T
+    divisor = 2.0 * (alpha * alpha) * (T * T)
+    if divisor == 0.0:
+        raise config.ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too small: 2 alpha^2 T^2 underflows to 0")
+    if not divisor < math.inf:
+        raise config.ConfigValidationError("pulse.alpha", f"chirp rate {alpha:g} too large: 2 alpha^2 T^2 overflows")
+    # the integrand's phase, as propagate.chirp_dc_quadrature forms it, at either end of its span
+    span = propagate.CHIRP_SPAN_WIDTHS * T
+    if not all(math.isfinite(cfg.pulse.omega0 * s + 0.5 * alpha * s * s) for s in (-span, span)):
+        raise config.ConfigValidationError(
+            "pulse.alpha", f"chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span |s| <= {span:g}"
+        )
+
+
+def _check_slab(cfg: config.ExperimentConfig):
+    if not isinstance(cfg.medium, media.LayerStack):
+        raise config.ConfigValidationError("medium.variant", "slab experiment needs a layered medium")
+    for i, (_, layer_medium) in enumerate(cfg.medium.layers):
+        if not isinstance(layer_medium, media.QuadraticMedium) or layer_medium.ell_inv != 0:
+            raise config.ConfigValidationError(
+                f"medium.layer[{i}]", "slab experiment needs lossless-at-DC quadratic layers "
+                "(the closed form uses their effective parameters)"
+            )
+    total = cfg.medium.total_thickness
+    if any(zv <= total for zv in cfg.z_values):
+        raise config.ConfigValidationError("z", f"slab depths must exceed the stack thickness {total}")
+
+
+# each part of the config an experiment may need: what a config without it lacks, and the test for that
+_NEEDS = {
+    "pulse": ("a [pulse] section", lambda cfg: cfg.pulse is None and cfg.pulse_csv is None),
+    "medium": ("a [medium] section", lambda cfg: cfg.medium is None),
+    "ensemble": ("an [ensemble] section", lambda cfg: cfg.ensemble is None),
+    "z": ("z or z-list", lambda cfg: not cfg.z_values),
+}
+
+# every experiment, in the order an unknown name's message lists them
+EXPERIMENTS = {
+    "propagate": Experiment(run_propagation, ("pulse", "medium", "z")),
+    "sweep-z": Experiment(partial(run_propagation, fit_decay=True), ("pulse", "medium", "z"), _check_sweep),
+    "stochastic": Experiment(run_stochastic, ("pulse", "ensemble", "z")),
+    "chirp": Experiment(run_chirp, ("pulse",), _check_chirp),
+    "slab": Experiment(run_slab, ("pulse", "medium", "z"), _check_slab),
+    "verify": Experiment(run_verify),
+}
+
+
+def experiment(cfg: config.ExperimentConfig) -> Experiment:
+    """The entry of ``cfg.experiment``; an unknown name, a missing need or a failed check is a config error."""
+    entry = EXPERIMENTS.get(cfg.experiment)
+    if entry is None:
+        raise config.ConfigValidationError(
+            "experiment", f"unknown experiment {cfg.experiment!r}; valid names: {', '.join(EXPERIMENTS)}"
+        )
+    for need in entry.needs:
+        what, missing = _NEEDS[need]
+        if missing(cfg):
+            raise config.ConfigValidationError(need, f"experiment {cfg.experiment!r} needs {what}")
+    entry.check(cfg)
+    return entry

@@ -2,7 +2,7 @@
 
 Each check returns ``(passed, detail)``.  :func:`checks` runs them in a fixed
 order, drawing every random input from one generator seeded with the run's
-seed; :func:`run_verify` reports them, with status 2 when any fails.
+seed; :func:`experiments.run_verify` reports them, with status 2 when any fails.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis, config, experiments, media, propagate, signals, stochastic
 from . import grid as timegrid
 
-__all__ = ["checks", "run_verify"]
+__all__ = ["checks"]
 
 _EXP_KERNEL = media.ExpKernelMedium(K=10.0, Kp=100.0)
 _MEDIA = {
@@ -178,15 +178,3 @@ def checks(seed: int):
     yield "causality_regimes", *causality_regimes()
     yield "direct_average_closed_form_vs_quadrature", *direct_average_closed_form_vs_quadrature()
     yield "monte_carlo_vs_quadrature", *monte_carlo_vs_quadrature(seed)
-
-
-def run_verify(cfg, grid, f0) -> experiments.Run:
-    """Run every check, printing one ``CHECK`` line each; status 2 when any fails."""
-    entries = []
-    failures = 0
-    for name, passed, detail in checks(cfg.seed):
-        print(f"CHECK {name}: {'PASS' if passed else 'FAIL'} ({detail})")
-        entries.append((f"verify_{name}", f"{'pass' if passed else 'fail'} ({detail})"))
-        failures += not passed
-    print(f"verify: {failures} failure(s)")
-    return experiments.Run(entries, status=2 if failures else 0)

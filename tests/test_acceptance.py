@@ -152,14 +152,13 @@ def test_criterion_08_shape_universality(long_range_grid):
             f"peak-normalized rms difference {rel:.4e} <= 2%")
 
 
-def test_criterion_09_zero_dc_case(long_range_grid, small_run_summary):
-    g = long_range_grid
+def test_criterion_09_zero_dc_case(zero_dc_rect, small_run_summary):
+    f0, out = zero_dc_rect
+    g = f0.grid
     z = 1e4
-    f0 = sample_pulse(PulseSpec(kind="rect", T=1.0, omega0=2.0 * np.pi), g)
     order0_peak = float(np.abs(
         gaussian_impulse_response(1.0, 1.0, z, g.times()) * moment(f0, 0)
     ).max())
-    out = propagate_fft(f0, QuadraticMedium(a=1.0, v=1.0), z)
     series = moment_expansion_output(f0, 1.0, 1.0, z, 2, g.times())
     rel = shape_rms_diff(out, SampledSignal(g, series))
     reported = "zero_dc_closed_form_vs_series_ratio: 2" in small_run_summary

@@ -11,7 +11,6 @@ from precursor_lab import experiments, media, verify
 from precursor_lab import grid as timegrid
 from precursor_lab.cli import main, run
 from precursor_lab.config import (
-    EXPERIMENTS,
     KEYS,
     ConfigParseError,
     ConfigValidationError,
@@ -36,6 +35,10 @@ a = 1
 v = 1
 """
 
+_UNKNOWN_EXPERIMENT = (
+    "experiment: unknown experiment 'banana'; valid names: propagate, sweep-z, stochastic, chirp, slab, verify"
+)
+
 # MINIMAL with the body of its [medium] section left to fill in
 _MEDIUM = MINIMAL.replace("variant = quadratic\na = 1\nv = 1", "{}")
 
@@ -56,7 +59,7 @@ class TestParseConfig:
 
     def test_unknown_experiment_lists_valid_names(self):
         with pytest.raises(ConfigValidationError, match="sweep-z"):
-            parse_config(MINIMAL.replace("experiment = propagate", "experiment = banana"))
+            experiments.experiment(parse_config(MINIMAL.replace("experiment = propagate", "experiment = banana")))
 
     def test_parse_error_reports_line_number(self):
         bad = "experiment = propagate\nz 100\n"
@@ -139,7 +142,7 @@ class TestParseConfig:
             "z = 100", "z-list = 100 200"
         )
         with pytest.raises(ConfigValidationError, match="z-list"):
-            parse_config(text)
+            experiments.experiment(parse_config(text))
 
 
 class TestRunPropagate(object):
@@ -286,7 +289,7 @@ class TestRunStochastic:
     def test_missing_ensemble_rejected(self):
         text = STOCHASTIC[: STOCHASTIC.index("[ensemble]")]
         with pytest.raises(ConfigValidationError, match="ensemble"):
-            parse_config(text)
+            experiments.experiment(parse_config(text))
 
     def test_rect_pulse_deviation_in_exact_sigmas(self, tmp_path):
         # the sample standard error of 100 draws read 525 and 514 sigma here
@@ -543,16 +546,16 @@ class TestRunSlab:
 
     def test_depth_inside_slab_rejected(self):
         with pytest.raises(ConfigValidationError, match="z"):
-            parse_config(SLAB.replace("z-list = 2 4 8", "z-list = 0.5 2 4"))
+            experiments.experiment(parse_config(SLAB.replace("z-list = 2 4 8", "z-list = 0.5 2 4")))
 
     def test_non_quadratic_layer_rejected(self):
         text = SLAB.replace("layer = 1.0 quadratic 0.01 2e8", "layer = 1.0 exp-kernel 10 100")
         with pytest.raises(ConfigValidationError, match="layer"):
-            parse_config(text)
+            experiments.experiment(parse_config(text))
 
     def test_unchirped_chirp_experiment_rejected(self):
         with pytest.raises(ConfigValidationError, match="alpha"):
-            parse_config(CHIRP.replace("alpha = 20", "alpha = 0"))
+            experiments.experiment(parse_config(CHIRP.replace("alpha = 20", "alpha = 0")))
 
 
 class TestCsvPulseIngestion:
@@ -727,11 +730,11 @@ class TestMainEntry:
         blocker.write_text("a file, not a directory")
         assert main([str(path), "--output-dir", str(blocker)]) == 1
 
-    def _one_line_error(self, tmp_path, capsys, text, message):
+    def _one_line_error(self, tmp_path, capsys, text, message, *args):
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         out = tmp_path / "o"
-        assert main([str(path), "--output-dir", str(out)]) == 1
+        assert main([str(path), "--output-dir", str(out), *args]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"config error: {message}"]
         assert not out.exists() or not any(out.iterdir())
@@ -1145,7 +1148,7 @@ class TestMainEntry:
             (MINIMAL.split("[pulse]")[0], "pulse: experiment 'propagate' needs a [pulse] section"),
             (MINIMAL.split("[medium]")[0], "medium: experiment 'propagate' needs a [medium] section"),
             (MINIMAL.replace("z = 100", ""), "z: experiment 'propagate' needs z or z-list"),
-            (STOCHASTIC.replace("z = 4", ""), "z: stochastic experiment needs z or z-list"),
+            (STOCHASTIC.replace("z = 4", ""), "z: experiment 'stochastic' needs z or z-list"),
             (
                 CHIRP.replace("kind = chirp-gaussian", "kind = gaussian").replace("alpha = 20", ""),
                 "pulse.kind: chirp experiment needs kind = chirp-gaussian",
@@ -1159,6 +1162,7 @@ class TestMainEntry:
                              "variant = quadratic\na = 1\nv = 1"),
                 "medium.variant: slab experiment needs a layered medium",
             ),
+            (MINIMAL.replace("experiment = propagate", "experiment = banana"), _UNKNOWN_EXPERIMENT),
         ],
         ids=[
             "malformed-header", "empty-key", "empty-value", "not-a-number", "not-an-integer",
@@ -1167,16 +1171,16 @@ class TestMainEntry:
             "layered-without-layers", "unknown-tail", "unknown-medium-variant", "z-and-z-list",
             "too-few-mc-samples", "zero-threads", "grid-constructor", "ensemble-constructor",
             "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
-            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic",
+            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "unknown-experiment",
         ],
     )
     def test_every_config_error_is_one_line(self, tmp_path, capsys, text, message):
         self._one_line_error(tmp_path, capsys, text, message)
         assert not (tmp_path / "o").exists()
 
-    def test_every_experiment_has_a_runner(self):
-        # a name config accepts but cli cannot dispatch would end in a KeyError traceback
-        assert set(cli._EXPERIMENTS) == set(EXPERIMENTS)
+    def test_unknown_experiment_override_is_one_line(self, tmp_path, capsys):
+        self._one_line_error(tmp_path, capsys, SWEEP, _UNKNOWN_EXPERIMENT, "--experiment", "banana")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text,message",
@@ -1239,6 +1243,18 @@ class TestMainEntry:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_slab_arrival_whose_square_overflows(self, tmp_path, capsys):
+        # with v = 1e-300 the closed form arrives at t = 1.3e300, and (t - 1.3e300)^2 overflows
+        text = (
+            "experiment = slab\nz-list = 11 36\n[pulse]\nkind = gaussian\nT = 1\n"
+            "[medium]\nvariant = layered\nlayer = 1.3 quadratic 0.37 1e-300\ntail = free-space\n"
+            "[grid]\nn = 4096\ndt = 0.0125\nt0 = -16.5\n"
+        )
+        self._one_line_error(
+            tmp_path, capsys, text, "z: the thin-slab closed form at depth 11 misses the grid (zero at every sample)"
+        )
+        assert not (tmp_path / "o").exists()
+
     def _zero_pulse_error(self, tmp_path, capsys, text):
         cfg = parse_config(text)
         t = experiments.plan_grid(cfg, experiments.read_pulse_csv(cfg)).times()
@@ -1287,19 +1303,11 @@ class TestMainEntry:
 
 
 class TestRunRecord:
-    @pytest.mark.parametrize(
-        "text,experiment",
-        [
-            (SWEEP, experiments.run_propagation),
-            (STOCHASTIC, experiments.run_stochastic),
-            (CHIRP, experiments.run_chirp),
-            (SLAB, experiments.run_slab),
-        ],
-    )
-    def test_entries_are_the_summary(self, tmp_path, text, experiment):
+    @pytest.mark.parametrize("text", [SWEEP, STOCHASTIC, CHIRP, SLAB])
+    def test_entries_are_the_summary(self, tmp_path, text):
         cfg = parse_config(text, {"output-dir": str(tmp_path / "o")})
         grid = experiments.plan_grid(cfg, None)
-        record = experiment(cfg, grid, experiments.load_pulse(cfg, grid, None))
+        record = experiments.EXPERIMENTS[cfg.experiment].run(cfg, grid, experiments.load_pulse(cfg, grid, None))
         assert not (tmp_path / "o").exists()
         assert run(cfg) == record.status == 0
         written = sorted(p.name for p in (tmp_path / "o").iterdir())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precursor_lab import cli, experiments
+from precursor_lab import experiments
 from precursor_lab.config import parse_config
 from precursor_lab.propagate import GridAdequacyWarning, _edge_mass_ok
 
@@ -96,6 +96,6 @@ def test_automatic_grid_leaves_clear_edges(family, data):
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridAdequacyWarning)
         f0 = experiments.load_pulse(cfg, grid, None)
-        record = cli._EXPERIMENTS[cfg.experiment](cfg, grid, f0)
+        record = experiments.EXPERIMENTS[cfg.experiment].run(cfg, grid, f0)
     for name, values in [("input", f0.values), *record.files]:
         assert _edge_mass_ok(values), name

@@ -22,16 +22,20 @@ the least count, whose Monte Carlo mean has the tightest relative cut, a ``sweep
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
-and twelve runs that are config errors: an automatic grid whose span
+and sixteen runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
 inf, a chirp whose phase overflows on a far grid, a slab whose closed form
 misses the grid, a chirp whose phase overflows over its quadrature span,
 an empty ``[grid]`` and an empty ``[pulse]`` header, the ``stochastic``
 workload at ``mc-samples = 10^13`` (a count whose draws no host can hold),
-and a propagate on a given grid of 2^45 samples (whose times alone would take
+a propagate on a given grid of 2^45 samples (whose times alone would take
 256 TiB; revisions that do not bound a given grid fail to allocate them at
-once, with a traceback),
+once, with a traceback), a ``stochastic`` run without a depth and one without
+an ``[ensemble]`` section, the ``sweep-z`` workload under ``--experiment
+banana``, and a slab whose arrival time squares to inf (revisions before the
+closed form's exponent was formed under ``np.errstate`` print a
+``RuntimeWarning`` before the error),
 and four runs on bad input files: a config whose first line holds a byte that
 is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
@@ -404,6 +408,27 @@ t0 = -3.2e154
 EMPTY_GRID = EXP_KERNEL + "[grid]\n"
 EMPTY_PULSE = EXP_KERNEL.replace("kind = gaussian\nT = 1\nomega0 = 1\n", "")
 
+# what the stochastic experiment needs, each left out
+STOCHASTIC_WITHOUT_DEPTH = FEW_DRAWS_STOCHASTIC.replace("z-list = 0.5 1 2\n", "")
+STOCHASTIC_WITHOUT_ENSEMBLE = FEW_DRAWS_STOCHASTIC[: FEW_DRAWS_STOCHASTIC.index("[ensemble]")]
+
+# with v = 1e-300 the closed form arrives at t = 1.3e300, and (t - 1.3e300)^2 overflows
+SLAB_FAR_ARRIVAL = """
+experiment = slab
+z-list = 11 36
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = layered
+layer = 1.3 quadratic 0.37 1e-300
+tail = free-space
+[grid]
+n = 4096
+dt = 0.0125
+t0 = -16.5
+"""
+
 # the first line ends in the byte 0xff, which UTF-8 never uses
 NON_UTF8_CONFIG = EXP_KERNEL.lstrip().encode().replace(b"propagate", b"propagate\xff", 1)
 
@@ -487,6 +512,9 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "latin1-csv-pulse": CSV_PULSE.format(csv=latin1),
         "mistyped-csv-pulse": CSV_PULSE.format(csv=mistyped),
         "csv-no-numeric-rows": CSV_PULSE.format(csv=no_numeric),
+        "stochastic-without-depth": STOCHASTIC_WITHOUT_DEPTH,
+        "stochastic-without-ensemble": STOCHASTIC_WITHOUT_ENSEMBLE,
+        "slab-far-arrival": SLAB_FAR_ARRIVAL,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
@@ -494,6 +522,7 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
             for threads in (1, 2, 4):
                 args = ["--seed", str(seed), "--threads", str(threads)]
                 out[f"{workload}-seed{seed}-threads{threads}"] = (WORKLOADS / f"{workload}.ini", args)
+    out["unknown-experiment"] = (WORKLOADS / "sweep-z.ini", ["--experiment", "banana"])
     for name, text in texts.items():
         path = inputs / f"{name}.ini"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
