@@ -152,8 +152,12 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
         samples = (arrival + (trail + spread) - t0) / dt
     n = 1 << int(np.ceil(np.log2(max(samples, 2.0)))) if np.isfinite(samples) else math.inf
     if not n <= MAX_AUTO_SAMPLES:
-        needs = f"{'infinitely many' if n == math.inf else n} samples, more than {MAX_AUTO_SAMPLES}"
-        raise config.ConfigValidationError("grid", f"automatic grid needs {needs}; give a [grid] section")
+        # n is a power of two, up to 2^1024, or inf
+        needs = "infinitely many" if n == math.inf else f"2^{n.bit_length() - 1}"
+        limit = f"2^{MAX_AUTO_SAMPLES.bit_length() - 1}"
+        raise config.ConfigValidationError(
+            "grid", f"automatic grid needs {needs} samples, more than {limit}; give a [grid] section"
+        )
     if not math.isfinite((np.pi / dt) * (np.pi / dt)):  # as config.py rejects such a given dt
         raise config.ConfigValidationError(
             "grid", f"automatic grid spacing {dt:g} too small: the Nyquist frequency pi/dt squares to inf; "

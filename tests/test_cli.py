@@ -1,10 +1,13 @@
 import re
+import tempfile
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precursor_lab import _csvfmt, cli, propagate, stochastic
 from precursor_lab import experiments, media, verify
@@ -409,6 +412,29 @@ class TestStochasticAutoGrid:
         for name in ("signal_0.5.csv", "signal_2.csv", "mc_signal_0.5.csv", "mc_signal_2.csv",
                      "sweep.csv", "summary.txt"):
             assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        m=st.sampled_from([0, 1, 2, 5]),
+        b=st.floats(0.5, 8.0),
+        depths=st.lists(st.integers(5, 80), min_size=2, max_size=3, unique=True),
+        samples=st.integers(100, 400),
+    )
+    def test_threads_do_not_change_random_ensemble_runs(self, m, b, depths, samples):
+        # depths from 0.25 to 4 in steps of 0.05, on the automatic grid
+        text = (
+            AUTO_STOCHASTIC.format(m=m).replace("b = 2", f"b = {b!r}")
+            .replace("z-list = 0.5 2", "z-list = " + " ".join(f"{k / 20:g}" for k in depths))
+            .replace("mc-samples = 400", f"mc-samples = {samples}")
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, outputs = Path(tmp) / "cfg.ini", []
+            path.write_text(text)
+            for threads in ("1", "2"):
+                out = Path(tmp) / f"t{threads}"
+                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 2 * len(depths) + 2 and outputs[0] == outputs[1]
 
 
 CHIRP = """
@@ -1020,7 +1046,7 @@ class TestMainEntry:
         text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(
             tmp_path, capsys, text,
-            f"grid: automatic grid needs {1 << 34} samples, more than {1 << 20}; "
+            "grid: automatic grid needs 2^34 samples, more than 2^20; "
             "give a [grid] section",
         )
         assert not (tmp_path / "o").exists()
@@ -1031,20 +1057,20 @@ class TestMainEntry:
             # the carrier's spacing 0.1 pi/omega0 is 1e-301, so span/dt overflows
             (
                 MINIMAL.replace("T = 1\nomega0 = 2", "T = 1e100\nomega0 = 1e300"),
-                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "grid: automatic grid needs infinitely many samples, more than 2^20; "
                 "give a [grid] section",
             ),
             # the medium's width sqrt(z/a) overflows
             (
                 MINIMAL.replace("z = 100", "z = 1e300").replace("a = 1\n", "a = 1e-300\n"),
-                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "grid: automatic grid needs infinitely many samples, more than 2^20; "
                 "give a [grid] section",
             ),
             # the arrival z/v and the ensemble's tail sqrt(z/b) overflow
             (
                 AUTO_STOCHASTIC.format(m=1).replace("z-list = 0.5 2", "z = 1e300")
                 .replace("b = 2", "b = 1e-300").replace("v = 1", "v = 1e-300"),
-                "grid: automatic grid needs infinitely many samples, more than 1048576; "
+                "grid: automatic grid needs infinitely many samples, more than 2^20; "
                 "give a [grid] section",
             ),
             # 2T^2 underflows to 0, and the envelope would be 0/0 at t = 0
@@ -1252,6 +1278,17 @@ class TestMainEntry:
         )
         self._one_line_error(
             tmp_path, capsys, text, "z: the thin-slab closed form at depth 11 misses the grid (zero at every sample)"
+        )
+        assert not (tmp_path / "o").exists()
+
+    def test_slab_far_arrival_needs_a_given_grid(self, tmp_path, capsys):
+        # the same stack on the automatic grid, whose span to t = 1.3e300 needs 2^1001 samples
+        text = (
+            "experiment = slab\nz-list = 11 36\n[pulse]\nkind = gaussian\nT = 1\n"
+            "[medium]\nvariant = layered\nlayer = 1.3 quadratic 0.37 1e-300\ntail = free-space\n"
+        )
+        self._one_line_error(
+            tmp_path, capsys, text, "grid: automatic grid needs 2^1001 samples, more than 2^20; give a [grid] section"
         )
         assert not (tmp_path / "o").exists()
 

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -61,8 +62,8 @@ class TestCoefficientTable:
                     assert c[l] == (2 * m - 1 - l) * prev[l] + prev[l - 1]
 
     def test_normalization_identity(self):
-        # area of the closed form is sum_l C_l l! / (2^m m!) = 1
-        for m in range(11):
+        # area of the closed form is sum_l C_l l! / (2^m m!) = 1, in exact integers at every order
+        for m in range(stochastic.MAX_TABLE_ORDER + 1):
             c = impulse_tail_coefficients(m)
             assert sum(cl * math.factorial(l) for l, cl in enumerate(c)) == 2**m * math.factorial(m)
 
@@ -170,11 +171,11 @@ class TestDirectAverage:
         lam = np.array([0.0, 1e-6, 1.25e-3, 0.05, 0.2, 0.5])
         for z in (0.5, 4.0, 1600.0):
             w = np.sqrt(2.0 * b * lam / z) * np.array([1, -1, 1, -1, 1, 1])
-            rule = stochastic._weighted_kernel(y, np.sort(z * np.square(w) / (2.0 * b)), weights)
+            rule = _rule_kernel(y, np.sort(z * np.square(w) / (2.0 * b)), weights)
             oracle = np.abs(averaged_transfer_quadrature(spec, z, w))
             assert (np.abs(rule - oracle) / oracle).max() < 1e-13
         w = np.sqrt(2.0 * b * 1.25e-3 / 4.0)
-        rule = stochastic._weighted_kernel(y, np.array([4.0 * w * w / (2.0 * b)]), weights)[0]
+        rule = _rule_kernel(y, np.array([4.0 * w * w / (2.0 * b)]), weights)[0]
         assert rule == pytest.approx(abs(averaged_transfer_quadrature(spec, 4.0, w)), rel=1e-13)
 
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
@@ -612,6 +613,62 @@ class TestKernelBlocks:
             ref = weights @ np.where(cols < c, full, 0.0)
             assert (weights @ block).tobytes() == ref[: block.shape[1]].tobytes(), c
 
+    @pytest.mark.parametrize("z", [0.5, 1.0, 2.0])
+    def test_blocks_are_exact_under_the_relative_limit(self, z):
+        # the stochastic workload's draws on its grid (n = 1,024), under the
+        # Monte Carlo mean's per-column limit: a term is exp(-s) where its
+        # product s is at most its column's limit, and +0 elsewhere
+        spec, pulse = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0)
+        cfg = ExperimentConfig(experiment="stochastic", z_values=(0.5, 1.0, 2.0), pulse=pulse, ensemble=spec)
+        lam = 0.5 * z * plan_grid(cfg, None).omegas() ** 2
+        x = np.sort(sample_inverse_a(spec, 2000, seed=1))
+        limit = stochastic._relative_limit(x, lam)
+        staircases = 0
+        for r, block in stochastic._kernel_blocks(x, lam, limit):
+            c = block.shape[1]
+            s = np.outer(x[r], lam[:c])
+            assert block.tobytes() == np.where(s <= limit[:c], np.exp(-s), 0.0).tobytes()
+            staircases += bool((s > limit[:c]).any())
+        assert lam.size == 513 and staircases > 0 and (limit < stochastic._EXP_LIMIT).any()
+
+    def test_blocks_are_exact_where_kept_products_pass_700(self):
+        # a limit of inf on even columns and -1 on odd ones puts every column
+        # from 1 on in the staircase; its kept products reach 705, and their
+        # exp(-s), all normal, are not raised to e^-700
+        x = np.sort(sample_inverse_a(EnsembleSpec(b=2.0, m=1, v=1.0), 37, seed=4))
+        lam = np.linspace(0.0, 705.0 / x[-1], 513)
+        limit = np.where(np.arange(lam.size) % 2 == 0, np.inf, -1.0)
+        [(_, block)] = stochastic._kernel_blocks(x, lam, limit)
+        s = np.outer(x, lam)
+        assert block.tobytes() == np.where(s <= limit, np.exp(-s), 0.0).tobytes()
+        assert (s[:, ::2] > stochastic._EXP_LIMIT).any()
+
+    def test_blocks_formed_in_threads_at_once_stay_exact(self):
+        # four threads on the workload's draws at three depths, each staircase
+        # cut differently; a cut mask shared between calls would zero another
+        # thread's terms
+        spec, pulse = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0)
+        cfg = ExperimentConfig(experiment="stochastic", z_values=(0.5, 1.0, 2.0), pulse=pulse, ensemble=spec)
+        omegas = plan_grid(cfg, None).omegas()
+        x = np.sort(sample_inverse_a(spec, 2000, seed=1))
+        lams = [0.5 * z * omegas**2 for z in (0.5, 1.0, 2.0, 4.0)]
+
+        def terms(lam):
+            limit = stochastic._relative_limit(x, lam)
+            return [block.tobytes() for _, block in stochastic._kernel_blocks(x, lam, limit)]
+
+        refs = [terms(lam) for lam in lams]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                runs = [pool.submit(lambda k: [terms(lams[k]) for _ in range(10)], k) for k in range(4)]
+                got = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(switch)
+        for ref, repeats in zip(refs, got):
+            assert all(blocks == ref for blocks in repeats)
+
     def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):
         # with columns that start above 0, here the rule's nodes, a block of
         # rows can lie wholly past the cut: it has no columns
@@ -658,6 +715,11 @@ class TestKernelBlocks:
             assert peak < bound, (name, peak, bound)
 
 
+def _rule_kernel(x, lam, weights):
+    """The weighted kernel sum sum_i weights[i] exp(-x[i] lam) over the blocks of x, as draw_std forms it."""
+    return stochastic._weighted_kernel(stochastic._kernel_blocks(x, lam), lam, weights)
+
+
 def _counted_means(monkeypatch, spectrum, spec, draws, zs):
     """The Monte Carlo means at depths ``zs``, and how many kernel terms they form: the blocks' nonzero terms."""
     blocks, formed = stochastic._kernel_blocks, []
@@ -685,6 +747,42 @@ def _pulse_on_auto_grid(kind, T, spec, z):
 
 
 class TestDrawStd:
+    @pytest.mark.parametrize("n", [1024, 2728, 2730, 4096])
+    def test_one_rule_block_keeps_the_two_pass_bytes(self, n):
+        # the rule's 96 nodes at m = 1 fit one block up to 1,365 bins (n =
+        # 2,728), which draw_std forms once per depth; from n = 2,730 they
+        # take two, formed once for the mean and again for the spread
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        g, f0 = _mc_fixture(n=n, dt=0.04, t0=-0.02 * n)
+        spectrum = forward_transform(f0)
+        y, weights = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
+        x = y / spec.b
+        for z in (0.5, 1.0, 2.0):
+            delayed, lam = stochastic._delayed(spectrum, spec, z), 0.5 * z * g.omegas() ** 2
+            mean = inverse_rows(delayed, _rule_kernel(x, lam, weights))
+            two_pass = np.sqrt(stochastic._spread(delayed, stochastic._kernel_blocks(x, lam), weights, mean))
+            assert draw_std(spectrum, spec, z).tobytes() == two_pass.tobytes()
+        assert y.size == 96 and len(list(stochastic._kernel_blocks(x, lam))) == (1 if n <= 2728 else 2)
+
+    @pytest.mark.parametrize("n,per_depth", [(1024, 1), (2730, 4)])
+    def test_rule_blocks_formed_per_depth(self, monkeypatch, n, per_depth):
+        # counted as the blocks are yielded: one rule block serves both
+        # moments; two blocks are formed twice
+        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
+        _, f0 = _mc_fixture(n=n, dt=0.04, t0=-0.02 * n)
+        spectrum = forward_transform(f0)
+        blocks, formed = stochastic._kernel_blocks, []
+
+        def counting(*args):
+            for r, block in blocks(*args):
+                formed.append(r)
+                yield r, block
+
+        monkeypatch.setattr(stochastic, "_kernel_blocks", counting)
+        for z in (0.5, 1.0, 2.0):
+            draw_std(spectrum, spec, z)
+        assert len(formed) == 3 * per_depth
+
     @pytest.mark.parametrize("m", [0, 1, 5, 30])
     def test_rule_integrates_every_exponential(self, m):
         # a draw's output is a sum of exp(-lambda y) terms; the gamma Laplace

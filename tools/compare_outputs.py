@@ -18,7 +18,11 @@ at m = 0 whose spectrum reaches Nyquist, a ``stochastic`` run of 10,000 draws
 at z = 4, 8 and 16 on the automatic grid with ``--threads`` 1 and 2, a
 ``stochastic`` run at m = 30, b = 1e12 and z = 1600 (the other cases take the
 summary's rule probe at m = 1 only), the ``stochastic`` workload at 100 draws,
-the least count, whose Monte Carlo mean has the tightest relative cut, a ``sweep-z`` on a given grid of 10,000
+the least count, whose Monte Carlo mean has the tightest relative cut, the
+``stochastic`` workload at 500 draws and seed 3 on given grids of 2,728 and
+2,730 samples (``stochastic-rule-one-block`` and
+``stochastic-rule-two-blocks``: sigma's rule fits one kernel block up to
+1,365 bins, and takes two from 1,366), a ``sweep-z`` on a given grid of 10,000
 samples through a layer stack, where most transfer bins are exact zeros and
 every CSV ends in a partial block of rows, a ``verify`` run and one at seed -5,
 a propagate at z = 1e-320, where the summary's probe frequency overflows,
@@ -219,6 +223,15 @@ b = 2
 m = 1
 v = 1
 """
+
+# the stochastic workload on given grids either side of the largest whose
+# 1,365 bins let sigma's rule (96 nodes at m = 1) fit one kernel block: at
+# n = 2,728 sigma forms that block once per depth, at n = 2,730 two blocks twice
+RULE_ONE_BLOCK_STOCHASTIC = (
+    FEW_DRAWS_STOCHASTIC.replace("mc-samples = 100", "mc-samples = 500").replace("seed = 1", "seed = 3")
+    + "[grid]\nn = 2728\ndt = 0.04\nt0 = -54.56\n"
+)
+RULE_TWO_BLOCKS_STOCHASTIC = RULE_ONE_BLOCK_STOCHASTIC.replace("n = 2728", "n = 2730")
 
 # the stochastic workload at a draw count whose draws would take 80 TB
 HUGE_DRAWS_STOCHASTIC = FEW_DRAWS_STOCHASTIC.replace("mc-samples = 100", "mc-samples = 10000000000000")
@@ -492,6 +505,8 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "stochastic-rect": RECT_STOCHASTIC,
         "stochastic-high-order": HIGH_ORDER_STOCHASTIC,
         "stochastic-few-draws": FEW_DRAWS_STOCHASTIC,
+        "stochastic-rule-one-block": RULE_ONE_BLOCK_STOCHASTIC,
+        "stochastic-rule-two-blocks": RULE_TWO_BLOCKS_STOCHASTIC,
         "layered-sweep": LAYERED_SWEEP,
         "verify": VERIFY,
         "verify-negative-seed": NEGATIVE_SEED_VERIFY,
