@@ -22,6 +22,7 @@ Identical config and seed give byte-identical outputs for any ``--threads``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -54,7 +55,9 @@ def run(cfg: ExperimentConfig) -> int:
     return record.status
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="precursor-lab",
         description="Batch pulse-propagation experiments for passive media",
@@ -64,7 +67,11 @@ def main(argv=None) -> int:
     parser.add_argument("--experiment", help="override the experiment name")
     parser.add_argument("--seed", type=int, help="override the random seed")
     parser.add_argument("--threads", type=int, help="override the thread count")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text(encoding="utf-8")

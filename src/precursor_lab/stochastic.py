@@ -314,15 +314,20 @@ def _kernel_blocks(x, lam, limit=_EXP_LIMIT):
     holds only the leading ``c`` columns, contiguous, through the last where
     the row of least x keeps a term, with c rounded up to a multiple of 4 (at
     most ``lam.size``) so that ``weights @ block`` rounds each column as it
-    would in the full-width block.  The row of largest x keeps every term
-    before column ``a``.  In the staircase between a and c the cut terms are
-    marked in a bool buffer of the call's own and raised to their column's
-    -limit; one plain ``exp`` then runs over the whole block, and the marked
-    terms are set to +0.  So ``exp`` sees no argument below -limit, and at
-    the package's limits, at most 700, every result is normal and on numpy's
-    vector path.  c is 0 for a block wholly
-    past the cut, which needs lam[0] > 0; the callers pass the bins, whose
-    lam starts at 0, so there c >= 1.
+    would in the full-width block.  The block's products are formed in one
+    pass, ``einsum("i,j->ij", -x[r], lam[:c])``: the bytes of
+    ``np.multiply.outer(-x[r], lam[:c])`` except in a lam = 0 column, where
+    einsum writes +0 for -0; ``exp`` maps both to 1 and the cut treats them
+    alike.  The row of largest x keeps every term before column ``a``.  In
+    the staircase between a and c the cut terms are marked in a bool buffer
+    of the call's own; one plain ``exp`` then runs over the whole block, and
+    the marked terms are set to +0.  Rounding is monotone, so no product in
+    the block passes max(x[r]) lam[c-1] as rounded; only where that exceeds
+    ``_EXP_LIMIT`` are the cut terms first raised to their column's -limit.
+    So ``exp`` sees no argument below -max(limit, 700), and at the package's
+    limits, at most 700, every result is normal and on numpy's vector path.
+    c is 0 for a block wholly past the cut, which needs lam[0] > 0; the
+    callers pass the bins, whose lam starts at 0, so there c >= 1.
     """
     cols = lam.size
     limit = np.broadcast_to(limit, lam.shape)
@@ -332,16 +337,16 @@ def _kernel_blocks(x, lam, limit=_EXP_LIMIT):
     cut_buf = np.empty(buf.size, bool)  # per call: threads form blocks at once
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
-        past = np.flatnonzero(x[r].max() * lam > limit)
+        top = x[r].max() * lam  # the largest product in each column, as rounded
+        past = np.flatnonzero(top > limit)
         a = int(past[0]) if past.size else cols
         c = min(-(-_exp_columns(x[r], lam, limit) // 4) * 4, cols)
         block = buf[: (r.stop - i0) * c].reshape(r.stop - i0, c)
-        # the bytes of np.multiply.outer(-x[r], lam[:c]), at vector speed
-        np.copyto(block, lam[:c])
-        block *= -x[r, None]
+        np.einsum("i,j->ij", -x[r], lam[:c], out=block)
         stair = block[:, a:]  # empty where a >= c
         cut = np.less(stair, neg_limit[a:c], out=cut_buf[: stair.size].reshape(stair.shape))
-        np.maximum(stair, neg_limit[a:c], out=stair)
+        if c and top[c - 1] > _EXP_LIMIT:  # the block's largest product
+            np.maximum(stair, neg_limit[a:c], out=stair)
         np.exp(block, out=block)
         np.copyto(stair, 0.0, where=cut)
         yield r, block

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precursor_lab import _csvfmt, cli, propagate, stochastic
@@ -437,6 +437,43 @@ class TestStochasticAutoGrid:
         assert len(outputs[0]) == 2 * len(depths) + 2 and outputs[0] == outputs[1]
 
 
+class TestThreadsDeterministic:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        experiment=st.sampled_from(["propagate", "sweep-z"]),
+        medium=st.one_of(
+            st.builds("variant = quadratic\na = {!r}\nv = 1".format, st.floats(0.1, 8.0)),
+            st.builds("variant = exp-kernel\nK = {!r}\nKp = {!r}".format, st.floats(2.0, 10.0), st.floats(5.0, 50.0)),
+        ),
+        T=st.floats(0.5, 2.0),
+        omega0=st.sampled_from([0.0, 2.0]),
+        depths=st.lists(st.integers(1, 16), min_size=3, max_size=4, unique=True),
+        propagate_depths=st.integers(2, 4),
+    )
+    @example("sweep-z", "variant = quadratic\na = 0.1\nv = 1", 0.5, 2.0, [1, 8, 16], 2)  # n = 4,096
+    @example("propagate", "variant = exp-kernel\nK = 2.0\nKp = 50.0", 0.5, 2.0, [16, 4, 1], 2)  # n = 4,096
+    def test_threads_do_not_change_random_propagation_runs(
+        self, experiment, medium, T, omega0, depths, propagate_depths
+    ):
+        # depths from 0.25 to 4 in steps of 0.25, 2 to 4 of them (sweep-z needs
+        # 3), on the automatic grid, which stays at most 4,096 samples
+        if experiment == "propagate":
+            depths = depths[:propagate_depths]
+        text = (
+            f"experiment = {experiment}\nz-list = {' '.join(f'{k / 4:g}' for k in depths)}\n"
+            f"[pulse]\nkind = gaussian\nT = {T!r}\nomega0 = {omega0!r}\n[medium]\n{medium}\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, outputs = Path(tmp) / "cfg.ini", []
+            path.write_text(text)
+            for threads in ("1", "2"):
+                out = Path(tmp) / f"t{threads}"
+                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            n = int(_summary(Path(tmp) / "t1")["grid"].split()[0].removeprefix("n="))
+        assert n <= 4096 and len(outputs[0]) == len(depths) + 2 and outputs[0] == outputs[1]
+
+
 CHIRP = """
 experiment = chirp
 
@@ -748,6 +785,32 @@ class TestMainEntry:
         bad = tmp_path / "bad.ini"
         bad.write_text(MINIMAL.replace("z = 100", "z = -5"))
         assert main([str(bad)]) == 1
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        # the second call takes the config's seed, not the first call's override
+        path = tmp_path / "cfg.ini"
+        path.write_text(STOCHASTIC)
+        assert cli._parser() is cli._parser()
+        assert main([str(path), "--output-dir", str(tmp_path / "a"), "--seed", "5"]) == 0
+        assert main([str(path), "--output-dir", str(tmp_path / "b")]) == 0
+        assert _summary(tmp_path / "a")["seed"] == "5"
+        assert _summary(tmp_path / "b")["seed"] == "42"
+
+    def test_help_and_usage_errors(self, tmp_path, capsys):
+        # twice, the second time on the parser the first built
+        path = tmp_path / "cfg.ini"
+        path.write_text(MINIMAL)
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            out = capsys.readouterr().out
+            assert out.startswith("usage: precursor-lab [-h]") and "--threads THREADS" in out
+            for argv in ([], [str(path), "--seed", "five"], [str(path), "--colour", "red"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert capsys.readouterr().err.startswith("usage: precursor-lab [-h]")
 
     def test_unwritable_output_dir(self, tmp_path):
         path = tmp_path / "cfg.ini"

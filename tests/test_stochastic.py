@@ -669,6 +669,41 @@ class TestKernelBlocks:
         for ref, repeats in zip(refs, got):
             assert all(blocks == ref for blocks in repeats)
 
+    @pytest.mark.parametrize("count,clamped", [(2000, [False] * 24), (100, [True] * 3)])
+    def test_exp_stays_on_its_vector_path_and_the_clamp_runs_only_where_needed(self, monkeypatch, count, clamped):
+        # the workload's Monte Carlo mean (z = 0.5 1 2, n = 1,024, 8 blocks a
+        # depth) has no product past 700, so no block is clamped; at 100 draws
+        # each depth's one block reaches past 700 and is. σ's rule block is
+        # clamped at every depth. Either way exp sees no argument below -700
+        spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (0.5, 1.0, 2.0)
+        grid = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None)
+        spectrum, draws = forward_transform(sample_pulse(pulse, grid)), sample_inverse_a(spec, count, seed=1)
+        spy = _BlockSpy()
+        monkeypatch.setattr(stochastic, "np", spy)
+        for z in zs:
+            monte_carlo_output(spectrum, spec, z, draws)
+        assert spy.clamped == clamped
+        assert min(spy.least) >= -stochastic._EXP_LIMIT
+        spy.clamped, spy.least = [], []
+        for z in zs:
+            draw_std(spectrum, spec, z)
+        assert spy.clamped == [True] * 3 and min(spy.least) >= -stochastic._EXP_LIMIT
+
+    @pytest.mark.parametrize("count", [2000, 100])
+    def test_blocks_keep_the_bytes_of_the_two_pass_clamped_flow(self, count):
+        # the workload's draws and σ's rule nodes at z = 0.5 1 2, under the
+        # relative limit, 700 and a limit of inf on even columns and -1 on odd
+        spec, pulse, zs = EnsembleSpec(b=2.0, m=1, v=1.0), PulseSpec(kind="gaussian", T=1.0), (0.5, 1.0, 2.0)
+        omegas = plan_grid(ExperimentConfig(experiment="stochastic", z_values=zs, pulse=pulse, ensemble=spec), None).omegas()
+        y, _ = stochastic._gamma_rule(spec.m, stochastic.RULE_STEP)
+        alternating = np.where(np.arange(omegas.size) % 2 == 0, np.inf, -1.0)
+        for z in zs:
+            lam = 0.5 * z * omegas**2
+            for x in (np.sort(sample_inverse_a(spec, count, seed=1)), y / spec.b):
+                for limit in (stochastic._relative_limit(x, lam), stochastic._EXP_LIMIT, alternating):
+                    got = [(r, block.tobytes()) for r, block in stochastic._kernel_blocks(x, lam, limit)]
+                    assert got == _two_pass_blocks(x, lam, limit), (z, x.size)
+
     def test_rule_blocks_wholly_past_the_cut_are_empty(self, monkeypatch):
         # with columns that start above 0, here the rule's nodes, a block of
         # rows can lie wholly past the cut: it has no columns
@@ -713,6 +748,49 @@ class TestKernelBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < bound, (name, peak, bound)
+
+
+class _BlockSpy:
+    """numpy, recording per kernel block (each in-place ``exp``) its least argument and whether ``maximum`` clamped it."""
+
+    def __init__(self):
+        self.clamped, self.least, self._clamp = [], [], False
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        self._clamp = True
+        return np.maximum(*args, **kwargs)
+
+    def exp(self, arg, *args, **kwargs):
+        if "out" in kwargs:
+            self.clamped.append(self._clamp)
+            self.least.append(arg.min(initial=np.inf))
+            self._clamp = False
+        return np.exp(arg, *args, **kwargs)
+
+
+def _two_pass_blocks(x, lam, limit):
+    """``(r, bytes)`` of each block as formed by copying lam, scaling by -x in place and clamping every staircase."""
+    cols, limit = lam.size, np.broadcast_to(limit, lam.shape)
+    rows = max(1, stochastic._BLOCK_BYTES // (8 * cols))
+    out = []
+    for i0 in range(0, x.size, rows):
+        r = slice(i0, min(i0 + rows, x.size))
+        past = np.flatnonzero(x[r].max() * lam > limit)
+        a = int(past[0]) if past.size else cols
+        c = min(-(-stochastic._exp_columns(x[r], lam, limit) // 4) * 4, cols)
+        block = np.empty((r.stop - i0, c))
+        np.copyto(block, lam[:c])
+        block *= -x[r, None]
+        stair = block[:, a:]
+        cut = stair < -limit[a:c]
+        np.maximum(stair, -limit[a:c], out=stair)
+        np.exp(block, out=block)
+        stair[cut] = 0.0
+        out.append((r, block.tobytes()))
+    return out
 
 
 def _rule_kernel(x, lam, weights):

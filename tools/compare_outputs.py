@@ -45,6 +45,18 @@ is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
 all have three fields, so that no row is two numbers.
 
+The ``stochastic`` cases cover both paths of a Monte Carlo kernel block
+(``stochastic._kernel_blocks``).  Blocks whose largest product passes 700
+clamp their cut terms before ``exp``: all 3 of ``stochastic-few-draws``,
+and 2 each of ``stochastic-rule-one-block`` and
+``stochastic-rule-two-blocks``.  The rest skip the clamp: the workload's 24
+per run, ``stochastic-many-draws`` 477, ``stochastic-wide-grid`` 667,
+``stochastic-rect`` 96, ``stochastic-high-order`` 14 and 16 in each rule
+case.  Of sigma's rule blocks, those of the workload, ``stochastic-rect``,
+``stochastic-few-draws``, ``stochastic-many-draws`` and both rule cases all
+take the clamp, ``stochastic-high-order``'s 6 all skip it, and
+``stochastic-wide-grid`` clamps 36 and skips 28.
+
 Every output file, the exit status and ``verify``'s standard output are
 compared byte for byte.  So is standard error: a failing run's whole, and
 otherwise its warnings, as one ``Category: message`` line each: the
