@@ -65,43 +65,34 @@ def _signal_files(prefix: str, outputs):
 
 
 def _describe_medium(medium) -> str:
+    """One of the three media ``config`` builds: quadratic, layered or exp-kernel."""
     if isinstance(medium, media.QuadraticMedium):
         return f"quadratic(a={medium.a:g}, v={medium.v:g}, ell_inv={medium.ell_inv:g})"
-    if isinstance(medium, media.ExpKernelMedium):
-        return f"exp-kernel(K={medium.K:g}, Kp={medium.Kp:g})"
     if isinstance(medium, media.LayerStack):
         inner = "; ".join(f"{l:g} of {_describe_medium(m)}" for l, m in medium.layers)
         tail = "free space" if medium.free_space_tail else "no tail"
         return f"layered[{inner}; then {tail}]"
-    return repr(medium)
+    return f"exp-kernel(K={medium.K:g}, Kp={medium.Kp:g})"
 
 
 def _arrival_and_width(medium, z: float) -> tuple[float, float]:
-    """Arrival and width sqrt(z/a) at depth ``z`` of the medium's quadratic reduction.
+    """Arrival and width sqrt(z/a) at depth ``z`` of the medium's exact quadratic reduction.
 
-    A stack's is over its layers above ``z``; without a medium or depth, 0 and 0.
+    A stack's is ``media.effective_params`` over its layers above ``z``; one out
+    of range is a config error.  Without a medium or depth, 0 and 0.
     """
     if medium is None or z == 0.0:
         return 0.0, 0.0
-    if isinstance(medium, media.LayerStack):
-        depth = min(z, medium.total_thickness)
-        try:
+    try:
+        if isinstance(medium, media.LayerStack):
+            depth = min(z, medium.total_thickness)
             a, v = media.effective_params(medium, depth)
-        except ValueError:
-            raise config.ConfigValidationError(
-                "grid", "automatic grid needs quadratic layers; give a [grid] section"
-            ) from None
-        return depth / v + (z - depth) / media.SPEED_OF_LIGHT, np.sqrt(depth / a)
-    if isinstance(medium, media.ExpKernelMedium):
-        # a probe whose square under- or overflows gives a, v or ell_inv out of range
-        try:
-            with np.errstate(all="ignore"):
-                medium = media.quadratic_approximation(medium, np.float64(medium.K) / 100.0)
-        except ValueError as exc:
-            raise config.ConfigValidationError(
-                "grid", f"automatic grid needs a quadratic reduction of the medium ({exc}); "
-                "give a [grid] section"
-            ) from None
+            return depth / v + (z - depth) / media.SPEED_OF_LIGHT, np.sqrt(depth / a)
+        medium = medium.quadratic_reduction()
+    except ValueError as exc:
+        raise config.ConfigValidationError(
+            "grid", f"automatic grid needs a quadratic reduction of the medium ({exc}); give a [grid] section"
+        ) from None
     return z / medium.v, np.sqrt(z / medium.a)
 
 

@@ -69,6 +69,9 @@ class QuadraticMedium:
         absorption = self.ell_inv + 0.5 * omega**2 / self.a
         return absorption - 1j * omega / self.v
 
+    def quadratic_reduction(self) -> QuadraticMedium:  # the exact low-frequency reduction: itself
+        return self
+
 
 @dataclass(frozen=True)
 class ExpKernelMedium:
@@ -80,8 +83,7 @@ class ExpKernelMedium:
         phase_rate(w) = -Kp * w / (K^2 + w^2),
 
     analytic in the upper half plane, hence a causal impulse response.  For
-    |w| << K it reduces to a QuadraticMedium with a = K^3/(2*Kp) and
-    v = K^2/Kp (so a = K*v/2).
+    |w| << K it reduces to the QuadraticMedium of :meth:`quadratic_reduction`.
 
     It is evaluated as (Kp/K) w/(w + iK), which has no square to over- or
     underflow and is finite for every (K, Kp) the constructor accepts.
@@ -101,6 +103,11 @@ class ExpKernelMedium:
     def propagation_constant(self, omega):
         omega = np.asarray(omega, dtype=np.float64)
         return self.Kp / self.K * (omega / (omega + 1j * self.K))
+
+    def quadratic_reduction(self) -> QuadraticMedium:
+        """The exact |w| << K limit a = K^3/(2*Kp), v = K^2/Kp, in an order where K^3 cannot overflow."""
+        v = self.K * (self.K / self.Kp)
+        return QuadraticMedium(a=self.K * v / 2.0, v=v)
 
 
 def free_space(v: float = SPEED_OF_LIGHT) -> QuadraticMedium:
@@ -206,11 +213,12 @@ def transfer_between(medium, z_from: float, z_to: float, omega):
 
 
 def quadratic_approximation(medium, omega_probe: float) -> QuadraticMedium:
-    """Extract the small-frequency quadratic model from any homogeneous medium.
+    """The quadratic model a homogeneous medium shows at ``omega_probe``, read numerically.
 
     Reads the absorption curvature and phase slope at ``omega_probe``:
-    a = w^2 / (2*absorption), v = -w / phase_rate.  Probe well inside the
-    low-frequency regime (e.g. K/100 for an exponential-kernel medium).
+    a = w^2 / (2*absorption), v = -w / phase_rate.  The exact reduction is
+    ``medium.quadratic_reduction()``; for an exponential kernel this gives its
+    a and v times 1 + (w/K)^2, a numerical check of that relation.
     """
     if omega_probe <= 0:
         raise ValueError("probe frequency must be positive")
@@ -226,25 +234,25 @@ def quadratic_approximation(medium, omega_probe: float) -> QuadraticMedium:
 
 
 def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
-    """Depth-harmonic-mean reduction of a lossless-at-DC quadratic stack down to ``ell``.
+    """Depth-harmonic-mean reduction of a stack lossless at DC down to ``ell``.
 
     Returns (a_eff, v_eff) with 1/a_eff and 1/v_eff the thickness-weighted
-    means of the per-layer inverses over the depths [0, ell], a partial layer
-    pro rata.  ``ell`` may not exceed the total stack thickness.  Layers with
-    DC absorption have no such reduction and are rejected.
+    means of the inverses of each layer's ``quadratic_reduction()`` over the
+    depths [0, ell], a partial layer pro rata.  ``ell`` may not exceed the
+    total stack thickness.  A layer whose reduction has DC absorption has no
+    such mean and is rejected, as is one whose reduction is out of range.
     """
     total = stack.total_thickness
     if ell <= 0 or (ell > total and not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0)):
         raise ValueError(f"ell={ell} does not lie within the stack thickness {total}")
     inv_a = inv_v = top = 0.0
     for thickness, medium in stack.layers:
-        if not isinstance(medium, QuadraticMedium):
-            raise ValueError("effective parameters are defined for quadratic layers only")
-        if medium.ell_inv != 0.0:
+        reduced = medium.quadratic_reduction()
+        if reduced.ell_inv != 0.0:
             raise ValueError("layers with DC absorption have no quadratic reduction")
         seg = thickness if top + thickness <= ell else max(ell - top, 0.0)
-        inv_a += seg / medium.a
-        inv_v += seg / medium.v
+        inv_a += seg / reduced.a
+        inv_v += seg / reduced.v
         top += thickness
     a_eff = ell / inv_a if inv_a > 0 else math.inf
     v_eff = ell / inv_v

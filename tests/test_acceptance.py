@@ -127,13 +127,16 @@ def test_criterion_06_approximate_causality():
 
 
 def test_criterion_07_exp_kernel_moment_relations():
+    # the medium's exact reduction, and the numerical probe at K/100 that checks it
     med = ExpKernelMedium(K=10.0, Kp=100.0)
+    exact = med.quadratic_reduction()
     q = quadratic_approximation(med, med.K / 100.0)
     a_expected = med.K**3 / (2.0 * med.Kp)  # 5.0
     v_expected = med.K**2 / med.Kp  # 1.0
     rel_a = abs(q.a - a_expected) / a_expected
     rel_v = abs(q.v - v_expected) / v_expected
-    _report(7, "exp_kernel_moment_relations", rel_a <= 0.01 and rel_v <= 0.01,
+    ok = (exact.a, exact.v) == (a_expected, v_expected) and rel_a <= 0.01 and rel_v <= 0.01
+    _report(7, "exp_kernel_moment_relations", ok,
             f"a {q.a:.4f} vs {a_expected} ({rel_a:.2e}); v {q.v:.6f} vs {v_expected} ({rel_v:.2e})")
 
 

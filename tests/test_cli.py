@@ -473,6 +473,32 @@ class TestThreadsDeterministic:
             n = int(_summary(Path(tmp) / "t1")["grid"].split()[0].removeprefix("n="))
         assert n <= 4096 and len(outputs[0]) == len(depths) + 2 and outputs[0] == outputs[1]
 
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        layers=st.lists(
+            st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 5.0), st.floats(0.5, 2.0)), min_size=1, max_size=3
+        ),
+        T=st.floats(0.5, 2.0),
+        past=st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True),
+    )
+    def test_threads_do_not_change_random_slab_runs(self, layers, T, past):
+        # depths from 0.5 to 4 past the stack, in steps of 0.5, on the automatic grid
+        total = sum(thickness for thickness, _, _ in layers)
+        text = (
+            f"experiment = slab\nz-list = {' '.join(repr(total + k / 2) for k in past)}\n"
+            f"[pulse]\nkind = gaussian\nT = {T!r}\n[medium]\nvariant = layered\n"
+            + "".join(f"layer = {l!r} quadratic {a!r} {v!r}\n" for l, a, v in layers)
+            + "tail = free-space\n"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path, outputs = Path(tmp) / "cfg.ini", []
+            path.write_text(text)
+            for threads in ("1", "2"):
+                out = Path(tmp) / f"t{threads}"
+                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == len(past) + 2 and outputs[0] == outputs[1]
+
 
 CHIRP = """
 experiment = chirp
@@ -907,19 +933,40 @@ class TestMainEntry:
             tmp_path, capsys, text, "z-list: depths 100 and 100.0000001 share the label 100"
         )
 
-    def test_layered_auto_grid_needs_quadratic_layers(self, tmp_path, capsys):
+    def test_layered_auto_grid_reduces_exp_kernel_layers(self, tmp_path, capsys):
+        # the exp-kernel layer's exact reduction is a = 5, v = 1
         text = MINIMAL.replace("z = 100", "z-list = 1 2").replace(
             "variant = quadratic\na = 1\nv = 1",
             "variant = layered\nlayer = 0.5 quadratic 1 1\n"
-            "layer = 0.5 exp-kernel 10 100\ntail = none",
+            "layer = 0.5 exp-kernel 10 100\ntail = free-space",
         )
         assert "exp-kernel" in text
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(path), "--output-dir", str(tmp_path / "free-space")]) == 0
+        assert capsys.readouterr().err == ""
+        assert _summary(tmp_path / "free-space")["grid"] == "n=512 dt=0.1 t0=-15.3"
+        # without a tail, depth 2 lies below the stack
         self._one_line_error(
-            tmp_path, capsys, text, "grid: automatic grid needs quadratic layers; give a [grid] section"
+            tmp_path, capsys, text.replace("tail = free-space", "tail = none"),
+            "z: depth 2 lies past the stack thickness 1, and tail = none",
         )
 
+    def test_exp_kernel_auto_grid_reduction_does_not_overflow(self, tmp_path):
+        # K^3 overflows, but a = K (K/Kp) K/2 = 5e299 and v = 1e100 do not
+        text = (
+            "experiment = propagate\nz = 1\n[pulse]\nkind = gaussian\nT = 1\n"
+            "[medium]\nvariant = exp-kernel\nK = 1e200\nKp = 1e300\n"
+        )
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
+        assert _summary(tmp_path / "o")["grid"] == "n=256 dt=0.1 t0=-8.6"
+
     def test_exp_kernel_auto_grid_without_quadratic_reduction(self, tmp_path, capsys):
-        # the reduction's probe frequency K/100 squares to 0, so a reads 0
+        # v = K (K/Kp) underflows to 0, and so does a = K v/2
         text = MINIMAL.replace(
             "variant = quadratic\na = 1\nv = 1", "variant = exp-kernel\nK = 1e-300\nKp = 1"
         )

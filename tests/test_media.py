@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precursor_lab import (
     ExpKernelMedium,
@@ -240,6 +242,93 @@ class TestEffectiveParams:
         stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))])
         with pytest.raises(ValueError):
             effective_params(stack, 2.0)
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# a passive quadratic, exp-kernel or layered medium whose absorption over |w| <= 10
+# stays below about 100 per unit depth, so that e^(-z gamma) keeps a relative
+# error of a few ulps per unit of its exponent
+_QUADRATIC = st.builds(
+    QuadraticMedium, a=_powers_of_ten(-0.3, 1.0), v=_powers_of_ten(-0.3, 0.3),
+    ell_inv=st.sampled_from([0.0, 0.1, 0.5]),
+)
+_EXP_KERNEL = st.builds(
+    lambda K, v: ExpKernelMedium(K=K, Kp=K * K / v), _powers_of_ten(0.0, 1.5), _powers_of_ten(-0.3, 0.3)
+)
+_LAYERED = st.builds(
+    LayerStack,
+    st.lists(st.tuples(st.floats(0.1, 1.0), st.one_of(_QUADRATIC, _EXP_KERNEL)), min_size=1, max_size=3),
+    free_space_tail=st.booleans(),
+)
+_MEDIA = st.one_of(_QUADRATIC, _EXP_KERNEL, _LAYERED)
+
+
+def _depth_room(medium):
+    """How deep a transfer may reach: any depth with a free-space tail, else the stack."""
+    return 3.0 if not isinstance(medium, LayerStack) or medium.free_space_tail else medium.total_thickness
+
+
+class TestExactReduction:
+    def test_each_medium_gives_its_exact_reduction(self):
+        quad = QuadraticMedium(a=2.0, v=0.5, ell_inv=0.25)
+        assert quad.quadratic_reduction() is quad
+        assert ExpKernelMedium(K=10.0, Kp=100.0).quadratic_reduction() == QuadraticMedium(a=5.0, v=1.0)
+        # K^3 overflows, the reduction does not
+        q = ExpKernelMedium(K=1e200, Kp=1e300).quadratic_reduction()
+        assert (q.a, q.v) == pytest.approx((5e299, 1e100), rel=1e-15)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(K=_powers_of_ten(-3.0, 3.0), ratio=_powers_of_ten(-3.0, 3.0))
+    def test_probe_misses_the_exact_reduction_by_the_square_of_its_frequency(self, K, ratio):
+        # the probe at w reads a and v times 1 + (w/K)^2, so 1e-4 too large at w = K/100
+        med = ExpKernelMedium(K=K, Kp=K * ratio)
+        exact = med.quadratic_reduction()
+        for r in (1e-1, 1e-2, 1e-3):
+            q = quadratic_approximation(med, K * r)
+            assert q.ell_inv == 0.0
+            assert abs(q.a / exact.a - 1.0 - r * r) < 1e-12
+            assert abs(q.v / exact.v - 1.0 - r * r) < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(
+        layers=st.lists(
+            st.tuples(st.floats(0.1, 2.0), st.booleans(), _powers_of_ten(-1.0, 1.0), _powers_of_ten(-1.0, 1.0)),
+            min_size=1, max_size=4,
+        ),
+        share=st.floats(0.01, 1.0),
+    )
+    def test_effective_params_are_harmonic_means_of_layer_reductions(self, layers, share):
+        # each layer quadratic (a, v) or exp-kernel (K, Kp), with its limit
+        # K^3/(2 Kp), K^2/Kp written out here
+        stack = LayerStack(
+            [(l, ExpKernelMedium(K=x, Kp=y) if exp else QuadraticMedium(a=x, v=y)) for l, exp, x, y in layers]
+        )
+        ell = share * stack.total_thickness
+        inv_a = inv_v = top = 0.0
+        for l, exp, x, y in layers:
+            a, v = (x**3 / (2.0 * y), x**2 / y) if exp else (x, y)
+            seg = min(l, max(ell - top, 0.0))
+            inv_a, inv_v, top = inv_a + seg / a, inv_v + seg / v, top + l
+        assert effective_params(stack, ell) == pytest.approx((ell / inv_a, ell / inv_v), rel=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(medium=_MEDIA, first=st.floats(0.0, 1.0), second=st.floats(0.0, 1.0))
+    def test_semigroup_over_random_media(self, medium, first, second):
+        room = _depth_room(medium)
+        z1, z2 = first * room / 2, second * room / 2
+        w = np.linspace(-10.0, 10.0, 41)
+        lhs = transfer_between(medium, 0.0, z1, w) * transfer_between(medium, z1, z1 + z2, w)
+        rhs = transfer_function(medium, z1 + z2, w)
+        assert (np.abs(lhs - rhs) / np.abs(rhs)).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(medium=_MEDIA, depth=st.floats(0.0, 1.0))
+    def test_passivity_over_random_media(self, medium, depth):
+        w = np.linspace(-1e3, 1e3, 401)
+        assert np.abs(transfer_function(medium, depth * _depth_room(medium), w)).max() <= 1.0 + 1e-15
 
 
 def test_layer_stack_validation():

@@ -40,6 +40,12 @@ an ``[ensemble]`` section, the ``sweep-z`` workload under ``--experiment
 banana``, and a slab whose arrival time squares to inf (revisions before the
 closed form's exponent was formed under ``np.errstate`` print a
 ``RuntimeWarning`` before the error),
+two runs that revisions before each medium had its exact quadratic reduction
+(``media.ExpKernelMedium.quadratic_reduction``) ran otherwise: a two-layer
+stack of a quadratic and an exp-kernel layer on the automatic grid
+(``layered-exp-kernel-auto-grid``, a one-line error before), and an
+exp-kernel propagate at z = 50 (``exp-kernel-exact-reduction``, whose
+automatic grid starts at t0 = -144.4, not -144.3, once a is exact),
 and four runs on bad input files: a config whose first line holds a byte that
 is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
@@ -454,6 +460,36 @@ dt = 0.0125
 t0 = -16.5
 """
 
+# an exp-kernel layer under a quadratic one, on the automatic grid; revisions
+# before each medium had its exact quadratic reduction reject it
+LAYERED_EXP_KERNEL_AUTO_GRID = """
+experiment = propagate
+z-list = 1 2
+[pulse]
+kind = gaussian
+T = 1
+omega0 = 2
+[medium]
+variant = layered
+layer = 0.5 quadratic 1 1
+layer = 0.5 exp-kernel 10 100
+tail = free-space
+"""
+
+# deep enough that the automatic grid's t0 shows the exact reduction
+# a = K^3/(2 Kp) against the probe's, 1e-4 larger
+EXP_KERNEL_EXACT_REDUCTION = """
+experiment = propagate
+z = 50
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = exp-kernel
+K = 2
+Kp = 20
+"""
+
 # the first line ends in the byte 0xff, which UTF-8 never uses
 NON_UTF8_CONFIG = EXP_KERNEL.lstrip().encode().replace(b"propagate", b"propagate\xff", 1)
 
@@ -542,6 +578,8 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "stochastic-without-depth": STOCHASTIC_WITHOUT_DEPTH,
         "stochastic-without-ensemble": STOCHASTIC_WITHOUT_ENSEMBLE,
         "slab-far-arrival": SLAB_FAR_ARRIVAL,
+        "layered-exp-kernel-auto-grid": LAYERED_EXP_KERNEL_AUTO_GRID,
+        "exp-kernel-exact-reduction": EXP_KERNEL_EXACT_REDUCTION,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
