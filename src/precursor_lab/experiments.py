@@ -13,6 +13,7 @@ that a wrapper set on a module attribute sees every call.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -218,10 +219,11 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
 
 
 def _map_over_z(fn, z_values, threads: int):
-    """Apply fn per depth; results come back in input order for any thread count."""
-    if threads <= 1 or len(z_values) <= 1:
+    """Apply fn per depth, on at most one thread per depth and per CPU; results keep the input order."""
+    workers = min(threads, len(z_values), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(z) for z in z_values]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, z_values))
 
 

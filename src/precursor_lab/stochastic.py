@@ -371,9 +371,7 @@ def _spread(delayed: Spectrum, blocks, weights, mean) -> np.ndarray:
     return var
 
 
-def monte_carlo_output(
-    spectrum: Spectrum, spec: EnsembleSpec, z: float, draws: np.ndarray, return_stderr: bool = False
-):
+def monte_carlo_output(spectrum: Spectrum, spec: EnsembleSpec, z: float, draws: np.ndarray) -> SampledSignal:
     """Ensemble average by brute force: mean over sampled media of the FFT output.
 
     ``spectrum`` is the input's half spectrum and ``draws`` the inverse
@@ -386,9 +384,9 @@ def monte_carlo_output(
     on the order the draws come in nor on the degree of parallelism.  Sorted,
     the least draw x_0 bounds the mean from below by exp(-x_0 z w^2 / 2) / N,
     so a term is taken as 0 where x_i z w^2 / 2 passes ``_relative_limit``,
-    which is at most 700 (see ``_kernel_blocks``).  With ``return_stderr``
-    the pointwise sample standard error of the mean is returned alongside,
-    from the centred spread of each draw's inverse transform, at a cost.
+    which is at most 700 (see ``_kernel_blocks``).  The mean's standard
+    error is the exact ``draw_std(spectrum, spec, z) / sqrt(draws.size)``,
+    which ``experiments.monte_carlo_deviation`` takes.
     """
     if draws.size < 100:
         raise ValueError(f"need at least 100 samples, got {draws.size}")
@@ -398,11 +396,7 @@ def monte_carlo_output(
     weights = np.full(draws.size, 1.0 / draws.size)
     delayed, lam = _delayed(spectrum, spec, z), 0.5 * z * spectrum.grid.omegas() ** 2
     blocks = _kernel_blocks(draws, lam, _relative_limit(draws, lam))
-    mean = inverse_rows(delayed, _weighted_kernel(blocks, lam, weights))
-    if not return_stderr:
-        return SampledSignal(spectrum.grid, mean)
-    var = _spread(delayed, _kernel_blocks(draws, lam, _EXP_LIMIT), weights, mean)
-    return SampledSignal(spectrum.grid, mean), np.sqrt(var / (draws.size - 1))
+    return SampledSignal(spectrum.grid, inverse_rows(delayed, _weighted_kernel(blocks, lam, weights)))
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,26 +18,20 @@ from precursor_lab import (
     PulseSpec,
     QuadraticMedium,
     SampledSignal,
-    Spectrum,
     SweepRecord,
     TimeGrid,
-    averaged_transfer_quadrature,
     chirp_dc_content,
     chirp_dc_quadrature,
     effective_params,
     energy_ratio,
     fit_decay_exponent,
-    forward_transform,
     gaussian_impulse_response,
-    inverse_transform,
     moment,
     moment_expansion_output,
-    monte_carlo_output,
     peak,
     propagate_fft,
     quadratic_approximation,
     rms_width,
-    sample_inverse_a,
     sample_pulse,
     shape_rms_diff,
     stochastic_impulse,
@@ -205,27 +199,16 @@ def test_criterion_11_composite_media():
 def test_criterion_12_stochastic_closed_form(small_run_summary):
     closed_ok, closed_detail = verify.stochastic_closed_form_vs_quadrature()
     table_ok, table_detail = verify.coefficient_recurrence()
-
-    # the Monte Carlo mean against the quadrature kernel, in sample standard
-    # errors, where the reference carries real support (> 1e-6 of peak): in the
-    # far tails the sample mean is dominated by a handful of rare draws and
-    # normal-theory intervals do not apply
-    spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-    g = TimeGrid(n=2048, dt=0.05, t0=-30.0)
-    f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
-    draws = sample_inverse_a(spec, 10000, 42)
-    mc, stderr = monte_carlo_output(forward_transform(f0), spec, 4.0, draws, return_stderr=True)
-    qk = averaged_transfer_quadrature(spec, 4.0, g.omegas())
-    ref = inverse_transform(Spectrum(g, forward_transform(f0).values * qk))
-    pk = np.abs(ref.values).max()
-    sel = np.abs(ref.values) > 1e-6 * pk
-    dev = float((np.abs(mc.values - ref.values)[sel] / (stderr[sel] + 1e-12 * pk)).max())
+    direct_ok, direct_detail = verify.direct_average_closed_form_vs_quadrature()
+    # the Monte Carlo mean against its exact limit, in exact standard errors
+    mc_ok, mc_detail = verify.monte_carlo_vs_quadrature(42)
 
     reported = "ensemble_kernel_log_ratio_quadrature_vs_closed_form: 0.5" in small_run_summary
-    ok = closed_ok and table_ok and dev < 4.0 and reported
+    ok = closed_ok and table_ok and direct_ok and mc_ok and reported
     _report(12, "stochastic_closed_form", ok,
             f"closed form vs quadrature {closed_detail} < 1e-8; table {table_detail}: {table_ok}; "
-            f"mc dev {dev:.2f} < 4 sigma; kernel diagnostic reported: {reported}")
+            f"direct average vs quadrature {direct_detail} < 1e-10; "
+            f"monte carlo {mc_detail} < 4 sigma; kernel diagnostic reported: {reported}")
 
 
 def test_criterion_13_exponential_tails():

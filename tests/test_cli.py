@@ -3,6 +3,7 @@ import tempfile
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -202,6 +203,24 @@ class TestRunSweep:
         run(cfg2)
         for name in ("sweep.csv", "summary.txt", "signal_200.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("cpus,pools", [(64, [5]), (3, [3]), (None, [])])
+    def test_pool_has_at_most_one_thread_per_depth_and_cpu(self, tmp_path, monkeypatch, cpus, pools):
+        # the recording executor maps in the calling thread, so no thread is started
+        made = []
+
+        def recording(max_workers):
+            made.append(max_workers)
+            return nullcontext(SimpleNamespace(map=map))
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "cfg.ini"
+        path.write_text(MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
+            "z = 100", "z-list = 100 150 200 250 300"
+        ))
+        assert main([str(path), "--output-dir", str(tmp_path / "out"), "--threads", "10000"]) == 0
+        assert made == pools
 
 
 STOCHASTIC = """
@@ -1516,6 +1535,13 @@ class TestVerifyChecks:
         passed, detail = verify.direct_average_closed_form_vs_quadrature()
         assert not passed
         assert float(detail.removeprefix("max rel err ")) > 0.09
+
+    def test_unit_area_identity_holds_in_integers(self, monkeypatch):
+        # sum_l C[m][l] l! == 2^m m! at every order of the table, with no scipy
+        assert all(verify.unit_area_identity(m) for m in range(31))
+        table = stochastic.impulse_tail_coefficients
+        monkeypatch.setattr(stochastic, "impulse_tail_coefficients", lambda m: (*table(m)[:-1], 2))
+        assert not any(verify.unit_area_identity(m) for m in range(31))
 
     def test_failing_check_sets_status_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(verify, "coefficient_recurrence", lambda: (False, "forced"))

@@ -291,9 +291,9 @@ class TestMonteCarlo:
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture()
         z = 4.0
-        mc, stderr = monte_carlo_output(
-            forward_transform(f0), spec, z, sample_inverse_a(spec, 10000, 42), return_stderr=True
-        )
+        draws = sample_inverse_a(spec, 10000, 42)
+        mc = monte_carlo_output(forward_transform(f0), spec, z, draws)
+        stderr = draw_std(forward_transform(f0), spec, z) / np.sqrt(draws.size)
         closed = observed_output(forward_transform(f0), spec, z)
         peak = np.abs(closed.values).max()
         sel = np.abs(closed.values) > 1e-6 * peak
@@ -334,65 +334,16 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="at least 100 samples, got 50"):
             monte_carlo_output(forward_transform(f0), spec, 1.0, sample_inverse_a(spec, 50, 1))
 
-    def test_rfft_stderr_path_matches_complex_fft_loop(self):
-        # the per-draw complex-FFT loop the stderr path used before it moved
-        # to irfft on the Hermitian half spectrum
-        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        g = TimeGrid(n=512, dt=0.1, t0=-15.0)
-        f0 = sample_pulse(PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
-        z, n_draws = 4.0, 600
-        draws = sample_inverse_a(spec, n_draws, 5)
-        mc, stderr = monte_carlo_output(forward_transform(f0), spec, z, draws, return_stderr=True)
-
-        # the full signed spectrum under the e^{+iwt} kernel, built on np.fft
-        # and delayed by z/v; the grid origin's phase cancels between the
-        # forward and the inverse transform
-        w = 2.0 * np.pi * np.fft.fftfreq(g.n, g.dt)
-        base = np.fft.ifft(f0.values) * (g.n * g.dt) * np.exp(1j * w * z / spec.v)
-        outputs = np.array(
-            [
-                np.fft.fft(np.exp(-x * 0.5 * z * w**2) * base).real / (g.n * g.dt)
-                for x in draws
-            ]
-        )
-        ref_mean = outputs.mean(axis=0)
-        ref_stderr = outputs.std(axis=0) / np.sqrt(n_draws - 1)
-        peak = np.abs(ref_mean).max()
-        assert np.abs(mc.values - ref_mean).max() < 1e-12 * peak
-        assert np.abs(stderr - ref_stderr).max() < 1e-12 * peak
-
-    def test_stderr_is_centred_for_nearly_equal_draws(self):
-        # draws within 1e-9 of each other spread the outputs by about 1e-9 of
-        # their size, far below the rounding of an uncentred sum of squares
-        spec, z = EnsembleSpec(b=2.0, m=1, v=1.0), 4.0
-        g, f0 = _mc_fixture(n=1024)
-        spectrum, draws = forward_transform(f0), 1.0 + 1e-9 * np.linspace(-1.0, 1.0, 200)
-        _, stderr = monte_carlo_output(spectrum, spec, z, draws, return_stderr=True)
-        delayed = Spectrum(g, spectrum.values * np.exp(1j * g.omegas() * z / spec.v))
-        outputs = inverse_rows(delayed, np.exp(-np.outer(draws, 0.5 * z * g.omegas() ** 2)))
-        ref = outputs.std(axis=0) / np.sqrt(draws.size - 1)
-        assert np.abs(stderr - ref).max() <= 1e-5 * ref.max()
-
     def test_exact_draw_std_matches_sample_std(self):
         spec = EnsembleSpec(b=2.0, m=1, v=1.0)
         g, f0 = _mc_fixture(n=1024)
-        z, n_draws = 4.0, 20000
-        draws = sample_inverse_a(spec, n_draws, 11)
-        _, stderr = monte_carlo_output(forward_transform(f0), spec, z, draws, return_stderr=True)
+        z, draws = 4.0, sample_inverse_a(spec, 20000, 11)
         exact = gaussian_draw_std(spec, 1.0, z, g.times())
         # near the peak many draws contribute and the sample spread is close
         # to the exact one; further out it rests on a few rare wide draws
         sel = exact > 0.1 * exact.max()
-        ratio = stderr[sel] * np.sqrt(n_draws) / exact[sel]
+        ratio = _sample_std(forward_transform(f0), spec, z, draws, sel) / exact[sel]
         assert np.abs(ratio - 1.0).max() < 0.04
-
-    def test_fast_and_stderr_paths_agree(self):
-        spec = EnsembleSpec(b=2.0, m=1, v=1.0)
-        g, f0 = _mc_fixture(n=1024)
-        spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 800, 9)
-        fast = monte_carlo_output(spectrum, spec, 4.0, draws)
-        slow, _ = monte_carlo_output(spectrum, spec, 4.0, draws, return_stderr=True)
-        assert np.array_equal(fast.values, slow.values)
 
     def test_mean_matches_per_draw_loop_on_workload_grid(self):
         # one inverse transform of the averaged kernel against the mean of
@@ -720,13 +671,9 @@ class TestKernelBlocks:
         _, f0 = _mc_fixture(n=1024)
         spectrum = forward_transform(f0)
         std = draw_std(spectrum, spec, z)
-        # one node or draw per block
+        # one node per block
         monkeypatch.setattr(stochastic, "_BLOCK_BYTES", 4096)
         assert np.abs(draw_std(spectrum, spec, z) - std).max() <= 1e-14 * std.max()
-        draws = sample_inverse_a(spec, 800, 9)
-        fast = monte_carlo_output(spectrum, spec, z, draws)
-        slow, _ = monte_carlo_output(spectrum, spec, z, draws, return_stderr=True)
-        assert np.array_equal(fast.values, slow.values)
 
     def test_peak_memory_is_the_block_budget_plus_order_n(self):
         # one float64 block of 256 draws x 32,769 bins would take 67 MB, far above the bound
@@ -737,7 +684,6 @@ class TestKernelBlocks:
         bound = 8 * stochastic._BLOCK_BYTES + 64 * n
         calls = {
             "mean": lambda: monte_carlo_output(spectrum, spec, z, draws),
-            "stderr": lambda: monte_carlo_output(spectrum, spec, z, draws, return_stderr=True),
             "draw_std": lambda: draw_std(spectrum, spec, z),
         }
         for name, call in calls.items():
@@ -791,6 +737,15 @@ def _two_pass_blocks(x, lam, limit):
         stair[cut] = 0.0
         out.append((r, block.tobytes()))
     return out
+
+
+def _sample_std(spectrum, spec, z, draws, sel):
+    """The sample standard deviation (ddof 1) of the draws' outputs where ``sel``, one inverse transform per draw."""
+    g = spectrum.grid
+    delayed = Spectrum(g, spectrum.values * np.exp(1j * g.omegas() * z / spec.v))
+    lam = 0.5 * z * g.omegas() ** 2
+    outputs = [inverse_rows(delayed, np.exp(-np.outer(draws[i0 : i0 + 1000], lam)))[:, sel] for i0 in range(0, draws.size, 1000)]
+    return np.std(np.concatenate(outputs), axis=0, ddof=1)
 
 
 def _rule_kernel(x, lam, weights):
@@ -914,11 +869,8 @@ class TestDrawStd:
     def test_exact_std_matches_sample_std_for_rect_pulse(self):
         spec = EnsembleSpec(b=2.0, m=0, v=1.0)
         f0 = _pulse_on_auto_grid("rect", 1.0, spec, 2.0)
-        n_draws = 20000
-        spectrum = forward_transform(f0)
-        draws = sample_inverse_a(spec, n_draws, 4)
-        _, stderr = monte_carlo_output(spectrum, spec, 2.0, draws, return_stderr=True)
+        spectrum, draws = forward_transform(f0), sample_inverse_a(spec, 20000, 4)
         exact = draw_std(spectrum, spec, 2.0)
         sel = exact > 0.1 * exact.max()
-        ratio = stderr[sel] * np.sqrt(n_draws) / exact[sel]
+        ratio = _sample_std(spectrum, spec, 2.0, draws, sel) / exact[sel]
         assert np.abs(ratio - 1.0).max() < 0.05

@@ -70,9 +70,11 @@ otherwise its warnings, as one ``Category: message`` line each: the
 dropped, since they name where the warning was raised.  One line is printed per differing file, with its first
 differing lines, and then how large the differences are: for a CSV, the
 largest |delta| in each differing column relative to that column's peak in
-REV's output; for ``summary.txt``, the relative change of each differing
-line's value.  Exit status: 0 when everything is identical,
-1 on any difference, 2 when a tree cannot be unpacked.
+REV's output, on the times both outputs hold where the CSV has a ``t``
+column (a grid moved by whole samples is reported as that shift); for
+``summary.txt``, the relative change of each differing line's value.
+Exit status: 0 when everything is identical, 1 on any difference, 2 when a
+tree cannot be unpacked.
 """
 
 from __future__ import annotations
@@ -648,12 +650,44 @@ def csv_columns(data: bytes) -> tuple[list[str], list[tuple[float, ...]]]:
     return header.split(","), list(zip(*(map(float, row.split(",")) for row in rows)))
 
 
+def shared_times(ta, tb) -> tuple[int, list[tuple[int, int]]]:
+    """How many samples ``tb``'s grid starts after ``ta``'s, and the row pairs (i, j) of one time.
+
+    Times pair where they agree to 1e-6 of ``ta``'s spacing: a grid moved by
+    whole samples may round its times apart.
+    """
+    dt = (ta[-1] - ta[0]) / (len(ta) - 1)
+    shift = round((tb[0] - ta[0]) / dt)
+    rows = range(max(0, -shift), min(len(tb), len(ta) - shift))
+    return shift, [(j + shift, j) for j in rows if abs(ta[j + shift] - tb[j]) <= 1e-6 * dt]
+
+
 def csv_sizes(old: bytes, new: bytes) -> list[str]:
-    """Per differing column: the largest |delta| over the column's peak in ``old``."""
+    """Per differing column: the largest |delta| over the column's peak in ``old``.
+
+    Rows pair by position, or, where both CSVs have a ``t`` column of at least
+    two rows, by time: a grid moved by whole samples is reported as that shift,
+    and the columns are compared on the times both files hold.
+    """
     (names, a), (names_new, b) = csv_columns(old), csv_columns(new)
-    if names != names_new or [len(c) for c in a] != [len(c) for c in b]:
-        return ["columns or rows differ"]
+    if names != names_new:
+        return ["columns differ"]
     sizes = []
+    k = names.index("t") if "t" in names else -1
+    if k >= 0 and len(a) == len(b) == len(names) and min(len(a[k]), len(b[k])) >= 2:
+        shift, pairs = shared_times(a[k], b[k])
+        if not pairs:
+            return ["no shared t values"]
+        moved = shift or len(pairs) < max(len(a[k]), len(b[k]))
+        if moved:
+            sizes.append(f"t: shifted by {shift:+d} samples, t0 {a[k][0]:.17g} -> {b[k][0]:.17g}; "
+                         f"{len(pairs)} shared times of {len(a[k])} and {len(b[k])}")
+        a = [[x[i] for i, _ in pairs] for x in a]
+        b = [[y[j] for _, j in pairs] for y in b]
+        if moved:  # paired times differ by rounding alone, and the line above reports the times
+            b[k] = a[k]
+    elif [len(c) for c in a] != [len(c) for c in b]:
+        return ["rows differ"]
     for name, x, y in zip(names, a, b):
         if x != y:
             delta, peak = max(abs(p - q) for p, q in zip(x, y)), max(map(abs, x))
