@@ -1,9 +1,9 @@
 """Counter-based gamma sampling for the ensemble runs, in vectorised numpy.
 
 ``gamma_draws`` sums exponentials driven by a splitmix64 hash, so draw ``i``
-depends only on ``(seed, i)``, never on the thread count or on which slice
-of the sequence is asked for.  The kernels averaged over those draws are
-formed in :mod:`precursor_lab.stochastic`.
+depends only on ``(seed, i)``, never on which slice of the sequence is
+asked for.  The kernels averaged over those draws are formed in
+:mod:`precursor_lab.stochastic`.
 """
 
 from __future__ import annotations

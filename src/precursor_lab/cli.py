@@ -16,7 +16,9 @@ the output directory and write the record, its CSV tables through
 
 A run that fails writes nothing.  Exit status: 0 on success, 1 on
 configuration or I/O failure, 2 when ``verify`` finds a failing check.
-Identical config and seed give byte-identical outputs for any ``--threads``.
+Identical config and seed give byte-identical outputs.  ``--threads`` is
+checked (at least 1) and has no other effect: the depths run in order on one
+thread.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--output-dir", help="override the config output directory")
     parser.add_argument("--experiment", help="override the experiment name")
     parser.add_argument("--seed", type=int, help="override the random seed")
-    parser.add_argument("--threads", type=int, help="override the thread count")
+    parser.add_argument("--threads", type=int, help="checked (at least 1); has no effect")
     return parser
 
 

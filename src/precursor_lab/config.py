@@ -104,7 +104,6 @@ class ExperimentConfig:
     ensemble: EnsembleSpec | None = None
     mc_samples: int = 10000
     seed: int = 1
-    threads: int = 1
     output_dir: str = "out"
 
 
@@ -227,7 +226,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse configuration text into an :class:`ExperimentConfig`, checking its format and values.
 
     ``overrides`` maps top-level keys (experiment, output-dir, seed, threads)
-    to replacement values, taking precedence over the file contents.  The
+    to replacement values, taking precedence over the file contents.  A
+    ``threads`` value is checked (at least 1) and has no other effect.  The
     experiment's name and needs are checked by ``experiments.experiment``.
     """
     given: dict[tuple[str, str], object] = {}
@@ -279,7 +279,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         z_values=z_values,
         mc_samples=_read(given, "", "mc-samples"),
         seed=_read(given, "", "seed"),
-        threads=_read(given, "", "threads"),
         output_dir=_read(given, "", "output-dir"),
     )
     if cfg.mc_samples < 100:
@@ -288,7 +287,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigValidationError(
             "mc-samples", f"need at most {MAX_MC_SAMPLES} samples ({MAX_MC_SAMPLES * 8 >> 20} MiB of draws), got {cfg.mc_samples}"
         )
-    if cfg.threads < 1:
+    # threads is accepted and checked so that every config keeps running; depths run in order on one thread
+    if _read(given, "", "threads") < 1:
         raise ConfigValidationError("threads", "need at least 1 thread")
 
     if "grid" in sections:

@@ -13,8 +13,6 @@ that a wrapper set on a module attribute sees every call.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -218,16 +216,7 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
     return f0
 
 
-def _map_over_z(fn, z_values, threads: int):
-    """Apply fn per depth, on at most one thread per depth and per CPU; results keep the input order."""
-    workers = min(threads, len(z_values), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(z) for z in z_values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, z_values))
-
-
-def _propagate_over_z(f0, medium, z_values, threads: int):
+def _propagate_over_z(f0, medium, z_values):
     """``(z, output)`` per depth from one checked forward transform of ``f0``."""
     if isinstance(medium, media.LayerStack) and not medium.free_space_tail:
         deepest, total = max(z_values), medium.total_thickness
@@ -237,11 +226,7 @@ def _propagate_over_z(f0, medium, z_values, threads: int):
             )
     spectrum = propagate.input_spectrum(f0)
     omegas = f0.grid.omegas()
-
-    def one(z):
-        return z, propagate.apply_transfer(spectrum, media.transfer_function(medium, z, omegas))
-
-    return _map_over_z(one, z_values, threads)
+    return [(z, propagate.apply_transfer(spectrum, media.transfer_function(medium, z, omegas))) for z in z_values]
 
 
 def _sweep_records(outputs, f0):
@@ -320,7 +305,7 @@ def discrepancy_entries(cfg: config.ExperimentConfig):
 
 def run_propagation(cfg: config.ExperimentConfig, grid, f0, fit_decay: bool = False) -> Run:
     """The pulse at each depth; with ``fit_decay``, the peak amplitude's decay exponent too."""
-    outputs = _propagate_over_z(f0, cfg.medium, cfg.z_values, cfg.threads)
+    outputs = _propagate_over_z(f0, cfg.medium, cfg.z_values)
     records = _sweep_records(outputs, f0)
     entries = [("medium", _describe_medium(cfg.medium)), _grid_entry(grid)]
     for r in records:
@@ -350,7 +335,7 @@ def run_stochastic(cfg: config.ExperimentConfig, grid, f0) -> Run:
         mc, dev = monte_carlo_deviation(spectrum, spec, z, draws)
         return (z, observed), (z, mc), dev
 
-    observed, mc, devs = zip(*_map_over_z(one, cfg.z_values, cfg.threads))
+    observed, mc, devs = zip(*map(one, cfg.z_values))
     records = _sweep_records(observed, f0)
     entries = [
         ("ensemble", f"b={spec.b:g} m={spec.m} v={spec.v:g}"),
@@ -404,7 +389,7 @@ def run_slab(cfg: config.ExperimentConfig, grid, f0) -> Run:
             raise config.ConfigValidationError(
                 "z", f"the thin-slab closed form at depth {z:g} misses the grid (zero at every sample)"
             )
-    outputs = _propagate_over_z(f0, stack, cfg.z_values, cfg.threads)
+    outputs = _propagate_over_z(f0, stack, cfg.z_values)
     records = _sweep_records(outputs, f0)
     entries = [
         ("medium", _describe_medium(stack)),

@@ -334,7 +334,7 @@ def _kernel_blocks(x, lam, limit=_EXP_LIMIT):
     neg_limit = -limit
     rows = max(1, _BLOCK_BYTES // (8 * cols))
     buf = np.empty(min(rows, x.size) * cols)
-    cut_buf = np.empty(buf.size, bool)  # per call: threads form blocks at once
+    cut_buf = np.empty(buf.size, bool)  # per call: callers may form blocks in threads at once
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
         top = x[r].max() * lam  # the largest product in each column, as rounded
@@ -380,11 +380,11 @@ def monte_carlo_output(spectrum: Spectrum, spec: EnsembleSpec, z: float, draws: 
     inverse curvature x_i and velocity v; the returned signal is the sample
     mean.  The mean is linear in the spectrum, so it is one inverse transform
     of the delayed spectrum times the mean over draws of exp(-x_i z w^2 / 2),
-    summed over the draws in ascending order, so the result depends neither
-    on the order the draws come in nor on the degree of parallelism.  Sorted,
-    the least draw x_0 bounds the mean from below by exp(-x_0 z w^2 / 2) / N,
-    so a term is taken as 0 where x_i z w^2 / 2 passes ``_relative_limit``,
-    which is at most 700 (see ``_kernel_blocks``).  The mean's standard
+    summed over the draws in ascending order, so the result does not depend
+    on the order the draws come in.  Sorted, the least draw x_0 bounds the
+    mean from below by exp(-x_0 z w^2 / 2) / N, so a term is taken as 0
+    where x_i z w^2 / 2 passes ``_relative_limit``, which is at most 700
+    (see ``_kernel_blocks``).  The mean's standard
     error is the exact ``draw_std(spectrum, spec, z) / sqrt(draws.size)``,
     which ``experiments.monte_carlo_deviation`` takes.
     """

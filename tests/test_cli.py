@@ -1,9 +1,10 @@
+import os
 import re
 import tempfile
+import threading
 import warnings
 from contextlib import nullcontext
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ class TestParseConfig:
         assert cfg.grid is None  # automatic
         assert cfg.pulse.kind == "gaussian"
         assert isinstance(cfg.medium, QuadraticMedium)
-        assert cfg.seed == 1 and cfg.threads == 1
+        assert cfg.seed == 1
 
     def test_negative_depth_names_key(self):
         with pytest.raises(ConfigValidationError, match="z"):
@@ -203,24 +204,6 @@ class TestRunSweep:
         run(cfg2)
         for name in ("sweep.csv", "summary.txt", "signal_200.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-    @pytest.mark.parametrize("cpus,pools", [(64, [5]), (3, [3]), (None, [])])
-    def test_pool_has_at_most_one_thread_per_depth_and_cpu(self, tmp_path, monkeypatch, cpus, pools):
-        # the recording executor maps in the calling thread, so no thread is started
-        made = []
-
-        def recording(max_workers):
-            made.append(max_workers)
-            return nullcontext(SimpleNamespace(map=map))
-
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-        path = tmp_path / "cfg.ini"
-        path.write_text(MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
-            "z = 100", "z-list = 100 150 200 250 300"
-        ))
-        assert main([str(path), "--output-dir", str(tmp_path / "out"), "--threads", "10000"]) == 0
-        assert made == pools
 
 
 STOCHASTIC = """
@@ -457,6 +440,19 @@ class TestStochasticAutoGrid:
 
 
 class TestThreadsDeterministic:
+    @pytest.mark.parametrize("experiment", ["sweep-z", "stochastic", "slab"])
+    def test_no_run_starts_a_thread(self, tmp_path, monkeypatch, experiment):
+        # on a host of many CPUs, --threads 8 still computes every depth in the calling thread
+        def refuse(thread):
+            raise AssertionError(f"the run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        text = {"sweep-z": SWEEP, "stochastic": AUTO_STOCHASTIC.format(m=1), "slab": SLAB}[experiment]
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        assert main([str(path), "--output-dir", str(tmp_path / "out"), "--threads", "8"]) == 0
+
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
         experiment=st.sampled_from(["propagate", "sweep-z"]),
@@ -1298,6 +1294,7 @@ class TestMainEntry:
             ("z-list = 1 2\n" + MINIMAL, "z: give either z or z-list, not both"),
             (STOCHASTIC.replace("mc-samples = 400", "mc-samples = 99"), "mc-samples: need at least 100 samples"),
             ("threads = 0\n" + MINIMAL, "threads: need at least 1 thread"),
+            ((MINIMAL, "--threads", "0"), "threads: need at least 1 thread"),
             (MINIMAL + "[grid]\nn = 1\ndt = 0.1\nt0 = 0\n", "grid: grid needs at least 2 samples, got n=1"),
             (STOCHASTIC.replace("b = 2", "b = -2"), "ensemble: scale parameter must be positive, got b=-2.0"),
             (MINIMAL.split("[pulse]")[0], "pulse: experiment 'propagate' needs a [pulse] section"),
@@ -1324,13 +1321,14 @@ class TestMainEntry:
             "csv-without-file", "unknown-pulse-kind", "zero-width", "layer-too-short",
             "quadratic-layer-arity", "exp-kernel-layer-arity", "layer-constructor", "unknown-layer-variant",
             "layered-without-layers", "unknown-tail", "unknown-medium-variant", "z-and-z-list",
-            "too-few-mc-samples", "zero-threads", "grid-constructor", "ensemble-constructor",
+            "too-few-mc-samples", "zero-threads", "zero-threads-option", "grid-constructor", "ensemble-constructor",
             "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
             "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "unknown-experiment",
         ],
     )
     def test_every_config_error_is_one_line(self, tmp_path, capsys, text, message):
-        self._one_line_error(tmp_path, capsys, text, message)
+        text, *options = (text,) if isinstance(text, str) else text  # a config, or a config and its options
+        self._one_line_error(tmp_path, capsys, text, message, *options)
         assert not (tmp_path / "o").exists()
 
     def test_unknown_experiment_override_is_one_line(self, tmp_path, capsys):

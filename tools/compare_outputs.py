@@ -51,6 +51,11 @@ is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
 all have three fields, so that no row is two numbers.
 
+A run computes its depths in order on one thread whatever ``--threads``
+says, so the ``--threads`` variants check that the option has no effect:
+against a revision that ran depths on a thread pool, that the serial path
+keeps the pool's bytes.
+
 The ``stochastic`` cases cover both paths of a Monte Carlo kernel block
 (``stochastic._kernel_blocks``).  Blocks whose largest product passes 700
 clamp their cut terms before ``exp``: all 3 of ``stochastic-few-draws``,
