@@ -45,6 +45,7 @@ from .propagate import (
     analytic_rect_output_largez,
     apply_transfer,
     chirp_dc_content,
+    chirp_dc_exact,
     chirp_dc_quadrature,
     gaussian_impulse_derivatives,
     gaussian_impulse_response,

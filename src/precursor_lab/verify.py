@@ -163,13 +163,21 @@ def direct_average_closed_form_vs_quadrature():
     return worst < 1e-10, f"max rel err {worst:.3e}"
 
 
-def monte_carlo_vs_quadrature(seed: int):
+def monte_carlo_vs_direct_average(seed: int):
     spec = stochastic.EnsembleSpec(b=2.0, m=1, v=1.0)
     g = timegrid.TimeGrid(n=2048, dt=0.05, t0=-30.0)
     f0 = signals.sample_pulse(signals.PulseSpec(kind="gaussian", T=1.0, omega0=0.0), g)
     draws = stochastic.sample_inverse_a(spec, 10000, seed)
     _, dev = experiments.monte_carlo_deviation(propagate.input_spectrum(f0), spec, 4.0, draws)
     return dev < 4.0, f"max deviation {dev:.2f} sigma"
+
+
+def chirp_dc_exact_vs_quadrature():
+    worst = 0.0
+    for T, omega0, alpha in ((1, 1, 20), (1, 10, 20), (1, 40, 20), (0.277, 3, 5), (2, 5, 3)):
+        exact = propagate.chirp_dc_exact(T, omega0, alpha)[0]
+        worst = max(worst, abs(propagate.chirp_dc_quadrature(T, omega0, alpha)[0] - exact) / abs(exact))
+    return worst <= 1e-10, f"max rel err {worst:.3e}"
 
 
 def checks(seed: int):
@@ -186,4 +194,5 @@ def checks(seed: int):
     yield "stochastic_closed_form_vs_quadrature", *stochastic_closed_form_vs_quadrature()
     yield "causality_regimes", *causality_regimes()
     yield "direct_average_closed_form_vs_quadrature", *direct_average_closed_form_vs_quadrature()
-    yield "monte_carlo_vs_quadrature", *monte_carlo_vs_quadrature(seed)
+    yield "monte_carlo_vs_direct_average", *monte_carlo_vs_direct_average(seed)
+    yield "chirp_dc_exact_vs_quadrature", *chirp_dc_exact_vs_quadrature()

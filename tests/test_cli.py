@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -533,8 +535,7 @@ class TestRunChirp:
         summary = dict(
             line.split(": ", 1) for line in (tmp_path / "summary.txt").read_text().splitlines()
         )
-        numeric = float(summary["chirp_dc_numeric"])
-        assert numeric == pytest.approx(-0.0800250490822739, abs=1e-6)
+        assert float(summary["chirp_dc_exact"]) == pytest.approx(-0.0800250490822739, abs=1e-6)
         assert float(summary["chirp_enhancement_orders"]) > 10.0
         assert float(summary["chirp_dc_rel_err_stationary_phase"]) < 0.15
 
@@ -544,20 +545,54 @@ class TestRunChirp:
         text = CHIRP.replace("omega0 = 10", f"omega0 = {omega0}")
         assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
         summary = _summary(tmp_path)
-        numeric = float(summary["chirp_dc_numeric"])
-        log_form = np.log10(abs(numeric)) - np.log10(np.sqrt(2 * np.pi)) + omega0**2 / (2 * np.log(10))
+        exact = float(summary["chirp_dc_exact"])
+        log_form = np.log10(abs(exact)) - np.log10(np.sqrt(2 * np.pi)) + omega0**2 / (2 * np.log(10))
         assert float(summary["chirp_enhancement_orders"]) == pytest.approx(log_form, rel=1e-14)
 
-    def test_reports_the_quadrature_error_estimate_next_to_the_value(self, tmp_path):
-        # at omega0 = 60 the DC content is below quad's resolution: the value
-        # is noise, and its error estimate says so
+    def test_weak_chirp_reports_the_exact_magnitude_in_logs(self, tmp_path):
+        # at omega0 = 60 the DC content, 10^-625, underflows; its log and the enhancement do not
         text = CHIRP.replace("omega0 = 10", "omega0 = 60").replace("alpha = 20", "alpha = 0.5")
         with pytest.warns(UserWarning, match="alpha\\*T\\^2 >> 1"):
             assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
-        keys = [line.split(": ", 1)[0] for line in (tmp_path / "summary.txt").read_text().splitlines()]
-        assert keys[keys.index("chirp_dc_numeric") + 1] == "chirp_dc_numeric_abserr"
         summary = _summary(tmp_path)
-        assert abs(float(summary["chirp_dc_numeric"])) < float(summary["chirp_dc_numeric_abserr"]) < 1e-11
+        assert float(summary["chirp_dc_exact"]) == 0.0
+        assert float(summary["chirp_dc_exact_log10_abs"]) == pytest.approx(-625.0353, abs=1e-4)
+        assert float(summary["chirp_enhancement_orders"]) == pytest.approx(156.2957, abs=1e-4)
+        assert float(summary["chirp_dc_rel_err_stationary_phase"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "pulse,orders",
+        [
+            # (omega0 T)^2 = 1e308: orders over an unchirped value that underflows
+            ("omega0 = 1e154\nalpha = 20", 2.166e307),
+            # omega0^2 / alpha overflows, and its cosine would be nan: both estimates' envelope is 0, and so are they
+            ("omega0 = 1e150\nalpha = 1e-160", 0.0),
+        ],
+        ids=["carrier-square-near-the-largest-float", "estimate-argument-overflows"],
+    )
+    def test_extreme_chirp_writes_finite_values(self, tmp_path, pulse, orders):
+        text = CHIRP.replace("omega0 = 10\nalpha = 20", pulse) + "[grid]\nn = 256\ndt = 1\nt0 = -128\n"
+        weak = pytest.warns(UserWarning, match="alpha\\*T\\^2 >> 1") if "e-160" in pulse else nullcontext()
+        with weak:
+            assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        summary = _summary(tmp_path)
+        for key, value in summary.items():
+            if key not in ("experiment", "pulse", "strong_chirp_regime"):
+                assert np.isfinite(float(value)), key
+        assert float(summary["chirp_enhancement_orders"]) == pytest.approx(orders, rel=1e-3, abs=1e-9)
+
+    def test_run_leaves_out_scipy(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text(CHIRP)
+        src = str(Path(propagate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\nfrom precursor_lab.cli import main\n"
+            f"assert main([{str(path)!r}, '--output-dir', {str(tmp_path / 'o')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_zero_dc_ratio_is_computed(self, tmp_path, monkeypatch):
         assert run(parse_config(CHIRP, {"output-dir": str(tmp_path / "a")})) == 0
@@ -591,21 +626,16 @@ class TestRunChirp:
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
-    def test_phase_that_overflows_over_the_quadrature_span_exits_before_writing(self, tmp_path, capsys):
-        # alpha s^2/2 is inf at s = 12 T = 1.08e155, where the quadrature's cosine would be nan
-        path, out = tmp_path / "cfg.ini", tmp_path / "o"
+    def test_width_whose_phase_overflows_far_out_runs(self, tmp_path):
+        # alpha s^2/2 overflows from s = 1.9e154 on; the exact form is sqrt(pi) as alpha T^2 -> inf at omega0 = 0
         wide = CHIRP.replace("T = 1\nomega0 = 10\nalpha = 20", "T = 9e153\nomega0 = 0\nalpha = 1")
-        path.write_text(wide + "[grid]\nn = 64\ndt = 1e153\nt0 = -3.2e154\n")
-        assert main([str(path), "--output-dir", str(out)]) == 1
-        message = (
-            "config error: pulse.alpha: chirp phase omega0 s + alpha s^2/2 overflows over the quadrature span "
-            "|s| <= 1.08e+155"
-        )
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not out.exists()
-
-    def test_phase_that_is_finite_over_the_quadrature_span_is_accepted(self):
-        parse_config(CHIRP.replace("T = 1\nomega0 = 10\nalpha = 20", "T = 1e150\nomega0 = 1e5\nalpha = 1"))
+        text = wide + "[grid]\nn = 64\ndt = 1e153\nt0 = -3.2e154\n"
+        assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        summary = _summary(tmp_path)
+        for key, value in summary.items():
+            if key not in ("experiment", "pulse", "strong_chirp_regime"):
+                assert np.isfinite(float(value)), key
+        assert float(summary["chirp_dc_exact"]) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
     def test_largest_rate_whose_square_is_finite_is_accepted(self):
         parse_config(CHIRP.replace("alpha = 20", "alpha = 1e153"))
@@ -1315,6 +1345,14 @@ class TestMainEntry:
                 "medium.variant: slab experiment needs a layered medium",
             ),
             (MINIMAL.replace("experiment = propagate", "experiment = banana"), _UNKNOWN_EXPERIMENT),
+            (
+                CHIRP.replace("omega0 = 10", "omega0 = 1e200") + "[grid]\nn = 256\ndt = 1\nt0 = -128\n",
+                "pulse.omega0: carrier 1e+200 too large: omega0^2 or (omega0 T)^2 overflows",
+            ),
+            (
+                CHIRP.replace("T = 1\nomega0 = 10", "T = 100\nomega0 = 1e154") + "[grid]\nn = 256\ndt = 1\nt0 = -128\n",
+                "pulse.omega0: carrier 1e+154 too large: omega0^2 or (omega0 T)^2 overflows",
+            ),
         ],
         ids=[
             "malformed-header", "empty-key", "empty-value", "not-a-number", "not-an-integer",
@@ -1324,6 +1362,7 @@ class TestMainEntry:
             "too-few-mc-samples", "zero-threads", "zero-threads-option", "grid-constructor", "ensemble-constructor",
             "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
             "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "unknown-experiment",
+            "chirp-carrier-square-overflows", "chirp-carrier-times-width-square-overflows",
         ],
     )
     def test_every_config_error_is_one_line(self, tmp_path, capsys, text, message):
@@ -1442,7 +1481,7 @@ class TestMainEntry:
         path.write_text("experiment = verify\nseed = 65\n")
         assert main([str(path), "--output-dir", str(tmp_path / "v")]) == 0
         summary = (tmp_path / "v" / "summary.txt").read_text()
-        assert "verify_monte_carlo_vs_quadrature: pass" in summary
+        assert "verify_monte_carlo_vs_direct_average: pass" in summary
         assert "verify_direct_average_closed_form_vs_quadrature: pass" in summary
 
     def test_verify_takes_a_negative_seed_modulo_2_64(self, tmp_path, capsys):
@@ -1455,7 +1494,7 @@ class TestMainEntry:
             out, err = capsys.readouterr()
             assert "Traceback" not in err
             lines.append([line for line in out.splitlines() if line.startswith("CHECK ")])
-        assert len(lines[0]) == 12 and lines[0] == lines[1]
+        assert len(lines[0]) == 13 and lines[0] == lines[1]
 
     def test_verify_experiment_passes(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -1463,7 +1502,7 @@ class TestMainEntry:
         assert main([str(path), "--output-dir", str(tmp_path / "v")]) == 0
         summary = (tmp_path / "v" / "summary.txt").read_text()
         assert "verify_gaussian_closed_form_oracle: pass" in summary
-        assert "verify_monte_carlo_vs_quadrature: pass" in summary
+        assert "verify_monte_carlo_vs_direct_average: pass" in summary
 
 
 class TestRunRecord:

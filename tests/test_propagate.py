@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from precursor_lab import (
     ExpKernelMedium,
@@ -14,6 +16,7 @@ from precursor_lab import (
     analytic_rect_output_largez,
     apply_transfer,
     chirp_dc_content,
+    chirp_dc_exact,
     chirp_dc_quadrature,
     effective_params,
     forward_transform,
@@ -330,3 +333,24 @@ class TestChirpDC:
     def test_weak_chirp_warns(self):
         with pytest.warns(UserWarning):
             chirp_dc_content(1.0, 10.0, 0.5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.1, 3.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+    @example(1.0, 40.0, 20.0)
+    @example(1.9976918805204442, 25.614804561229995, 1.8842310192655942)
+    def test_exact_agrees_with_quadrature(self, T, omega0, alpha):
+        # quad's error is absolute, near 1e-12, and up to 4.2 times its own
+        # estimate: at the second example |exact| = 1.8e-10 is 217 times the
+        # estimate, and the relative difference is 2.8e-4
+        exact, log10_abs = chirp_dc_exact(T, omega0, alpha)
+        numeric, abserr = chirp_dc_quadrature(T, omega0, alpha)
+        assert abs(numeric - exact) <= 1e-10 * abs(exact) + 10.0 * abserr
+        if exact:
+            assert log10_abs == pytest.approx(np.log10(abs(exact)), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("omega0,closed_form_err", [(100.0, 1.8e-2), (300.0, 0.58)])
+    def test_strong_chirp_limit_is_the_stationary_phase(self, omega0, closed_form_err):
+        exact = abs(chirp_dc_exact(1.0, omega0, 1e4)[0])
+        est = chirp_dc_content(1.0, omega0, 1e4)
+        assert abs(exact - abs(est.stationary_phase)) / exact < 1e-4
+        assert abs(exact - abs(est.closed_form)) / exact == pytest.approx(closed_form_err, rel=0.05)

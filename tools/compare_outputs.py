@@ -8,7 +8,10 @@ REV is any git revision of this repository.  It is unpacked with
 on it and once on the working tree, as ``python -m precursor_lab.cli`` with
 that tree's ``src`` on ``PYTHONPATH``.  The cases are the two benchmark
 workload configs (``perfbench/workloads/*.ini``, read and never written) at
-seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a two-layer slab,
+seeds 1 and 7 with ``--threads`` 1, 2 and 4, and a chirp, a weak chirp whose
+DC content underflows (``chirp-weak``), a chirp of width 9e153 whose phase
+overflows far out on a given grid (``wide-chirp``, which runs: the chirp run's
+DC content is exact, with no quadrature span to overflow), a two-layer slab,
 two exp-kernel propagates (the second passes much of its spectrum up to
 Nyquist), three csv-pulse propagates (a narrow pulse, one
 spanning t = -200 to 200, and one at t = 1e9 that needs a given grid), a propagate on a given grid whose times cross
@@ -30,8 +33,8 @@ and sixteen runs that are config errors: an automatic grid whose span
 overflows, a pulse width whose square overflows, a chirp rate whose square
 underflows, misspelled keys, a given grid whose Nyquist frequency squares to
 inf, a chirp whose phase overflows on a far grid, a slab whose closed form
-misses the grid, a chirp whose phase overflows over its quadrature span,
-an empty ``[grid]`` and an empty ``[pulse]`` header, the ``stochastic``
+misses the grid, a chirp whose carrier squares to inf
+(``chirp-carrier-overflow``), an empty ``[grid]`` and an empty ``[pulse]`` header, the ``stochastic``
 workload at ``mc-samples = 10^13`` (a count whose draws no host can hold),
 a propagate on a given grid of 2^45 samples (whose times alone would take
 256 TiB; revisions that do not bound a given grid fail to allocate them at
@@ -428,7 +431,8 @@ t0 = -40.76
 """
 
 
-# alpha s^2/2 overflows at the quadrature's span s = 12 T = 1.08e155
+# alpha s^2/2 overflows from s = 1.9e154 on, where the envelope is 0; revisions
+# whose chirp run integrated over |s| <= 12 T = 1.08e155 rejected it
 WIDE_CHIRP = """
 experiment = chirp
 [pulse]
@@ -440,6 +444,24 @@ alpha = 1
 n = 64
 dt = 1e153
 t0 = -3.2e154
+"""
+
+# the DC content, 10^-625, underflows; revisions that took it from quadrature
+# printed 767.16 orders of quadrature noise, not the exact 156.30
+WEAK_CHIRP = CHIRP.replace("omega0 = 1", "omega0 = 60").replace("alpha = 20", "alpha = 0.5")
+
+# omega0^2 overflows; revisions without a carrier check ended in an OverflowError traceback
+CARRIER_OVERFLOW_CHIRP = """
+experiment = chirp
+[pulse]
+kind = chirp-gaussian
+T = 1
+omega0 = 1e200
+alpha = 20
+[grid]
+n = 256
+dt = 1
+t0 = -128
 """
 
 # a section header without keys counts as given
@@ -574,6 +596,8 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "far-chirp": FAR_CHIRP,
         "slab-off-grid": SLAB_OFF_GRID,
         "wide-chirp": WIDE_CHIRP,
+        "chirp-weak": WEAK_CHIRP,
+        "chirp-carrier-overflow": CARRIER_OVERFLOW_CHIRP,
         "empty-grid": EMPTY_GRID,
         "empty-pulse": EMPTY_PULSE,
         "huge-mc-samples": HUGE_DRAWS_STOCHASTIC,
