@@ -447,13 +447,11 @@ def _check_chirp(cfg: config.ExperimentConfig):
 def _check_slab(cfg: config.ExperimentConfig):
     if not isinstance(cfg.medium, media.LayerStack):
         raise config.ConfigValidationError("medium.variant", "slab experiment needs a layered medium")
-    for i, (_, layer_medium) in enumerate(cfg.medium.layers):
-        if not isinstance(layer_medium, media.QuadraticMedium) or layer_medium.ell_inv != 0:
-            raise config.ConfigValidationError(
-                f"medium.layer[{i}]", "slab experiment needs lossless-at-DC quadratic layers "
-                "(the closed form uses their effective parameters)"
-            )
     total = cfg.medium.total_thickness
+    try:  # the closed form takes the stack's effective parameters, as run_slab does
+        media.effective_params(cfg.medium, total)
+    except ValueError as exc:
+        raise config.ConfigValidationError("medium", f"slab experiment needs a quadratic reduction of the stack ({exc})") from None
     if any(zv <= total for zv in cfg.z_values):
         raise config.ConfigValidationError("z", f"slab depths must exceed the stack thickness {total}")
 

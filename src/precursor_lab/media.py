@@ -240,7 +240,8 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
     means of the inverses of each layer's ``quadratic_reduction()`` over the
     depths [0, ell], a partial layer pro rata.  ``ell`` may not exceed the
     total stack thickness.  A layer whose reduction has DC absorption has no
-    such mean and is rejected, as is one whose reduction is out of range.
+    such mean and is rejected, as is a reduction or a mean out of range (a
+    subnormal a or v can make a layer's inverse overflow, leaving a mean of 0).
     """
     total = stack.total_thickness
     if ell <= 0 or (ell > total and not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0)):
@@ -254,9 +255,8 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
         inv_a += seg / reduced.a
         inv_v += seg / reduced.v
         top += thickness
-    a_eff = ell / inv_a if inv_a > 0 else math.inf
-    v_eff = ell / inv_v
-    return a_eff, v_eff
+    reduced = QuadraticMedium(a=ell / inv_a if inv_a > 0 else math.inf, v=ell / inv_v)
+    return reduced.a, reduced.v
 
 
 @dataclass(frozen=True)

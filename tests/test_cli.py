@@ -493,18 +493,27 @@ class TestThreadsDeterministic:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         layers=st.lists(
-            st.tuples(st.floats(0.1, 1.0), st.floats(0.5, 5.0), st.floats(0.5, 2.0)), min_size=1, max_size=3
+            st.tuples(
+                st.floats(0.1, 1.0),
+                st.one_of(
+                    st.tuples(st.just("quadratic"), st.floats(0.5, 5.0), st.floats(0.5, 2.0)),
+                    # K and Kp = K^2/v, whose reduction has velocity v
+                    st.builds(lambda K, v: ("exp-kernel", K, K * K / v), st.floats(2.0, 10.0), st.floats(0.5, 2.0)),
+                ),
+            ),
+            min_size=1,
+            max_size=3,
         ),
         T=st.floats(0.5, 2.0),
         past=st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True),
     )
     def test_threads_do_not_change_random_slab_runs(self, layers, T, past):
         # depths from 0.5 to 4 past the stack, in steps of 0.5, on the automatic grid
-        total = sum(thickness for thickness, _, _ in layers)
+        total = sum(thickness for thickness, _ in layers)
         text = (
             f"experiment = slab\nz-list = {' '.join(repr(total + k / 2) for k in past)}\n"
             f"[pulse]\nkind = gaussian\nT = {T!r}\n[medium]\nvariant = layered\n"
-            + "".join(f"layer = {l!r} quadratic {a!r} {v!r}\n" for l, a, v in layers)
+            + "".join(f"layer = {l!r} {kind} {p!r} {q!r}\n" for l, (kind, p, q) in layers)
             + "tail = free-space\n"
         )
         with tempfile.TemporaryDirectory() as tmp:
@@ -666,6 +675,14 @@ tail = free-space
 """
 
 
+def _slab_on_given_grid(layers):
+    """SLAB with ``layers`` in place of its layer, at z-list 4 8 16 on a given grid."""
+    return (
+        SLAB.replace("z-list = 2 4 8", "z-list = 4 8 16").replace("layer = 1.0 quadratic 0.01 2e8", layers)
+        + "[grid]\nn = 512\ndt = 0.1\nt0 = -14.1\n"
+    )
+
+
 class TestRunSlab:
     def test_closed_form_agreement_and_frozen_width(self, tmp_path):
         cfg = parse_config(SLAB, {"output-dir": str(tmp_path)})
@@ -682,10 +699,31 @@ class TestRunSlab:
         with pytest.raises(ConfigValidationError, match="z"):
             experiments.experiment(parse_config(SLAB.replace("z-list = 2 4 8", "z-list = 0.5 2 4")))
 
-    def test_non_quadratic_layer_rejected(self):
-        text = SLAB.replace("layer = 1.0 quadratic 0.01 2e8", "layer = 1.0 exp-kernel 10 100")
-        with pytest.raises(ConfigValidationError, match="layer"):
-            experiments.experiment(parse_config(text))
+    @pytest.mark.parametrize(
+        "layers,depths,rel_err,width",
+        [
+            ("layer = 2 exp-kernel 10 100", (4, 8, 16), 0.464090, None),
+            ("layer = 20 exp-kernel 10 100", (40, 80, 160), 0.104281, None),
+            ("layer = 20 exp-kernel 50 2500", (40, 80, 160), 0.333257, None),
+            ("layer = 1 exp-kernel 10 50000", (2, 4, 8), 0.0048889, 7.10607),
+            ("layer = 0.5 quadratic 1 1\nlayer = 0.5 exp-kernel 10 100", (2, 4, 8), 0.387289, None),
+        ],
+        ids=["K10-thin", "K10-thick", "K50", "slow", "mixed"],
+    )
+    def test_exp_kernel_layers_take_their_reduction(self, tmp_path, layers, depths, rel_err, width):
+        # each exp-kernel layer enters the closed form through its exact quadratic reduction:
+        # (a, v) = (5, 1), (5, 1), (25, 1), (0.01, 0.002), and the mixed stack's harmonic means
+        text = SLAB.replace("z-list = 2 4 8", f"z-list = {' '.join(map(str, depths))}").replace(
+            "layer = 1.0 quadratic 0.01 2e8", layers
+        )
+        assert run(parse_config(text, {"output-dir": str(tmp_path)})) == 0
+        summary = _summary(tmp_path)
+        for z in depths:
+            assert float(summary[f"slab_peak_rel_err[z={z}]"]) == pytest.approx(rel_err, abs=1e-4)
+        if width is not None:  # frozen past the stack, as the thin-slab form has it
+            widths = [float(summary[f"rms_width[z={z}]"]) for z in depths]
+            assert widths == pytest.approx([width] * len(depths), abs=1e-5)
+            assert max(widths) - min(widths) < 1e-9
 
     def test_unchirped_chirp_experiment_rejected(self):
         with pytest.raises(ConfigValidationError, match="alpha"):
@@ -1344,6 +1382,27 @@ class TestMainEntry:
                              "variant = quadratic\na = 1\nv = 1"),
                 "medium.variant: slab experiment needs a layered medium",
             ),
+            (
+                _slab_on_given_grid("layer = 2 exp-kernel 1e-300 1"),
+                "medium: slab experiment needs a quadratic reduction of the stack "
+                "(curvature scale must be positive, got a=0.0)",
+            ),
+            (
+                _slab_on_given_grid("layer = 2 exp-kernel 1e200 1e-100"),
+                "medium: slab experiment needs a quadratic reduction of the stack "
+                "(medium parameters must be finite (a may be inf), got a=inf, v=inf, ell_inv=0.0)",
+            ),
+            # a subnormal a or v whose inverse overflows leaves a harmonic mean of 0
+            (
+                _slab_on_given_grid("layer = 2 quadratic 5e-310 1"),
+                "medium: slab experiment needs a quadratic reduction of the stack "
+                "(curvature scale must be positive, got a=0.0)",
+            ),
+            (
+                _MEDIUM.format("variant = layered\nlayer = 0.1 quadratic 1 1e-320\nlayer = 1 quadratic 1 1"),
+                "grid: automatic grid needs a quadratic reduction of the medium "
+                "(velocity must be positive, got v=0.0); give a [grid] section",
+            ),
             (MINIMAL.replace("experiment = propagate", "experiment = banana"), _UNKNOWN_EXPERIMENT),
             (
                 CHIRP.replace("omega0 = 10", "omega0 = 1e200") + "[grid]\nn = 256\ndt = 1\nt0 = -128\n",
@@ -1361,7 +1420,8 @@ class TestMainEntry:
             "layered-without-layers", "unknown-tail", "unknown-medium-variant", "z-and-z-list",
             "too-few-mc-samples", "zero-threads", "zero-threads-option", "grid-constructor", "ensemble-constructor",
             "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
-            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "unknown-experiment",
+            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "slab-reduction-underflows",
+            "slab-reduction-overflows", "slab-mean-underflows", "automatic-grid-mean-underflows", "unknown-experiment",
             "chirp-carrier-square-overflows", "chirp-carrier-times-width-square-overflows",
         ],
     )

@@ -49,6 +49,12 @@ stack of a quadratic and an exp-kernel layer on the automatic grid
 (``layered-exp-kernel-auto-grid``, a one-line error before), and an
 exp-kernel propagate at z = 50 (``exp-kernel-exact-reduction``, whose
 automatic grid starts at t0 = -144.4, not -144.3, once a is exact),
+two slabs through exp-kernel layers, which revisions whose slab check took
+quadratic layers only (before ``_check_slab`` took its rule from
+``media.effective_params``) reject as ``medium.layer[...]`` errors: the mixed
+stack of the case above at z = 2, 4 and 8 (``slab-exp-kernel``, which runs)
+and a layer of K = 1e-300 whose reduction underflows to a = 0
+(``slab-exp-kernel-no-reduction``, still a one-line error, naming that reason),
 and four runs on bad input files: a config whose first line holds a byte that
 is not UTF-8, a csv pulse whose header is Latin-1, a csv pulse of 201 rows
 whose peak row is mistyped as ``0.000000,1.0.0``, and a csv pulse whose rows
@@ -519,6 +525,38 @@ K = 2
 Kp = 20
 """
 
+# the mixed stack of layered-exp-kernel-auto-grid as a slab; revisions whose slab
+# check took quadratic layers only reject it
+EXP_KERNEL_SLAB = """
+experiment = slab
+z-list = 2 4 8
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = layered
+layer = 0.5 quadratic 1 1
+layer = 0.5 exp-kernel 10 100
+tail = free-space
+"""
+
+# K^2/Kp underflows, so the layer's reduction has a = 0: a config error either way
+EXP_KERNEL_SLAB_NO_REDUCTION = """
+experiment = slab
+z-list = 4 8 16
+[pulse]
+kind = gaussian
+T = 1
+[medium]
+variant = layered
+layer = 2 exp-kernel 1e-300 1
+tail = free-space
+[grid]
+n = 512
+dt = 0.1
+t0 = -14.1
+"""
+
 # the first line ends in the byte 0xff, which UTF-8 never uses
 NON_UTF8_CONFIG = EXP_KERNEL.lstrip().encode().replace(b"propagate", b"propagate\xff", 1)
 
@@ -611,6 +649,8 @@ def cases(inputs: Path) -> dict[str, tuple[Path, list[str]]]:
         "slab-far-arrival": SLAB_FAR_ARRIVAL,
         "layered-exp-kernel-auto-grid": LAYERED_EXP_KERNEL_AUTO_GRID,
         "exp-kernel-exact-reduction": EXP_KERNEL_EXACT_REDUCTION,
+        "slab-exp-kernel": EXP_KERNEL_SLAB,
+        "slab-exp-kernel-no-reduction": EXP_KERNEL_SLAB_NO_REDUCTION,
     }
     out = {}
     for workload in ("sweep-z", "stochastic"):
