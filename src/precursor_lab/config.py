@@ -43,12 +43,13 @@ lines.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
 from .signals import PULSE_KINDS, PulseSpec
-from .stochastic import MAX_MC_SAMPLES, MAX_TABLE_ORDER, EnsembleSpec
+from .stochastic import MAX_MC_SAMPLES, MAX_TABLE_ORDER, EnsembleSpec, largest_scaled_draw
 
 __all__ = [
     "ConfigError",
@@ -60,6 +61,7 @@ __all__ = [
 ]
 
 MAX_GRID_SAMPLES = 1 << 24  # 128 MiB per float64 array, the byte budget of MAX_MC_SAMPLES's draws
+_ENVELOPE_REACH = 1491.0  # t^2/T^2 past which exp(-t^2/2T^2) rounds to 0 (exp(-x) does past x = 745.13)
 
 # Every config key, by section ("" is the top level): the key as messages name
 # it -> (type, default).  A default of None marks a required key, and () or ""
@@ -184,7 +186,13 @@ def _build_pulse(given: dict) -> tuple[PulseSpec | None, str | None]:
         )
     if _read(given, "pulse", "T") <= 0:
         raise ConfigValidationError("pulse.T", "pulse width must be positive")
-    return _make("pulse", PulseSpec, kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha"))), None
+    spec = _make("pulse", PulseSpec, kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha")))
+    # the chirp phase alpha t^2/2 out to where the envelope exp(-t^2/2T^2) rounds to 0, or t^2 overflows
+    if not math.isfinite(0.5 * spec.alpha * min(_ENVELOPE_REACH * (spec.T * spec.T), sys.float_info.max)):
+        raise ConfigValidationError(
+            "pulse.alpha", f"chirp rate {spec.alpha:g} too large: the phase alpha t^2/2 overflows where the envelope is not 0"
+        )
+    return spec, None
 
 
 def _parse_layer(value: str, index: int):
@@ -313,5 +321,10 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigValidationError(
                 "ensemble.m",
                 f"shape order {cfg.ensemble.m} exceeds the supported maximum {MAX_TABLE_ORDER}",
+            )
+        largest = largest_scaled_draw(cfg.ensemble.m)
+        if not math.isfinite(largest / cfg.ensemble.b):
+            raise ConfigValidationError(
+                "ensemble.b", f"scale {cfg.ensemble.b:g} too small: the largest draw {largest:g}/b overflows"
             )
     return cfg

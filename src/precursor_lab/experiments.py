@@ -113,9 +113,11 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     ``csv`` pulse), and its length n the next power of two, at least 2,
     that covers the span.  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of
     more than ``MAX_AUTO_SAMPLES`` samples, or a span that overflows, is a
-    config error.
+    config error, and so is a given grid whose delay phase overflows
+    (:func:`_check_delay_phase`).
     """
     if cfg.grid is not None:
+        _check_delay_phase(cfg, cfg.grid)
         return cfg.grid
     if cfg.pulse is None and cfg.pulse_csv is None:
         return None
@@ -154,6 +156,36 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
             "give a coarser [grid] section"
         )
     return timegrid.TimeGrid(n=n, dt=dt, t0=t0)
+
+
+def _check_delay_phase(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid):
+    """The delay phase z w / v at the deepest depth and ``grid``'s Nyquist frequency must be finite.
+
+    Past it the transfer's phase is inf, and its exp nan.  The delay is the
+    ensemble's, a quadratic medium's, or the sum over a stack's quadratic
+    layers and free-space tail; an exp-kernel medium's phase rate is at most
+    Kp/2K, and where z times it overflows so does its absorption, whose
+    transfer is then an exact 0.  An automatic grid spans the arrival z/v in
+    at most ``MAX_AUTO_SAMPLES`` samples, so its phase stays finite.
+    """
+    z, w, medium = max(cfg.z_values, default=0.0), float(grid.nyquist), cfg.medium
+    if "ensemble" in EXPERIMENTS[cfg.experiment].needs:
+        paths = [(z, cfg.ensemble.v)]
+    elif isinstance(medium, media.QuadraticMedium):
+        paths = [(z, medium.v)]
+    elif isinstance(medium, media.LayerStack):
+        paths, top = [], 0.0
+        for thickness, layer in medium.layers:
+            if isinstance(layer, media.QuadraticMedium):
+                paths.append((min(thickness, max(z - top, 0.0)), layer.v))
+            top += thickness
+        paths.append((max(z - top, 0.0), media.SPEED_OF_LIGHT))
+    else:
+        paths = []
+    if not math.isfinite(sum(seg * (w / v) for seg, v in paths)):
+        raise config.ConfigValidationError(
+            "z", f"the delay phase z w/v at depth {z:g} overflows at the grid's Nyquist frequency pi/dt = {w:g}"
+        )
 
 
 def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:
@@ -199,7 +231,11 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
 
     ``rows`` is ``read_pulse_csv(cfg)``.  A pulse that is zero at every grid
     sample, such as a CSV whose times miss a given grid or a ``rect``
-    narrower than ``dt``, is a config error.
+    narrower than ``dt``, is a config error.  So, for an experiment that
+    takes its outputs' rms widths (one that needs depths), is a grid, given
+    or automatic, whose times square to inf: the width squares them.  That
+    rule comes after the pulse is sampled, so that a pulse which misses a far
+    grid is reported as such.
     """
     if cfg.pulse_csv is not None:
         vals = np.interp(grid.times(), rows[:, 0], rows[:, 1], left=0.0, right=0.0)
@@ -212,6 +248,11 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
         t = grid.times()
         raise config.ConfigValidationError(
             "pulse", f"zero at every sample of the grid (t from {t[0]:g} to {t[-1]:g})"
+        )
+    reach = float(max(abs(grid.t0), abs(float(grid.n - 1) * grid.dt + grid.t0)))  # the last time, as times() forms it
+    if "z" in EXPERIMENTS[cfg.experiment].needs and not math.isfinite(reach * reach):
+        raise config.ConfigValidationError(
+            "grid", f"times reach |t| = {reach:g}, whose square overflows in the rms width"
         )
     return f0
 
@@ -449,9 +490,14 @@ def _check_slab(cfg: config.ExperimentConfig):
         raise config.ConfigValidationError("medium.variant", "slab experiment needs a layered medium")
     total = cfg.medium.total_thickness
     try:  # the closed form takes the stack's effective parameters, as run_slab does
-        media.effective_params(cfg.medium, total)
+        a_eff, _ = media.effective_params(cfg.medium, total)
     except ValueError as exc:
         raise config.ConfigValidationError("medium", f"slab experiment needs a quadratic reduction of the stack ({exc})") from None
+    # the closed form's scale sqrt(a/(2 pi ell)), as propagate.thin_slab_output forms it
+    if not math.isfinite(a_eff / (2.0 * np.pi * total)):
+        raise config.ConfigValidationError(
+            "medium.layer", f"slab experiment needs a finite a/(2 pi ell), got a={a_eff:g} over thickness ell={total:g}"
+        )
     if any(zv <= total for zv in cfg.z_values):
         raise config.ConfigValidationError("z", f"slab depths must exceed the stack thickness {total}")
 

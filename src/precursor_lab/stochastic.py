@@ -57,6 +57,7 @@ __all__ = [
     "gaussian_draw_std",
     "draw_std",
     "sample_inverse_a",
+    "largest_scaled_draw",
     "observed_output",
     "monte_carlo_output",
 ]
@@ -265,6 +266,15 @@ def sample_inverse_a(spec: EnsembleSpec, count: int, seed: int) -> np.ndarray:
     if count < 1:
         raise ValueError(f"need at least one draw, got count={count}")
     return _kernels.gamma_draws(int(seed), int(count), spec.m + 1, spec.b)
+
+
+def largest_scaled_draw(m: int) -> float:
+    """The largest b x that a draw or a node of the rule of :func:`draw_std` takes at shape order ``m``.
+
+    A draw sums m + 1 exponentials of at most 53 ln 2 each (``_kernels``'
+    least uniform is 2^-53); the rule's last node is larger at m = 0.
+    """
+    return max((m + 1) * -math.log(_kernels._U53), float(_gamma_rule(m, RULE_STEP)[0][-1]))
 
 
 def observed_output(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> SampledSignal:

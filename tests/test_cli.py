@@ -8,6 +8,7 @@ import warnings
 from contextlib import nullcontext
 from pathlib import Path
 
+import cases
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,14 +42,6 @@ variant = quadratic
 a = 1
 v = 1
 """
-
-_UNKNOWN_EXPERIMENT = (
-    "experiment: unknown experiment 'banana'; valid names: propagate, sweep-z, stochastic, chirp, slab, verify"
-)
-
-# MINIMAL with the body of its [medium] section left to fill in
-_MEDIUM = MINIMAL.replace("variant = quadratic\na = 1\nv = 1", "{}")
-
 
 class TestParseConfig:
     def test_minimal_propagate_defaults(self):
@@ -614,7 +607,7 @@ class TestRunChirp:
         ratio = float(_summary(tmp_path / "b")["zero_dc_closed_form_vs_series_ratio"])
         assert ratio == pytest.approx(3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("alpha", ["1e-162", "1e-170"])
+    @pytest.mark.parametrize("alpha", ["1e-162"])
     def test_rate_whose_square_underflows_exits_before_writing(self, tmp_path, capsys, alpha):
         # 2 alpha^2 T^2, the envelope's divisor in chirp_dc_content, is 0
         path, out = tmp_path / "cfg.ini", tmp_path / "o"
@@ -673,14 +666,6 @@ variant = layered
 layer = 1.0 quadratic 0.01 2e8
 tail = free-space
 """
-
-
-def _slab_on_given_grid(layers):
-    """SLAB with ``layers`` in place of its layer, at z-list 4 8 16 on a given grid."""
-    return (
-        SLAB.replace("z-list = 2 4 8", "z-list = 4 8 16").replace("layer = 1.0 quadratic 0.01 2e8", layers)
-        + "[grid]\nn = 512\ndt = 0.1\nt0 = -14.1\n"
-    )
 
 
 class TestRunSlab:
@@ -969,13 +954,6 @@ class TestMainEntry:
         with pytest.raises(ConfigValidationError, match=r"^mc-samples: need at most 16777216 samples"):
             parse_config(text)
 
-    def test_huge_mc_samples_exit_before_drawing(self, tmp_path, capsys):
-        text = STOCHASTIC.replace("mc-samples = 400", "mc-samples = 10000000000000")
-        self._one_line_error(
-            tmp_path, capsys, text,
-            "mc-samples: need at most 16777216 samples (128 MiB of draws), got 10000000000000",
-        )
-
     def test_given_grid_at_the_bound_parses(self):
         cfg = parse_config(MINIMAL + f"[grid]\nn = {1 << 24}\ndt = 0.1\nt0 = -200\n")
         assert cfg.grid.n == 1 << 24
@@ -985,14 +963,6 @@ class TestMainEntry:
         text = MINIMAL + f"[grid]\nn = {(1 << 24) + 1}\ndt = 0.1\nt0 = -200\n"
         with pytest.raises(ConfigValidationError, match=r"^grid\.n: need at most 16777216 samples"):
             parse_config(text)
-
-    def test_huge_given_grid_exit_before_sampling(self, tmp_path, capsys):
-        text = MINIMAL + f"[grid]\nn = {1 << 45}\ndt = 0.1\nt0 = -200\n"
-        self._one_line_error(
-            tmp_path, capsys, text,
-            "grid.n: need at most 16777216 samples (128 MiB per array), got 35184372088832",
-        )
-        assert not (tmp_path / "o").exists()
 
     def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
         text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
@@ -1183,12 +1153,6 @@ class TestMainEntry:
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
 
-    def test_csv_pulse_without_a_row_of_two_numbers(self, tmp_path, capsys):
-        src = tmp_path / "wave.csv"
-        src.write_text("t,f,g\n0,1,2\n1,2,3\n")
-        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(tmp_path, capsys, text, f"pulse.file: no numeric (t, f) rows found in {src}")
-
     @staticmethod
     def _gaussian_rows():
         """201 rows of a unit Gaussian at t = -1 ... 1, the peak on line 102 after the header."""
@@ -1224,38 +1188,12 @@ class TestMainEntry:
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line {line}: not UTF-8 text")
 
-    def test_config_that_is_not_utf8(self, tmp_path, capsys):
-        path = tmp_path / "cfg.ini"
-        path.write_bytes(MINIMAL.encode().replace(b"experiment = propagate", b"experiment = propagate\xff"))
-        assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("io-error: cannot read config: ")
-        assert "0xff" in err[0] and not (tmp_path / "o").exists()
-
-    def test_csv_pulse_far_out_needs_a_given_grid(self, tmp_path, capsys):
-        # an automatic grid from zero to t = 1e9 at dt = 0.1 would hold 2^34 samples
-        src = tmp_path / "wave.csv"
-        src.write_text("t,f\n1e9,1\n1.000000001e9,2\n")
-        text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(
-            tmp_path, capsys, text,
-            "grid: automatic grid needs 2^34 samples, more than 2^20; "
-            "give a [grid] section",
-        )
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize(
         "text,message",
         [
             # the carrier's spacing 0.1 pi/omega0 is 1e-301, so span/dt overflows
             (
                 MINIMAL.replace("T = 1\nomega0 = 2", "T = 1e100\nomega0 = 1e300"),
-                "grid: automatic grid needs infinitely many samples, more than 2^20; "
-                "give a [grid] section",
-            ),
-            # the medium's width sqrt(z/a) overflows
-            (
-                MINIMAL.replace("z = 100", "z = 1e300").replace("a = 1\n", "a = 1e-300\n"),
                 "grid: automatic grid needs infinitely many samples, more than 2^20; "
                 "give a [grid] section",
             ),
@@ -1272,13 +1210,8 @@ class TestMainEntry:
                 + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n",
                 "pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e-170",
             ),
-            # 2T^2 overflows
-            (
-                MINIMAL.replace("T = 1\n", "T = 1e160\n"),
-                "pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e+160",
-            ),
         ],
-        ids=["carrier-spacing", "medium-width", "ensemble-arrival", "tiny-width", "huge-width"],
+        ids=["carrier-spacing", "ensemble-arrival", "tiny-width"],
     )
     def test_out_of_range_grid_or_width_exits_before_writing(self, tmp_path, capsys, text, message):
         self._one_line_error(tmp_path, capsys, text, message)
@@ -1311,139 +1244,24 @@ class TestMainEntry:
 
     @pytest.mark.parametrize(
         "text,message",
-        [
-            (MINIMAL + "[grid]\n", "grid.n: missing"),
-            (MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2\n", ""), "pulse.kind: missing"),
-            (MINIMAL.replace("variant = quadratic\na = 1\nv = 1\n", "# no keys\n"), "medium.variant: missing"),
-        ],
-        ids=["grid", "pulse", "medium"],
+        [(MINIMAL.replace("variant = quadratic\na = 1\nv = 1\n", "# no keys\n"), "medium.variant: missing")],
+        ids=["medium"],
     )
     def test_empty_section_header_counts_as_given(self, tmp_path, capsys, text, message):
         self._one_line_error(tmp_path, capsys, text, message)
         assert not (tmp_path / "o").exists()
 
-    def test_misspelled_keys_exit_before_writing(self, tmp_path, capsys):
-        text = (
-            "experiment = stochastic\nz = 4\nmc-sample = 200\n"
-            "[pulse]\nkind = gaussian\nT = 1\nomega = 5\n"
-            "[ensemble]\nb = 2\nm = 1\nv = 1\nvariant = quadratic\n"
-        )
-        self._one_line_error(tmp_path, capsys, text, "line 3: unknown key 'mc-sample'")
-        assert not (tmp_path / "o").exists()
+    @pytest.mark.parametrize("case", cases.failing(), ids=lambda case: case.name)
+    def test_every_config_error_is_one_line(self, tmp_path, case):
+        # each failing case of the table: exit 1, its one line of standard error, no output directory
+        files = cases.run(case, tmp_path)
+        assert files["<exit status>"] == b"1"
+        assert files["<stderr>"].decode().splitlines() == [case.error]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("[grid\n" + MINIMAL, "line 1: malformed section header '[grid'"),
-            ("= 5\n" + MINIMAL, "line 1: empty key"),
-            ("seed =\n" + MINIMAL, "line 1: empty value for key 'seed'"),
-            (MINIMAL.replace("z = 100", "z = deep"), "z: not a number: 'deep'"),
-            ("seed = 1.5\n" + MINIMAL, "seed: not an integer: '1.5'"),
-            (MINIMAL.replace("kind = gaussian", "kind = csv"), "pulse.file: csv pulse needs a file path"),
-            (
-                MINIMAL.replace("kind = gaussian", "kind = sawtooth"),
-                "pulse.kind: unknown kind 'sawtooth'; expected gaussian, rect, chirp-gaussian or csv",
-            ),
-            (MINIMAL.replace("T = 1", "T = 0"), "pulse.T: pulse width must be positive"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5"),
-             "medium.layer[0]: expected: <thickness> <variant> <params...>"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic 1"),
-             "medium.layer[0]: quadratic layer needs: thickness quadratic a v"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5 exp-kernel 10"),
-             "medium.layer[0]: exp-kernel layer needs: thickness exp-kernel K Kp"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic -1 1"),
-             "medium.layer[0]: curvature scale must be positive, got a=-1.0"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5 glass 1 1"),
-             "medium.layer[0]: unknown layer variant 'glass'"),
-            (_MEDIUM.format("variant = layered"), "medium.layer: layered medium needs layer lines"),
-            (_MEDIUM.format("variant = layered\nlayer = 0.5 quadratic 1 1\ntail = mirror"),
-             "medium.tail: expected free-space or none, got 'mirror'"),
-            (_MEDIUM.format("variant = glass"), "medium.variant: unknown variant 'glass'"),
-            ("z-list = 1 2\n" + MINIMAL, "z: give either z or z-list, not both"),
-            (STOCHASTIC.replace("mc-samples = 400", "mc-samples = 99"), "mc-samples: need at least 100 samples"),
-            ("threads = 0\n" + MINIMAL, "threads: need at least 1 thread"),
-            ((MINIMAL, "--threads", "0"), "threads: need at least 1 thread"),
-            (MINIMAL + "[grid]\nn = 1\ndt = 0.1\nt0 = 0\n", "grid: grid needs at least 2 samples, got n=1"),
-            (STOCHASTIC.replace("b = 2", "b = -2"), "ensemble: scale parameter must be positive, got b=-2.0"),
-            (MINIMAL.split("[pulse]")[0], "pulse: experiment 'propagate' needs a [pulse] section"),
-            (MINIMAL.split("[medium]")[0], "medium: experiment 'propagate' needs a [medium] section"),
-            (MINIMAL.replace("z = 100", ""), "z: experiment 'propagate' needs z or z-list"),
-            (STOCHASTIC.replace("z = 4", ""), "z: experiment 'stochastic' needs z or z-list"),
-            (
-                CHIRP.replace("kind = chirp-gaussian", "kind = gaussian").replace("alpha = 20", ""),
-                "pulse.kind: chirp experiment needs kind = chirp-gaussian",
-            ),
-            (
-                CHIRP.replace("kind = chirp-gaussian", "kind = csv\nfile = wave.csv"),
-                "pulse: chirp experiment needs an explicit chirp pulse",
-            ),
-            (
-                SLAB.replace("variant = layered\nlayer = 1.0 quadratic 0.01 2e8\ntail = free-space",
-                             "variant = quadratic\na = 1\nv = 1"),
-                "medium.variant: slab experiment needs a layered medium",
-            ),
-            (
-                _slab_on_given_grid("layer = 2 exp-kernel 1e-300 1"),
-                "medium: slab experiment needs a quadratic reduction of the stack "
-                "(curvature scale must be positive, got a=0.0)",
-            ),
-            (
-                _slab_on_given_grid("layer = 2 exp-kernel 1e200 1e-100"),
-                "medium: slab experiment needs a quadratic reduction of the stack "
-                "(medium parameters must be finite (a may be inf), got a=inf, v=inf, ell_inv=0.0)",
-            ),
-            # a subnormal a or v whose inverse overflows leaves a harmonic mean of 0
-            (
-                _slab_on_given_grid("layer = 2 quadratic 5e-310 1"),
-                "medium: slab experiment needs a quadratic reduction of the stack "
-                "(curvature scale must be positive, got a=0.0)",
-            ),
-            (
-                _MEDIUM.format("variant = layered\nlayer = 0.1 quadratic 1 1e-320\nlayer = 1 quadratic 1 1"),
-                "grid: automatic grid needs a quadratic reduction of the medium "
-                "(velocity must be positive, got v=0.0); give a [grid] section",
-            ),
-            (MINIMAL.replace("experiment = propagate", "experiment = banana"), _UNKNOWN_EXPERIMENT),
-            (
-                CHIRP.replace("omega0 = 10", "omega0 = 1e200") + "[grid]\nn = 256\ndt = 1\nt0 = -128\n",
-                "pulse.omega0: carrier 1e+200 too large: omega0^2 or (omega0 T)^2 overflows",
-            ),
-            (
-                CHIRP.replace("T = 1\nomega0 = 10", "T = 100\nomega0 = 1e154") + "[grid]\nn = 256\ndt = 1\nt0 = -128\n",
-                "pulse.omega0: carrier 1e+154 too large: omega0^2 or (omega0 T)^2 overflows",
-            ),
-        ],
-        ids=[
-            "malformed-header", "empty-key", "empty-value", "not-a-number", "not-an-integer",
-            "csv-without-file", "unknown-pulse-kind", "zero-width", "layer-too-short",
-            "quadratic-layer-arity", "exp-kernel-layer-arity", "layer-constructor", "unknown-layer-variant",
-            "layered-without-layers", "unknown-tail", "unknown-medium-variant", "z-and-z-list",
-            "too-few-mc-samples", "zero-threads", "zero-threads-option", "grid-constructor", "ensemble-constructor",
-            "no-pulse", "no-medium", "propagate-without-depth", "stochastic-without-depth",
-            "chirp-of-gaussian", "chirp-of-csv", "slab-of-quadratic", "slab-reduction-underflows",
-            "slab-reduction-overflows", "slab-mean-underflows", "automatic-grid-mean-underflows", "unknown-experiment",
-            "chirp-carrier-square-overflows", "chirp-carrier-times-width-square-overflows",
-        ],
-    )
-    def test_every_config_error_is_one_line(self, tmp_path, capsys, text, message):
-        text, *options = (text,) if isinstance(text, str) else text  # a config, or a config and its options
-        self._one_line_error(tmp_path, capsys, text, message, *options)
-        assert not (tmp_path / "o").exists()
-
-    def test_unknown_experiment_override_is_one_line(self, tmp_path, capsys):
-        self._one_line_error(tmp_path, capsys, SWEEP, _UNKNOWN_EXPERIMENT, "--experiment", "banana")
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            # the free-space tail's 0.5 w^2/inf would be inf/inf = nan past the stack
-            (
-                "experiment = propagate\nz = 10\n[pulse]\nkind = gaussian\nT = 1\n"
-                "[medium]\nvariant = layered\nlayer = 1.6 quadratic 0.17 1.9\ntail = free-space\n"
-                "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
-                "grid.dt: spacing 1e-160 too small: the Nyquist frequency pi/dt squares to inf",
-            ),
             (
                 MINIMAL.replace("omega0 = 2", "omega0 = 0").replace("z = 100", "z = 10")
                 + "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
@@ -1456,7 +1274,7 @@ class TestMainEntry:
                 "to inf; give a coarser [grid] section",
             ),
         ],
-        ids=["layered", "homogeneous", "automatic"],
+        ids=["homogeneous", "automatic"],
     )
     def test_grid_whose_nyquist_frequency_squares_to_inf(self, tmp_path, capsys, text, message):
         self._one_line_error(tmp_path, capsys, text, message)
@@ -1465,46 +1283,18 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "pulse",
         [
-            "kind = chirp-gaussian\nT = 0.277\nomega0 = 0\nalpha = 21.6",
             "kind = gaussian\nT = 1\nomega0 = 1e10",
             "kind = rect\nT = 1\nomega0 = 1e10",
         ],
-        ids=["chirp", "gaussian", "rect"],
+        ids=["gaussian", "rect"],
     )
     def test_pulse_whose_phase_overflows_on_a_far_grid(self, tmp_path, capsys, pulse):
         # the phase overflows to inf where the envelope is 0, and cos(inf) is nan
         text = (
-            f"experiment = {'chirp' if 'alpha' in pulse else 'propagate'}\nz = 1\n[pulse]\n{pulse}\n"
+            f"experiment = propagate\nz = 1\n[pulse]\n{pulse}\n"
             "[medium]\nvariant = quadratic\na = 1\nv = 1\n[grid]\nn = 2\ndt = 1e300\nt0 = -1.65e300\n"
         )
         self._zero_pulse_error(tmp_path, capsys, text)
-        assert not (tmp_path / "o").exists()
-
-    def test_slab_closed_form_off_the_grid(self, tmp_path, capsys):
-        # with v = 1e-12 the closed form arrives near t = 1.7e11, far past the grid
-        text = (
-            "experiment = slab\nz-list = 3.161883 3.435876 31.3092\n"
-            "[pulse]\nkind = gaussian\nT = 0.2126\nomega0 = 0\n"
-            "[medium]\nvariant = layered\nlayer = 0.1657 quadratic 0.1996 1e-12\n"
-            "layer = 0.1223 quadratic 0.2515 0.2345\n"
-            "[grid]\nn = 1000\ndt = 0.0806\nt0 = -40.76\n"
-        )
-        self._one_line_error(
-            tmp_path, capsys, text,
-            "z: the thin-slab closed form at depth 3.16188 misses the grid (zero at every sample)",
-        )
-        assert not (tmp_path / "o").exists()
-
-    def test_slab_arrival_whose_square_overflows(self, tmp_path, capsys):
-        # with v = 1e-300 the closed form arrives at t = 1.3e300, and (t - 1.3e300)^2 overflows
-        text = (
-            "experiment = slab\nz-list = 11 36\n[pulse]\nkind = gaussian\nT = 1\n"
-            "[medium]\nvariant = layered\nlayer = 1.3 quadratic 0.37 1e-300\ntail = free-space\n"
-            "[grid]\nn = 4096\ndt = 0.0125\nt0 = -16.5\n"
-        )
-        self._one_line_error(
-            tmp_path, capsys, text, "z: the thin-slab closed form at depth 11 misses the grid (zero at every sample)"
-        )
         assert not (tmp_path / "o").exists()
 
     def test_slab_far_arrival_needs_a_given_grid(self, tmp_path, capsys):
