@@ -1259,6 +1259,14 @@ class TestMainEntry:
         assert files["<stderr>"].decode().splitlines() == [case.error]
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_experiment_override_is_one_line(self, tmp_path, capsys):
+        # the --experiment override and the experiment key give the same line as the table's unknown-experiment
+        (error,) = [case.error for case in cases.failing() if case.name == "unknown-experiment"]
+        message = error.removeprefix("config error: ")
+        self._one_line_error(tmp_path, capsys, SWEEP, message, "--experiment", "banana")
+        self._one_line_error(tmp_path, capsys, SWEEP.replace("experiment = sweep-z", "experiment = banana"), message)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "text,message",
         [
