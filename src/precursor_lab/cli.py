@@ -3,7 +3,8 @@
 ``precursor-lab <config> [--output-dir PATH] [--experiment NAME] [--seed N]
 [--threads N]`` reads a config file (format in :mod:`precursor_lab.config`).
 :func:`run` looks the experiment up (``experiments.EXPERIMENTS``), plans the
-grid, loads the pulse and calls the experiment's runner, which returns a
+grid, checks every rule that reads it (``experiments.check_ranges``), loads
+the pulse and calls the experiment's runner, which returns a
 :class:`~precursor_lab.experiments.Run`; only then does it create
 the output directory and write the record, its CSV tables through
 :func:`precursor_lab._csvfmt.write_tables`:
@@ -41,6 +42,7 @@ def run(cfg: ExperimentConfig) -> int:
     entry = experiments.experiment(cfg)
     rows = experiments.read_pulse_csv(cfg)
     grid = experiments.plan_grid(cfg, rows)
+    experiments.check_ranges(cfg, grid)
     f0 = experiments.load_pulse(cfg, grid, rows)
     record = entry.run(cfg, grid, f0)
     entries = [("experiment", cfg.experiment), *record.entries]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from .grid import TimeGrid
 from .media import ExpKernelMedium, LayerStack, QuadraticMedium
-from .signals import PULSE_KINDS, PulseSpec
+from .signals import ENVELOPE_REACH, PULSE_KINDS, PulseSpec
 from .stochastic import MAX_MC_SAMPLES, MAX_TABLE_ORDER, EnsembleSpec, largest_scaled_draw
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 MAX_GRID_SAMPLES = 1 << 24  # 128 MiB per float64 array, the byte budget of MAX_MC_SAMPLES's draws
-_ENVELOPE_REACH = 1491.0  # t^2/T^2 past which exp(-t^2/2T^2) rounds to 0 (exp(-x) does past x = 745.13)
 
 # Every config key, by section ("" is the top level): the key as messages name
 # it -> (type, default).  A default of None marks a required key, and () or ""
@@ -188,7 +187,7 @@ def _build_pulse(given: dict) -> tuple[PulseSpec | None, str | None]:
         raise ConfigValidationError("pulse.T", "pulse width must be positive")
     spec = _make("pulse", PulseSpec, kind=kind, **_fields(given, "pulse", ("T", "omega0", "alpha")))
     # the chirp phase alpha t^2/2 out to where the envelope exp(-t^2/2T^2) rounds to 0, or t^2 overflows
-    if not math.isfinite(0.5 * spec.alpha * min(_ENVELOPE_REACH * (spec.T * spec.T), sys.float_info.max)):
+    if not math.isfinite(0.5 * spec.alpha * min(ENVELOPE_REACH * (spec.T * spec.T), sys.float_info.max)):
         raise ConfigValidationError(
             "pulse.alpha", f"chirp rate {spec.alpha:g} too large: the phase alpha t^2/2 overflows where the envelope is not 0"
         )
@@ -236,7 +235,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     ``overrides`` maps top-level keys (experiment, output-dir, seed, threads)
     to replacement values, taking precedence over the file contents.  A
     ``threads`` value is checked (at least 1) and has no other effect.  The
-    experiment's name and needs are checked by ``experiments.experiment``.
+    experiment's name and needs are checked by ``experiments.experiment``, and
+    every rule that reads the grid by ``experiments.check_ranges``.
     """
     given: dict[tuple[str, str], object] = {}
     first_line: dict[tuple[str, str], int] = {}
@@ -301,11 +301,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     if "grid" in sections:
         cfg.grid = _make("grid", TimeGrid, **_fields(given, "grid", KEYS["grid"]))
-        # every medium squares the frequencies up to Nyquist
-        if not math.isfinite(cfg.grid.nyquist * cfg.grid.nyquist):
-            raise ConfigValidationError(
-                "grid.dt", f"spacing {cfg.grid.dt:g} too small: the Nyquist frequency pi/dt squares to inf"
-            )
         if cfg.grid.n > MAX_GRID_SAMPLES:
             raise ConfigValidationError(
                 "grid.n", f"need at most {MAX_GRID_SAMPLES} samples ({MAX_GRID_SAMPLES * 8 >> 20} MiB per array), "

@@ -3,11 +3,11 @@
 An :class:`Experiment` holds the runner, a function of ``(cfg, grid, f0)``
 that computes a :class:`Run` and writes nothing, the config parts it needs
 and its own check, which :func:`experiment` applies: adding an experiment is
-one entry and its runner.  :func:`plan_grid` chooses the grid, :func:`load_pulse`
-samples the input on it, and :func:`discrepancy_entries` gives the lines every
-summary ends with.  Package functions are called through their modules
-(``propagate.apply_transfer``, never a name bound by ``from ... import``), so
-that a wrapper set on a module attribute sees every call.
+one entry and its runner.  :func:`plan_grid` chooses the grid, :func:`check_ranges`
+checks it, :func:`load_pulse` samples the input on it, and :func:`discrepancy_entries`
+gives the lines every summary ends with.  Package functions are called through their
+modules (``propagate.apply_transfer``, never a name bound by ``from ... import``),
+so that a wrapper set on a module attribute sees every call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import grid as timegrid
 
 __all__ = [
     "EXPERIMENTS", "Experiment", "Run", "experiment", "plan_grid", "read_pulse_csv", "load_pulse", "discrepancy_entries",
-    "monte_carlo_deviation", "run_propagation", "run_stochastic", "run_chirp", "run_slab", "run_verify",
+    "check_ranges", "monte_carlo_deviation", "run_propagation", "run_stochastic", "run_chirp", "run_slab", "run_verify",
 ]
 
 
@@ -113,11 +113,9 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
     ``csv`` pulse), and its length n the next power of two, at least 2,
     that covers the span.  ``rows`` is ``read_pulse_csv(cfg)``.  A grid of
     more than ``MAX_AUTO_SAMPLES`` samples, or a span that overflows, is a
-    config error, and so is a given grid whose delay phase overflows
-    (:func:`_check_delay_phase`).
+    config error; :func:`check_ranges` checks the grid either way.
     """
     if cfg.grid is not None:
-        _check_delay_phase(cfg, cfg.grid)
         return cfg.grid
     if cfg.pulse is None and cfg.pulse_csv is None:
         return None
@@ -150,42 +148,49 @@ def plan_grid(cfg: config.ExperimentConfig, rows) -> timegrid.TimeGrid | None:
         raise config.ConfigValidationError(
             "grid", f"automatic grid needs {needs} samples, more than {limit}; give a [grid] section"
         )
-    if not math.isfinite((np.pi / dt) * (np.pi / dt)):  # as config.py rejects such a given dt
-        raise config.ConfigValidationError(
-            "grid", f"automatic grid spacing {dt:g} too small: the Nyquist frequency pi/dt squares to inf; "
-            "give a coarser [grid] section"
-        )
     return timegrid.TimeGrid(n=n, dt=dt, t0=t0)
 
 
-def _check_delay_phase(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid):
-    """The delay phase z w / v at the deepest depth and ``grid``'s Nyquist frequency must be finite.
+def check_ranges(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid | None):
+    """Every rule that reads the grid, given or automatic: a number the run would form that overflows is a config error.
 
-    Past it the transfer's phase is inf, and its exp nan.  The delay is the
-    ensemble's, a quadratic medium's, or the sum over a stack's quadratic
-    layers and free-space tail; an exp-kernel medium's phase rate is at most
-    Kp/2K, and where z times it overflows so does its absorption, whose
-    transfer is then an exact 0.  An automatic grid spans the arrival z/v in
-    at most ``MAX_AUTO_SAMPLES`` samples, so its phase stays finite.
+    From scalars at the grid's extremes, in order: w^2 at Nyquist, w = pi/dt;
+    the last time t0 + (n-1) dt; the pulse's phase omega0 t + alpha t^2/2 out
+    to ``PulseSpec.reach``; then the delay phase and the absorption of z gamma(w)
+    at the deepest depth z, summed over a stack's layers and tail.
     """
-    z, w, medium = max(cfg.z_values, default=0.0), float(grid.nyquist), cfg.medium
-    if "ensemble" in EXPERIMENTS[cfg.experiment].needs:
-        paths = [(z, cfg.ensemble.v)]
-    elif isinstance(medium, media.QuadraticMedium):
-        paths = [(z, medium.v)]
-    elif isinstance(medium, media.LayerStack):
-        paths, top = [], 0.0
-        for thickness, layer in medium.layers:
-            if isinstance(layer, media.QuadraticMedium):
-                paths.append((min(thickness, max(z - top, 0.0)), layer.v))
-            top += thickness
-        paths.append((max(z - top, 0.0), media.SPEED_OF_LIGHT))
+    if grid is None:
+        return
+    w, t0, dt, needs = float(grid.nyquist), float(grid.t0), float(grid.dt), EXPERIMENTS[cfg.experiment].needs
+    if not math.isfinite(w * w):
+        automatic = ("grid", "automatic grid spacing", "; give a coarser [grid] section")
+        key, what, advice = automatic if cfg.grid is None else ("grid.dt", "spacing", "")
+        raise config.ConfigValidationError(key, f"{what} {dt:g} too small: the Nyquist frequency pi/dt squares to inf{advice}")
+    last = float(grid.n - 1) * dt + t0  # as times() forms it
+    if not math.isfinite(last):
+        raise config.ConfigValidationError("grid", f"the last time t0 + (n-1) dt = {t0:g} + {grid.n - 1} x {dt:g} overflows")
+    pulse = cfg.pulse
+    if pulse is not None and -pulse.reach <= last and t0 <= pulse.reach:  # the grid meets the pulse
+        t = min(max(-t0, last), pulse.reach)
+        if not math.isfinite(pulse.omega0 * t + 0.5 * abs(pulse.alpha) * t * t):
+            raise config.ConfigValidationError("pulse.omega0", f"carrier {pulse.omega0:g} too large: the phase omega0 t + "
+                                               f"alpha t^2/2 overflows at |t| = {t:g}, where the pulse is not 0")
+    z = max(cfg.z_values, default=0.0) if "z" in needs else 0.0  # 0 where nothing propagates
+    if "ensemble" in needs:  # the delay w z/v, and the draws' z w^2/2 and z w^2/b
+        phase, absorption = w * z / cfg.ensemble.v, z * (w * w) * max(0.5, 1.0 / cfg.ensemble.b)
     else:
-        paths = []
-    if not math.isfinite(sum(seg * (w / v) for seg, v in paths)):
-        raise config.ConfigValidationError(
-            "z", f"the delay phase z w/v at depth {z:g} overflows at the grid's Nyquist frequency pi/dt = {w:g}"
-        )
+        layers = cfg.medium.layers if isinstance(cfg.medium, media.LayerStack) else [(math.inf, cfg.medium)]
+        paths, top = [], 0.0
+        for thickness, layer in [*layers, (math.inf, media.free_space())]:
+            paths.append((min(thickness, max(z - top, 0.0)), layer))
+            top += thickness
+        with np.errstate(all="ignore"):  # a part that overflows is inf or nan
+            gammas = [(seg, complex(m.propagation_constant(w))) for seg, m in paths if seg > 0.0]
+        phase, absorption = sum(seg * -g.imag for seg, g in gammas), sum(seg * g.real for seg, g in gammas)
+    for part, value in (("delay phase z w/v", phase), ("absorption z Re gamma(w)", absorption)):
+        if not math.isfinite(value):
+            raise config.ConfigValidationError(
+                "z", f"the {part} at depth {z:g} overflows at the grid's Nyquist frequency pi/dt = {w:g}")
 
 
 def read_pulse_csv(cfg: config.ExperimentConfig) -> np.ndarray | None:

@@ -241,7 +241,8 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
     depths [0, ell], a partial layer pro rata.  ``ell`` may not exceed the
     total stack thickness.  A layer whose reduction has DC absorption has no
     such mean and is rejected, as is a reduction or a mean out of range (a
-    subnormal a or v can make a layer's inverse overflow, leaving a mean of 0).
+    subnormal a or v can make a layer's inverse overflow, leaving a mean of 0,
+    and a subnormal thickness can make it underflow, leaving a mean of inf).
     """
     total = stack.total_thickness
     if ell <= 0 or (ell > total and not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0)):
@@ -255,7 +256,7 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
         inv_a += seg / reduced.a
         inv_v += seg / reduced.v
         top += thickness
-    reduced = QuadraticMedium(a=ell / inv_a if inv_a > 0 else math.inf, v=ell / inv_v)
+    reduced = QuadraticMedium(a=ell / inv_a if inv_a > 0 else math.inf, v=ell / inv_v if inv_v > 0 else math.inf)
     return reduced.a, reduced.v
 
 

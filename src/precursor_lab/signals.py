@@ -13,6 +13,8 @@ from .grid import SampledSignal, TimeGrid
 __all__ = ["PulseSpec", "sample_pulse", "moment"]
 
 PULSE_KINDS = ("gaussian", "rect", "chirp-gaussian")
+ENVELOPE_REACH = 1491.0  # t^2/T^2 past which exp(-t^2/2T^2) rounds to 0 (exp(-x) does past x = 745.13)
+_EDGE_TOLERANCE = 1e-12  # a rect's samples this close to its edge, times max(T, 1), take half its carrier
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,13 @@ class PulseSpec:
         """True when alpha*T^2 > 10, the regime the chirp estimates assume."""
         return self.alpha * self.T**2 > 10.0
 
+    @property
+    def reach(self) -> float:
+        """The |t| past which the sampled pulse is 0: a rect's edge, or where exp(-t^2/2T^2) rounds to 0 or t^2 overflows."""
+        if self.kind == "rect":
+            return self.T / 2.0 + _EDGE_TOLERANCE * max(self.T, 1.0)
+        return min(self.T * math.sqrt(ENVELOPE_REACH), math.sqrt(sys.float_info.max))
+
 
 def _carried(spec: PulseSpec, t):
     """exp(-t^2/2T^2) * cos(omega0 t + alpha t^2/2), the envelope times the carrier.
@@ -89,7 +98,7 @@ def sample_pulse(spec: PulseSpec, grid: TimeGrid) -> SampledSignal:
     with np.errstate(over="ignore", invalid="ignore"):  # a nan carrier far out lies outside the pulse
         carrier = np.cos(spec.omega0 * t)
     vals = np.where(np.abs(t) < half, carrier, 0.0)
-    edge = np.isclose(np.abs(t), half, rtol=0.0, atol=1e-12 * max(spec.T, 1.0))
+    edge = np.isclose(np.abs(t), half, rtol=0.0, atol=_EDGE_TOLERANCE * max(spec.T, 1.0))
     vals[edge] = carrier[edge] / 2.0
     return SampledSignal(grid, vals)
 

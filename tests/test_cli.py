@@ -607,27 +607,6 @@ class TestRunChirp:
         ratio = float(_summary(tmp_path / "b")["zero_dc_closed_form_vs_series_ratio"])
         assert ratio == pytest.approx(3.0, rel=1e-15)
 
-    @pytest.mark.parametrize("alpha", ["1e-162"])
-    def test_rate_whose_square_underflows_exits_before_writing(self, tmp_path, capsys, alpha):
-        # 2 alpha^2 T^2, the envelope's divisor in chirp_dc_content, is 0
-        path, out = tmp_path / "cfg.ini", tmp_path / "o"
-        path.write_text(CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", f"alpha = {alpha}"))
-        assert main([str(path), "--output-dir", str(out)]) == 1
-        message = f"config error: pulse.alpha: chirp rate {alpha} too small: 2 alpha^2 T^2 underflows to 0"
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("alpha", ["1e+155", "1e+200"])
-    def test_rate_whose_square_overflows_exits_before_writing(self, tmp_path, capsys, alpha):
-        # on a given grid, which the automatic grid's own size check cannot pre-empt
-        path, out = tmp_path / "cfg.ini", tmp_path / "o"
-        grid = "[grid]\nn = 1024\ndt = 0.1\nt0 = -20\n"
-        path.write_text(CHIRP.replace("omega0 = 10", "omega0 = 1").replace("alpha = 20", f"alpha = {alpha}") + grid)
-        assert main([str(path), "--output-dir", str(out)]) == 1
-        message = f"config error: pulse.alpha: chirp rate {alpha} too large: 2 alpha^2 T^2 overflows"
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not out.exists()
-
     def test_width_whose_phase_overflows_far_out_runs(self, tmp_path):
         # alpha s^2/2 overflows from s = 1.9e154 on; the exact form is sqrt(pi) as alpha T^2 -> inf at omega0 = 0
         wide = CHIRP.replace("T = 1\nomega0 = 10\nalpha = 20", "T = 9e153\nomega0 = 0\nalpha = 1")
@@ -1188,35 +1167,6 @@ class TestMainEntry:
         text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line {line}: not UTF-8 text")
 
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            # the carrier's spacing 0.1 pi/omega0 is 1e-301, so span/dt overflows
-            (
-                MINIMAL.replace("T = 1\nomega0 = 2", "T = 1e100\nomega0 = 1e300"),
-                "grid: automatic grid needs infinitely many samples, more than 2^20; "
-                "give a [grid] section",
-            ),
-            # the arrival z/v and the ensemble's tail sqrt(z/b) overflow
-            (
-                AUTO_STOCHASTIC.format(m=1).replace("z-list = 0.5 2", "z = 1e300")
-                .replace("b = 2", "b = 1e-300").replace("v = 1", "v = 1e-300"),
-                "grid: automatic grid needs infinitely many samples, more than 2^20; "
-                "give a [grid] section",
-            ),
-            # 2T^2 underflows to 0, and the envelope would be 0/0 at t = 0
-            (
-                MINIMAL.replace("T = 1\n", "T = 1e-170\n")
-                + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n",
-                "pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e-170",
-            ),
-        ],
-        ids=["carrier-spacing", "ensemble-arrival", "tiny-width"],
-    )
-    def test_out_of_range_grid_or_width_exits_before_writing(self, tmp_path, capsys, text, message):
-        self._one_line_error(tmp_path, capsys, text, message)
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("base", ["sweep-z", "stochastic"])
     @pytest.mark.parametrize(
         "rows", ["-1,0\n0,0\n1,0\n", "1000,1\n1001,2\n"], ids=["all-zero", "off-grid"]
@@ -1265,55 +1215,6 @@ class TestMainEntry:
         message = error.removeprefix("config error: ")
         self._one_line_error(tmp_path, capsys, SWEEP, message, "--experiment", "banana")
         self._one_line_error(tmp_path, capsys, SWEEP.replace("experiment = sweep-z", "experiment = banana"), message)
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [
-            (
-                MINIMAL.replace("omega0 = 2", "omega0 = 0").replace("z = 100", "z = 10")
-                + "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
-                "grid.dt: spacing 1e-160 too small: the Nyquist frequency pi/dt squares to inf",
-            ),
-            # the automatic spacing 0.1 T of the least width T
-            (
-                MINIMAL.replace("T = 1\nomega0 = 2", "T = 2e-154").replace("z = 100", "z = 1e-300"),
-                "grid: automatic grid spacing 2e-155 too small: the Nyquist frequency pi/dt squares "
-                "to inf; give a coarser [grid] section",
-            ),
-        ],
-        ids=["homogeneous", "automatic"],
-    )
-    def test_grid_whose_nyquist_frequency_squares_to_inf(self, tmp_path, capsys, text, message):
-        self._one_line_error(tmp_path, capsys, text, message)
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "pulse",
-        [
-            "kind = gaussian\nT = 1\nomega0 = 1e10",
-            "kind = rect\nT = 1\nomega0 = 1e10",
-        ],
-        ids=["gaussian", "rect"],
-    )
-    def test_pulse_whose_phase_overflows_on_a_far_grid(self, tmp_path, capsys, pulse):
-        # the phase overflows to inf where the envelope is 0, and cos(inf) is nan
-        text = (
-            f"experiment = propagate\nz = 1\n[pulse]\n{pulse}\n"
-            "[medium]\nvariant = quadratic\na = 1\nv = 1\n[grid]\nn = 2\ndt = 1e300\nt0 = -1.65e300\n"
-        )
-        self._zero_pulse_error(tmp_path, capsys, text)
-        assert not (tmp_path / "o").exists()
-
-    def test_slab_far_arrival_needs_a_given_grid(self, tmp_path, capsys):
-        # the same stack on the automatic grid, whose span to t = 1.3e300 needs 2^1001 samples
-        text = (
-            "experiment = slab\nz-list = 11 36\n[pulse]\nkind = gaussian\nT = 1\n"
-            "[medium]\nvariant = layered\nlayer = 1.3 quadratic 0.37 1e-300\ntail = free-space\n"
-        )
-        self._one_line_error(
-            tmp_path, capsys, text, "grid: automatic grid needs 2^1001 samples, more than 2^20; give a [grid] section"
-        )
         assert not (tmp_path / "o").exists()
 
     def _zero_pulse_error(self, tmp_path, capsys, text):

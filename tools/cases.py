@@ -673,6 +673,67 @@ tail = free-space
          "a subnormal slab thickness, for which the closed form's a/(2 pi ell) overflows",
          error="config error: medium.layer: slab experiment needs a finite a/(2 pi ell), "
          "got a=inf over thickness ell=4.94066e-324"),
+    Case("tiny-spacing-quadratic",
+         PROPAGATE.replace("omega0 = 2", "omega0 = 0").replace("z = 100", "z = 10") + "[grid]\nn = 256\ndt = 1e-160\nt0 = -1e-158\n",
+         "pi/dt squares to inf on a given grid, in a homogeneous medium",
+         error="config error: grid.dt: spacing 1e-160 too small: the Nyquist frequency pi/dt squares to inf"),
+    Case("automatic-grid-tiny-spacing", PROPAGATE.replace("T = 1\nomega0 = 2", "T = 2e-154").replace("z = 100", "z = 1e-300"),
+         "the automatic spacing 0.1 T of the least width T, whose pi/dt squares to inf: the same rule as for a given grid",
+         error="config error: grid: automatic grid spacing 2e-155 too small: the Nyquist frequency pi/dt squares to inf; "
+         "give a coarser [grid] section"),
+    Case("chirp-rate-square-underflows", CHIRP.replace("alpha = 20", "alpha = 1e-162"),
+         "the largest rate at which 2 alpha^2 T^2 underflows to 0 (1e-160 runs)",
+         error="config error: pulse.alpha: chirp rate 1e-162 too small: 2 alpha^2 T^2 underflows to 0"),
+    *(
+        Case(name, CHIRP.replace("alpha = 20", f"alpha = {alpha}") + "[grid]\nn = 1024\ndt = 0.1\nt0 = -20\n",
+             "2 alpha^2 T^2 overflows on a given grid, which the automatic grid's own size rule cannot pre-empt",
+             error=f"config error: pulse.alpha: chirp rate {alpha} too large: 2 alpha^2 T^2 overflows")
+        for name, alpha in (("chirp-rate-square-overflows", "1e+155"), ("huge-chirp-rate", "1e+200"))
+    ),
+    Case("automatic-grid-carrier-spacing", PROPAGATE.replace("T = 1\nomega0 = 2", "T = 1e100\nomega0 = 1e300"),
+         "the carrier's spacing 0.1 pi/omega0 is 1e-301, so span/dt overflows: the grid's size rule wins over the carrier's",
+         error="config error: grid: automatic grid needs infinitely many samples, more than 2^20; give a [grid] section"),
+    Case("ensemble-arrival-overflows",
+         FEW_DRAWS_STOCHASTIC.replace("z-list = 0.5 1 2", "z = 1e300").replace("b = 2\nm = 1\nv = 1", "b = 1e-300\nm = 1\nv = 1e-300"),
+         "the ensemble's arrival z/v and tail sqrt(z/b) overflow the automatic grid's span",
+         error="config error: grid: automatic grid needs infinitely many samples, more than 2^20; give a [grid] section"),
+    Case("tiny-pulse-width", PROPAGATE.replace("T = 1\n", "T = 1e-170\n") + "[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n",
+         "2T^2 underflows to 0, and the envelope would be 0/0 at t = 0",
+         error="config error: pulse: pulse width needs T^2 >= 2.22507e-308 and a finite 2T^2, got T=1e-170"),
+    *(
+        Case(f"far-grid-carrier-{kind}",
+             PROPAGATE.replace("z = 100", "z = 1").replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = {kind}\nT = 1\nomega0 = 1e10")
+             + "[grid]\nn = 2\ndt = 1e300\nt0 = -1.65e300\n",
+             "omega0 t overflows at both samples, where the pulse is 0: the pulse misses the grid",
+             error="config error: pulse: zero at every sample of the grid (t from -1.65e+300 to -6.5e+299)")
+        for kind in ("gaussian", "rect")
+    ),
+    Case("slab-far-arrival-automatic-grid",
+         "experiment = slab\nz-list = 11 36\n[pulse]\nkind = gaussian\nT = 1\n"
+         "[medium]\nvariant = layered\nlayer = 1.3 quadratic 0.37 1e-300\ntail = free-space\n",
+         "slab-far-arrival on the automatic grid, whose span to t = 1.3e300 needs 2^1001 samples",
+         error="config error: grid: automatic grid needs 2^1001 samples, more than 2^20; give a [grid] section"),
+    Case("slab-inverse-velocity-underflows",
+         SLAB.replace("z-list = 2 4 8", "z-list = 1 2")
+         .replace("layer = 0.5 quadratic 1 1\nlayer = 1.0 quadratic 3 1.2", "layer = 5e-324 quadratic 1 4"),
+         "a subnormal thickness over v = 4 rounds to 0, so the stack's mean velocity is inf",
+         error="config error: medium: slab experiment needs a quadratic reduction of the stack "
+         "(medium parameters must be finite (a may be inf), got a=1.0, v=inf, ell_inv=0.0)"),
+    Case("carrier-phase-overflows",
+         PROPAGATE.replace("z = 100", "z = 1").replace("omega0 = 2", "omega0 = 1e308") + "[grid]\nn = 64\ndt = 0.5\nt0 = -16\n",
+         "omega0 t overflows where the envelope is not 0",
+         error="config error: pulse.omega0: carrier 1e+308 too large: the phase omega0 t + alpha t^2/2 overflows "
+         "at |t| = 16, where the pulse is not 0"),
+    Case("grid-last-time-overflows",
+         PROPAGATE.replace("z = 100", "z = 1").replace("omega0 = 2\n", "") + "[grid]\nn = 3\ndt = 1.7e308\nt0 = -465.8\n",
+         "the least n at which the last time t0 + (n-1) dt overflows",
+         error="config error: grid: the last time t0 + (n-1) dt = -465.8 + 2 x 1.7e+308 overflows"),
+    Case("absorption-overflows-far-depth",
+         PROPAGATE.replace("z = 100", "z-list = 301 1e300").replace("omega0 = 2\n", "").replace("a = 1\nv = 1", "a = 1e-10\nv = 1e10")
+         + "[grid]\nn = 64\ndt = 0.5\nt0 = -16\n",
+         "z w^2/2a overflows at the deepest depth, where the delay phase z w/v does not",
+         error="config error: z: the absorption z Re gamma(w) at depth 1e+300 overflows at the grid's Nyquist frequency "
+         "pi/dt = 6.28319"),
 ]
 
 
