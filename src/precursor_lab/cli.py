@@ -15,8 +15,12 @@ the output directory and write the record, its CSV tables through
 * ``summary.txt`` -- one ``key: value`` line per metric: ``experiment``,
   the experiment's entries, then the discrepancy diagnostics.
 
-A run that fails writes nothing.  Exit status: 0 on success, 1 on
-configuration or I/O failure, 2 when ``verify`` finds a failing check.
+A run that fails writes nothing, and prints only its one ``config error:``
+or ``io-error:`` line: :func:`main` holds back the run's grid-adequacy
+warnings and shows the first of each only once the run returns, since their
+advice is about outputs a failed run never writes.  Every other warning is
+shown as it is raised.  Exit status: 0 on success, 1 on configuration or
+I/O failure, 2 when ``verify`` finds a failing check.
 Identical config and seed give byte-identical outputs.  ``--threads`` is
 checked (at least 1) and has no other effect: the depths run in order on one
 thread.
@@ -27,10 +31,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 from . import _csvfmt, experiments
 from .config import ConfigError, ExperimentConfig, parse_config
+from .propagate import GridAdequacyWarning
 
 __all__ = ["main", "run"]
 
@@ -90,14 +96,29 @@ def main(argv=None) -> int:
         if key != "config" and value is not None
     }
 
-    try:
-        return run(parse_config(text, overrides))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"io-error: {exc}", file=sys.stderr)
-        return 1
+    held = {}  # (category, message, file, line) -> the first such warning
+    show = warnings.showwarning
+
+    def hold(message, category, filename, lineno, file=None, line=None):
+        warning = (message, category, filename, lineno, file, line)
+        if issubclass(category, GridAdequacyWarning):
+            held.setdefault((category, str(message), filename, lineno), warning)
+        else:
+            show(*warning)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = hold
+        try:
+            status = run(parse_config(text, overrides))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"io-error: {exc}", file=sys.stderr)
+            return 1
+    for warning in held.values():
+        warnings.showwarning(*warning)
+    return status
 
 
 if __name__ == "__main__":

@@ -27,3 +27,17 @@ def test_an_altered_digest_names_its_case_and_file():
     ]
     del altered["chirp"]["summary.txt"]
     assert cases.mismatches(altered, recorded) == ["chirp/summary.txt: not recorded"]
+
+
+def test_case_names_are_unique():
+    # run_all keys its results by name, so a repeated name would drop a case unseen
+    names = [case.name for case in cases.CASES]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
+def test_each_pair_gives_equal_digests():
+    # the recorded digests are a fresh run's (above): --threads, and sweep-z's seed, change no output
+    recorded = _golden()["outputs"]
+    pairs = [(case.name, case.same_as) for case in cases.CASES if case.same_as is not None]
+    assert pairs
+    assert [pair for pair in pairs if recorded[pair[0]] != recorded[pair[1]]] == []

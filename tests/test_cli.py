@@ -368,6 +368,17 @@ v = 1
 """
 
 
+def _case(name):
+    (case,) = [case for case in cases.CASES if case.name == name]
+    return case
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for a child interpreter."""
+    src = str(Path(propagate.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _summary(out_dir):
     return dict(line.split(": ", 1) for line in (out_dir / "summary.txt").read_text().splitlines())
 
@@ -586,14 +597,12 @@ class TestRunChirp:
     def test_run_leaves_out_scipy(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(CHIRP)
-        src = str(Path(propagate.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = (
             "import sys\nfrom precursor_lab.cli import main\n"
             f"assert main([{str(path)!r}, '--output-dir', {str(tmp_path / 'o')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
     def test_zero_dc_ratio_is_computed(self, tmp_path, monkeypatch):
@@ -892,37 +901,6 @@ class TestMainEntry:
         blocker.write_text("a file, not a directory")
         assert main([str(path), "--output-dir", str(blocker)]) == 1
 
-    def _one_line_error(self, tmp_path, capsys, text, message, *args):
-        path = tmp_path / "cfg.ini"
-        path.write_text(text)
-        out = tmp_path / "o"
-        assert main([str(path), "--output-dir", str(out), *args]) == 1
-        err = capsys.readouterr().err
-        assert err.splitlines() == [f"config error: {message}"]
-        assert not out.exists() or not any(out.iterdir())
-
-    @pytest.mark.parametrize(
-        "old,new,key",
-        [
-            ("z = 4", "z = inf", "z"),
-            ("z = 4", "z = nan", "z"),
-            ("b = 2", "b = nan", "ensemble.b"),
-            ("T = 1", "T = inf", "pulse.T"),
-        ],
-    )
-    def test_non_finite_input(self, tmp_path, capsys, old, new, key):
-        text = STOCHASTIC.replace(old, new)
-        assert text != STOCHASTIC
-        self._one_line_error(tmp_path, capsys, text, f"{key}: not a finite number")
-
-    @pytest.mark.parametrize("m", [31, 200])
-    def test_shape_order_beyond_table_exit_before_writing(self, tmp_path, capsys, m):
-        text = STOCHASTIC.replace("m = 1", f"m = {m}")
-        assert text != STOCHASTIC
-        self._one_line_error(
-            tmp_path, capsys, text, f"ensemble.m: shape order {m} exceeds the supported maximum 30"
-        )
-
     def test_mc_samples_at_the_bound_parse(self):
         cfg = parse_config(STOCHASTIC.replace("mc-samples = 400", f"mc-samples = {1 << 24}"))
         assert cfg.mc_samples == 1 << 24
@@ -943,48 +921,11 @@ class TestMainEntry:
         with pytest.raises(ConfigValidationError, match=r"^grid\.n: need at most 16777216 samples"):
             parse_config(text)
 
-    def test_duplicate_depths_exit_before_writing(self, tmp_path, capsys):
-        text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
-            "z = 100", "z-list = 100 100 200 400"
-        )
-        self._one_line_error(tmp_path, capsys, text, "z-list: duplicate depth 100")
-
-    def test_duplicate_key_exit_before_writing(self, tmp_path, capsys):
-        text = MINIMAL.replace("v = 1\n", "v = 1\nv = 2\n")
-        lines = text.splitlines()
-        first = lines.index("v = 1") + 1
-        self._one_line_error(
-            tmp_path, capsys, text,
-            f"line {first + 1}: duplicate key 'v' in [medium]; first given on line {first}",
-        )
-
-    def test_depth_label_collision_exit_before_writing(self, tmp_path, capsys):
-        # both depths would write signal_100.csv and the same summary keys
-        text = MINIMAL.replace("z = 100", "z-list = 100 100.0000001")
-        self._one_line_error(
-            tmp_path, capsys, text, "z-list: depths 100 and 100.0000001 share the label 100"
-        )
-
-    def test_layered_auto_grid_reduces_exp_kernel_layers(self, tmp_path, capsys):
+    def test_layered_auto_grid_reduces_exp_kernel_layers(self, tmp_path):
         # the exp-kernel layer's exact reduction is a = 5, v = 1
-        text = MINIMAL.replace("z = 100", "z-list = 1 2").replace(
-            "variant = quadratic\na = 1\nv = 1",
-            "variant = layered\nlayer = 0.5 quadratic 1 1\n"
-            "layer = 0.5 exp-kernel 10 100\ntail = free-space",
-        )
-        assert "exp-kernel" in text
-        path = tmp_path / "cfg.ini"
-        path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([str(path), "--output-dir", str(tmp_path / "free-space")]) == 0
-        assert capsys.readouterr().err == ""
-        assert _summary(tmp_path / "free-space")["grid"] == "n=512 dt=0.1 t0=-15.3"
-        # without a tail, depth 2 lies below the stack
-        self._one_line_error(
-            tmp_path, capsys, text.replace("tail = free-space", "tail = none"),
-            "z: depth 2 lies past the stack thickness 1, and tail = none",
-        )
+        files = cases.run(_case("layered-exp-kernel-auto-grid"), tmp_path)
+        assert files["<stderr>"] == b""
+        assert "grid: n=512 dt=0.1 t0=-15.3\n" in files["summary.txt"].decode()
 
     def test_exp_kernel_auto_grid_reduction_does_not_overflow(self, tmp_path):
         # K^3 overflows, but a = K (K/Kp) K/2 = 5e299 and v = 1e100 do not
@@ -996,18 +937,6 @@ class TestMainEntry:
         path.write_text(text)
         assert main([str(path), "--output-dir", str(tmp_path / "o")]) == 0
         assert _summary(tmp_path / "o")["grid"] == "n=256 dt=0.1 t0=-8.6"
-
-    def test_exp_kernel_auto_grid_without_quadratic_reduction(self, tmp_path, capsys):
-        # v = K (K/Kp) underflows to 0, and so does a = K v/2
-        text = MINIMAL.replace(
-            "variant = quadratic\na = 1\nv = 1", "variant = exp-kernel\nK = 1e-300\nKp = 1"
-        )
-        assert "K = 1e-300" in text
-        self._one_line_error(
-            tmp_path, capsys, text,
-            "grid: automatic grid needs a quadratic reduction of the medium (curvature scale "
-            "must be positive, got a=0.0); give a [grid] section",
-        )
 
     @pytest.mark.parametrize("K", ["1e-300", "1e-160", "1e200"])
     def test_exp_kernel_extreme_K_on_a_given_grid(self, tmp_path, K):
@@ -1062,144 +991,13 @@ class TestMainEntry:
         assert summary["decay_slope"] == "0"
         assert summary["decay_slope_stderr"] == "0"
 
-    @pytest.mark.parametrize(
-        "text,depth",
-        [
-            # the pulse's largest sample is 5e-323 and its output is identically zero
-            (
-                "experiment = propagate\nz = 161.492\n"
-                "[pulse]\nkind = gaussian\nT = 0.567025\nomega0 = 0\n"
-                "[medium]\nvariant = exp-kernel\nK = 15.3623\nKp = 0.176393\n"
-                "[grid]\nn = 64\ndt = 0.0299421\nt0 = -23.732\n",
-                "161.492",
-            ),
-            # the pulse's largest sample is 2.1e-208, and every output sample squares to 0
-            (
-                "experiment = sweep-z\nz-list = 0.170386 7.46421 22.0418 159.868\n"
-                "[pulse]\nkind = gaussian\nT = 0.746605\nomega0 = 13.0966\n"
-                "[medium]\nvariant = exp-kernel\nK = 23.1156\nKp = 129.004\n"
-                "[grid]\nn = 64\ndt = 0.38152\nt0 = -47.1183\n",
-                "0.170386",
-            ),
-        ],
-    )
-    def test_output_of_zero_energy_exits_before_writing(self, tmp_path, capsys, text, depth):
-        with pytest.warns(GridAdequacyWarning):
-            self._one_line_error(
-                tmp_path, capsys, text,
-                f"z: the output at depth {depth} has zero energy (every sample squares to 0)",
-            )
-        assert not (tmp_path / "o").exists()
-
-    def test_output_of_zero_rms_width_exits_before_writing(self, tmp_path, capsys):
-        # a one-row pulse gives a 2-sample automatic grid, and the output is a one-sample spike
-        src = tmp_path / "spike.csv"
-        src.write_text("t,f\n0,1\n")
-        text = (
-            f"experiment = propagate\nz = 1e-300\n[pulse]\nkind = csv\nfile = {src}\n"
-            "[medium]\nvariant = quadratic\na = 1e300\nv = 1e300\n"
-        )
-        with pytest.warns(GridAdequacyWarning):
-            self._one_line_error(tmp_path, capsys, text, "z: the output at depth 1e-300 has zero rms width")
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("K,Kp", [("1e-310", "1"), ("1e-300", "1e10")])
-    def test_exp_kernel_out_of_range(self, tmp_path, capsys, K, Kp):
-        text = MINIMAL.replace(
-            "variant = quadratic\na = 1\nv = 1", f"variant = exp-kernel\nK = {K}\nKp = {Kp}"
-        ) + "\n[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n"
-        assert f"K = {K}" in text
-        self._one_line_error(
-            tmp_path, capsys, text,
-            f"medium: kernel parameters need K >= 2.22507e-308, Kp > 0 and a finite Kp/K, "
-            f"got K={float(K)}, Kp={float(Kp)}",
-        )
-
-    def test_layered_depth_past_stack_without_tail(self, tmp_path, capsys):
-        text = SWEEP.replace("z-list = 100 200 400", "z-list = 2 3 5").replace(
-            "variant = quadratic\na = 1\nv = 1",
-            "variant = layered\nlayer = 0.5 quadratic 1 1\n"
-            "layer = 1.0 quadratic 3 1.2\ntail = none",
-        )
-        assert "tail = none" in text and "z-list = 2 3 5" in text
-        self._one_line_error(
-            tmp_path, capsys, text, "z: depth 5 lies past the stack thickness 1.5, and tail = none"
-        )
-
-    def test_csv_pulse_non_finite_sample(self, tmp_path, capsys):
-        src = tmp_path / "wave.csv"
-        src.write_text("t,f\n-1,0\n0,nan\n1,0\n")
-        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 3: not a finite number")
-
-    @staticmethod
-    def _gaussian_rows():
-        """201 rows of a unit Gaussian at t = -1 ... 1, the peak on line 102 after the header."""
-        return [f"{t:.6f},{np.exp(-0.5 * t * t):.17g}" for t in np.linspace(-1.0, 1.0, 201)]
-
-    def test_csv_pulse_mistyped_row_exits_before_writing(self, tmp_path, capsys):
-        rows = self._gaussian_rows()
-        assert rows[100] == "0.000000,1"
-        rows[100] = "0.000000,1.0.0"
-        src = tmp_path / "wave.csv"
-        src.write_text("t,f\n" + "\n".join(rows) + "\n")
-        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 102: not two numbers t, f")
-
-    @pytest.mark.parametrize("line", ["1,2,3", "0.5", "t,f", "1;2"])
-    def test_csv_pulse_row_after_the_first_must_be_two_numbers(self, tmp_path, capsys, line):
-        src = tmp_path / "wave.csv"
-        src.write_text(f"t,f\n-1,0\n\n0,1\n{line}\n1,0\n")
-        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 5: not two numbers t, f")
-
     def test_csv_pulse_headers_and_blank_lines_are_skipped(self, tmp_path):
         src = tmp_path / "wave.csv"
-        src.write_text("# a unit Gaussian\nt,f,unused\n\n" + "\r\n".join(self._gaussian_rows()) + "\n\n \n")
+        rows = [f"{t:.6f},{np.exp(-0.5 * t * t):.17g}" for t in np.linspace(-1.0, 1.0, 201)]
+        src.write_text("# a unit Gaussian\nt,f,unused\n\n" + "\r\n".join(rows) + "\n\n \n")
         text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         rows = experiments.read_pulse_csv(parse_config(text))
         assert rows.shape == (201, 2) and rows[100].tolist() == [0.0, 1.0]
-
-    @pytest.mark.parametrize("prefix,line", [(b"", 1), (b"t,f\n-1,0\n", 3), (b"t,f\r\n-1,0\r\n0,", 3)])
-    def test_csv_pulse_that_is_not_utf8(self, tmp_path, capsys, prefix, line):
-        src = tmp_path / "wave.csv"
-        src.write_bytes(prefix + b"\xff1\n1,0\n")
-        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
-        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line {line}: not UTF-8 text")
-
-    @pytest.mark.parametrize("base", ["sweep-z", "stochastic"])
-    @pytest.mark.parametrize(
-        "rows", ["-1,0\n0,0\n1,0\n", "1000,1\n1001,2\n"], ids=["all-zero", "off-grid"]
-    )
-    def test_csv_pulse_zero_on_grid(self, tmp_path, capsys, base, rows):
-        src = tmp_path / "wave.csv"
-        src.write_text("t,f\n" + rows)
-        csv = f"kind = csv\nfile = {src}"
-        if base == "sweep-z":
-            text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", csv)
-            if rows.startswith("1000"):
-                # the automatic grid holds the file's times; only a given grid misses them
-                text += "\n[grid]\nn = 8192\ndt = 0.1\nt0 = -100\n"
-        else:
-            text = STOCHASTIC.replace("kind = gaussian\nT = 1", csv)
-        assert csv in text
-        self._zero_pulse_error(tmp_path, capsys, text)
-
-    def test_rect_narrower_than_sample_spacing(self, tmp_path, capsys):
-        # samples sit at +-0.05 around the pulse, which spans +-0.005
-        text = STOCHASTIC.replace("kind = gaussian\nT = 1", "kind = rect\nT = 0.01")
-        text = text.replace("t0 = -30", "t0 = -30.05")
-        assert "T = 0.01" in text and "t0 = -30.05" in text
-        self._zero_pulse_error(tmp_path, capsys, text)
-
-    @pytest.mark.parametrize(
-        "text,message",
-        [(MINIMAL.replace("variant = quadratic\na = 1\nv = 1\n", "# no keys\n"), "medium.variant: missing")],
-        ids=["medium"],
-    )
-    def test_empty_section_header_counts_as_given(self, tmp_path, capsys, text, message):
-        self._one_line_error(tmp_path, capsys, text, message)
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", cases.failing(), ids=lambda case: case.name)
     def test_every_config_error_is_one_line(self, tmp_path, case):
@@ -1209,19 +1007,34 @@ class TestMainEntry:
         assert files["<stderr>"].decode().splitlines() == [case.error]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["zero-rms-width-far-depth", "zero-rms-width-spike", "zero-energy-output",
+                                      "zero-energy-sweep"])
+    def test_run_that_warns_then_fails_prints_one_line(self, tmp_path, name):
+        # through the interpreter's own display of warnings, two lines each, which cases.run replaces
+        case = _case(name)
+        (tmp_path / "case.ini").write_text(case.config)
+        for file, data in case.inputs.items():
+            (tmp_path / file).write_bytes(data)
+        out = subprocess.run([sys.executable, "-m", "precursor_lab.cli", "case.ini", "--output-dir", "out"],
+                             cwd=tmp_path, env=_src_env(), capture_output=True, text=True)
+        assert (out.returncode, out.stderr.splitlines()) == (1, [case.error])
+        assert not (tmp_path / "out").exists()
+
+    def _one_line_error(self, tmp_path, capsys, text, message, *args):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([str(path), "--output-dir", str(out), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"config error: {message}"]
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unknown_experiment_override_is_one_line(self, tmp_path, capsys):
         # the --experiment override and the experiment key give the same line as the table's unknown-experiment
-        (error,) = [case.error for case in cases.failing() if case.name == "unknown-experiment"]
-        message = error.removeprefix("config error: ")
+        message = _case("unknown-experiment").error.removeprefix("config error: ")
         self._one_line_error(tmp_path, capsys, SWEEP, message, "--experiment", "banana")
         self._one_line_error(tmp_path, capsys, SWEEP.replace("experiment = sweep-z", "experiment = banana"), message)
         assert not (tmp_path / "o").exists()
-
-    def _zero_pulse_error(self, tmp_path, capsys, text):
-        cfg = parse_config(text)
-        t = experiments.plan_grid(cfg, experiments.read_pulse_csv(cfg)).times()
-        message = f"pulse: zero at every sample of the grid (t from {t[0]:g} to {t[-1]:g})"
-        self._one_line_error(tmp_path, capsys, text, message)
 
     def test_large_scale_high_order_ensemble(self, tmp_path):
         # the quadrature's density normalisation b^(m+1)/m! overflowed here

@@ -3,15 +3,21 @@
 
     python3 tools/cases.py
 
-runs every case of :data:`CASES` on this tree and rewrites
-``tests/golden/outputs.json``: the SHA-256 of each output of each case, and
-the host they were made on (:func:`host`).  It takes no arguments.
+runs every case of :data:`CASES` on this tree, prints each ``case/file``
+whose digest differs from the recorded one (:func:`mismatches`), and
+rewrites ``tests/golden/outputs.json``: the SHA-256 of each output of each
+case, and the host they were made on (:func:`host`).  It takes no arguments.
 
-A case is a config (text, or bytes that need not be UTF-8), its
-command-line arguments, the input files it reads, one line saying why it is
-pinned and, for a run that fails, its one line of standard error.  Three
-readers use the table: ``tests/test_cases.py`` compares a fresh run's digests
-with the file, ``tests/test_cli.py`` checks each failing case's line, and
+The table is the one place a pinned run of the program is declared.  A case
+is a config (text, or bytes that need not be UTF-8), its command-line
+arguments, the input files it reads, one line saying why it is pinned and,
+for a run that fails, its one line of standard error.  A case that names
+another in ``same_as`` differs from it only where the program promises no
+difference (``--threads``, or the seed of an experiment that draws nothing),
+and the two must give the same digest for every output.  Three readers use
+the table: ``tests/test_cases.py`` compares a fresh run's digests with the
+file and each ``same_as`` pair's recorded digests with each other,
+``tests/test_cli.py`` checks each failing case's line, and
 ``tools/compare_outputs.py`` runs the table on two trees and shows how large
 each difference is.
 
@@ -54,6 +60,7 @@ class Case:
     args: tuple = ()
     inputs: dict = field(default_factory=dict)  # file name -> bytes, beside the config
     error: str | None = None  # a failing run's one line of standard error
+    same_as: str | None = None  # the case whose every output this one's must equal
 
 
 def _mistyped_pulse_csv() -> bytes:
@@ -160,6 +167,8 @@ a = 1
 v = 1
 """
 
+SWEEP = PROPAGATE.replace("experiment = propagate", "experiment = sweep-z").replace("z = 100", "z-list = 100 200 400")
+
 # PROPAGATE with the body of its [medium] section left to fill in
 MEDIUM = PROPAGATE.replace("variant = quadratic\na = 1\nv = 1", "{}")
 
@@ -182,6 +191,27 @@ dt = 0.1
 t0 = -14.1
 """
 
+LAYERED_EXP_KERNEL = """
+experiment = propagate
+z-list = 1 2
+[pulse]
+kind = gaussian
+T = 1
+omega0 = 2
+[medium]
+variant = layered
+layer = 0.5 quadratic 1 1
+layer = 0.5 exp-kernel 10 100
+tail = free-space
+"""
+
+# FEW_DRAWS_STOCHASTIC on a given grid of 1,024 samples from t = -30
+GIVEN_GRID_STOCHASTIC = FEW_DRAWS_STOCHASTIC + "[grid]\nn = 1024\ndt = 0.1\nt0 = -30\n"
+
+# SWEEP and GIVEN_GRID_STOCHASTIC with a csv pulse read from pulse.csv
+CSV_SWEEP = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", "kind = csv\nfile = pulse.csv")
+CSV_STOCHASTIC = GIVEN_GRID_STOCHASTIC.replace("kind = gaussian\nT = 1", "kind = csv\nfile = pulse.csv")
+
 MANY_DRAWS_STOCHASTIC = """
 experiment = stochastic
 z-list = 4 8 16
@@ -197,12 +227,17 @@ v = 1
 """
 
 CASES = [
-    *(
-        Case(f"{workload}-seed{seed}-threads{threads}", WORKLOADS / f"{workload}.ini",
-             f"the {workload} benchmark workload; --threads is checked and has no effect",
-             ("--seed", str(seed), "--threads", str(threads)))
-        for workload in ("sweep-z", "stochastic") for seed in (1, 7) for threads in (1, 2, 4)
-    ),
+    Case("sweep-z-seed1-threads1", WORKLOADS / "sweep-z.ini", "the sweep-z benchmark workload", ("--seed", "1", "--threads", "1")),
+    Case("sweep-z-seed1-threads4", WORKLOADS / "sweep-z.ini", "--threads is checked and has no effect",
+         ("--seed", "1", "--threads", "4"), same_as="sweep-z-seed1-threads1"),
+    Case("sweep-z-seed7-threads1", WORKLOADS / "sweep-z.ini", "sweep-z draws nothing, so its seed has no effect",
+         ("--seed", "7", "--threads", "1"), same_as="sweep-z-seed1-threads1"),
+    Case("stochastic-seed1-threads1", WORKLOADS / "stochastic.ini", "the stochastic benchmark workload",
+         ("--seed", "1", "--threads", "1")),
+    Case("stochastic-seed1-threads4", WORKLOADS / "stochastic.ini", "--threads is checked and has no effect",
+         ("--seed", "1", "--threads", "4"), same_as="stochastic-seed1-threads1"),
+    Case("stochastic-seed7-threads1", WORKLOADS / "stochastic.ini", "the stochastic workload's draws at a second seed",
+         ("--seed", "7", "--threads", "1")),
     Case("unknown-experiment", WORKLOADS / "sweep-z.ini", "an --experiment override naming no experiment",
          ("--experiment", "banana"),
          error="config error: experiment: unknown experiment 'banana'; "
@@ -502,23 +537,8 @@ t0 = -16.5
         "with v = 1e-300 the closed form arrives at t = 1.3e300, and (t - 1.3e300)^2 overflows",
         error="config error: z: the thin-slab closed form at depth 11 misses the grid (zero at every sample)",
     ),
-    Case(
-        "layered-exp-kernel-auto-grid",
-        """
-experiment = propagate
-z-list = 1 2
-[pulse]
-kind = gaussian
-T = 1
-omega0 = 2
-[medium]
-variant = layered
-layer = 0.5 quadratic 1 1
-layer = 0.5 exp-kernel 10 100
-tail = free-space
-""",
-        "an exp-kernel layer's exact quadratic reduction sizes the automatic grid",
-    ),
+    Case("layered-exp-kernel-auto-grid", LAYERED_EXP_KERNEL,
+         "an exp-kernel layer's exact quadratic reduction sizes the automatic grid"),
     Case(
         "exp-kernel-exact-reduction",
         EXP_KERNEL.replace("z-list = 5 20", "z = 50").replace("omega0 = 1\n", "").replace("K = 10\nKp = 100", "K = 2\nKp = 20"),
@@ -548,7 +568,8 @@ tail = free-space
     ),
     Case("stochastic-many-draws-threads1", MANY_DRAWS_STOCHASTIC,
          "10,000 draws: the Monte Carlo mean runs over 159 row blocks per depth", ("--threads", "1")),
-    Case("stochastic-many-draws-threads2", MANY_DRAWS_STOCHASTIC, "10,000 draws with --threads 2", ("--threads", "2")),
+    Case("stochastic-many-draws-threads2", MANY_DRAWS_STOCHASTIC, "10,000 draws with --threads 2", ("--threads", "2"),
+         same_as="stochastic-many-draws-threads1"),
     # config errors, each the one line its check gives
     Case("malformed-header", "[grid\n" + PROPAGATE, "a header without its bracket",
          error="config error: line 1: malformed section header '[grid'"),
@@ -734,6 +755,102 @@ tail = free-space
          "z w^2/2a overflows at the deepest depth, where the delay phase z w/v does not",
          error="config error: z: the absorption z Re gamma(w) at depth 1e+300 overflows at the grid's Nyquist frequency "
          "pi/dt = 6.28319"),
+    *(
+        Case(name, FEW_DRAWS_STOCHASTIC.replace(old, new), f"{new}: not a finite number",
+             error=f"config error: {key}: not a finite number")
+        for name, old, new, key in (("infinite-depth", "z-list = 0.5 1 2", "z = inf", "z"),
+                                    ("nan-depth", "z-list = 0.5 1 2", "z = nan", "z"),
+                                    ("nan-ensemble-scale", "b = 2", "b = nan", "ensemble.b"),
+                                    ("infinite-pulse-width", "T = 1", "T = inf", "pulse.T"))
+    ),
+    *(
+        Case(f"shape-order-{m}", FEW_DRAWS_STOCHASTIC.replace("m = 1", f"m = {m}"), "a shape order past the table's 30",
+             error=f"config error: ensemble.m: shape order {m} exceeds the supported maximum 30")
+        for m in (31, 200)
+    ),
+    Case("duplicate-depth", SWEEP.replace("z-list = 100 200", "z-list = 100 100 200"), "a depth given twice",
+         error="config error: z-list: duplicate depth 100"),
+    Case("duplicate-key", PROPAGATE.replace("v = 1\n", "v = 1\nv = 2\n"), "a key given twice names both lines",
+         error="config error: line 14: duplicate key 'v' in [medium]; first given on line 13"),
+    Case("depth-label-collision", PROPAGATE.replace("z = 100", "z-list = 100 100.0000001"),
+         "two depths that would write the same signal_100.csv and summary keys",
+         error="config error: z-list: depths 100 and 100.0000001 share the label 100"),
+    Case("layered-exp-kernel-without-tail", LAYERED_EXP_KERNEL.replace("tail = free-space", "tail = none"),
+         "depth 2 lies below the stack, which has no tail",
+         error="config error: z: depth 2 lies past the stack thickness 1, and tail = none"),
+    Case("sweep-past-stack-without-tail",
+         SLAB.replace("experiment = slab", "experiment = sweep-z").replace("z-list = 2 4 8", "z-list = 2 3 5")
+         .replace("tail = free-space", "tail = none"),
+         "a sweep below a stack that has no tail names the deepest depth",
+         error="config error: z: depth 5 lies past the stack thickness 1.5, and tail = none"),
+    Case("exp-kernel-auto-grid-reduction-underflows", MEDIUM.format("variant = exp-kernel\nK = 1e-300\nKp = 1"),
+         "v = K (K/Kp) underflows to 0, and so does a = K v/2: the automatic grid has no reduction",
+         error="config error: grid: automatic grid needs a quadratic reduction of the medium "
+         "(curvature scale must be positive, got a=0.0); give a [grid] section"),
+    *(
+        Case(name, MEDIUM.format(f"variant = exp-kernel\nK = {K}\nKp = {Kp}") + "[grid]\nn = 1024\ndt = 0.05\nt0 = -20\n",
+             why, error="config error: medium: kernel parameters need K >= 2.22507e-308, Kp > 0 and a finite Kp/K, "
+             f"got K={K}, Kp={value}")
+        for name, K, Kp, value, why in (("exp-kernel-subnormal-K", "1e-310", "1", "1.0", "a subnormal K"),
+                                        ("exp-kernel-Kp-over-K-overflows", "1e-300", "1e10", "10000000000.0", "Kp/K overflows"))
+    ),
+    # outputs with nothing to measure: each run warns about the grid before it fails, and prints only its line
+    Case("zero-energy-output",
+         "experiment = propagate\nz = 161.492\n[pulse]\nkind = gaussian\nT = 0.567025\nomega0 = 0\n"
+         "[medium]\nvariant = exp-kernel\nK = 15.3623\nKp = 0.176393\n[grid]\nn = 64\ndt = 0.0299421\nt0 = -23.732\n",
+         "the pulse's largest sample is 5e-323 and its output is identically zero",
+         error="config error: z: the output at depth 161.492 has zero energy (every sample squares to 0)"),
+    Case("zero-energy-sweep",
+         "experiment = sweep-z\nz-list = 0.170386 7.46421 22.0418 159.868\n"
+         "[pulse]\nkind = gaussian\nT = 0.746605\nomega0 = 13.0966\n"
+         "[medium]\nvariant = exp-kernel\nK = 23.1156\nKp = 129.004\n[grid]\nn = 64\ndt = 0.38152\nt0 = -47.1183\n",
+         "the pulse's largest sample is 2.1e-208, and every output sample squares to 0",
+         error="config error: z: the output at depth 0.170386 has zero energy (every sample squares to 0)"),
+    Case("zero-rms-width-far-depth",
+         "experiment = propagate\nz-list = 1e6 0.1 1e-30\n[pulse]\nkind = gaussian\nT = 1e3\nomega0 = 1e3\n"
+         "[medium]\nvariant = quadratic\na = 1\nv = 10\n[grid]\nn = 2\ndt = 1e154\nt0 = -1\n",
+         "a two-sample grid on which the output at the first depth is one spike",
+         error="config error: z: the output at depth 1e+06 has zero rms width"),
+    Case("zero-rms-width-spike",
+         "experiment = propagate\nz = 1e-300\n[pulse]\nkind = csv\nfile = spike.csv\n"
+         "[medium]\nvariant = quadratic\na = 1e300\nv = 1e300\n",
+         "a one-row pulse gives a 2-sample automatic grid, and the output is a one-sample spike",
+         inputs={"spike.csv": b"t,f\n0,1\n"}, error="config error: z: the output at depth 1e-300 has zero rms width"),
+    # csv pulse files that cannot be read, or that miss the grid
+    Case("csv-non-finite-sample", CSV_PULSE.format("nan-pulse.csv"), "a sample that is nan",
+         inputs={"nan-pulse.csv": b"t,f\n-1,0\n0,nan\n1,0\n"},
+         error="config error: pulse.file: nan-pulse.csv line 3: not a finite number"),
+    *(
+        Case(f"csv-{name}", CSV_PULSE.format("rows.csv"), "a row after the first numeric row must be two numbers",
+             inputs={"rows.csv": f"t,f\n-1,0\n\n0,1\n{line}\n1,0\n".encode()},
+             error="config error: pulse.file: rows.csv line 5: not two numbers t, f")
+        for name, line in (("three-fields", "1,2,3"), ("one-field", "0.5"), ("late-header", "t,f"), ("semicolon", "1;2"))
+    ),
+    *(
+        Case(f"csv-not-utf8-{name}", CSV_PULSE.format("bytes.csv"), "the byte 0xff, which UTF-8 never uses",
+             inputs={"bytes.csv": prefix + b"\xff1\n1,0\n"},
+             error=f"config error: pulse.file: bytes.csv line {line}: not UTF-8 text")
+        for name, prefix, line in (("first-line", b"", 1), ("third-line", b"t,f\n-1,0\n", 3),
+                                   ("crlf-third-line", b"t,f\r\n-1,0\r\n0,", 3))
+    ),
+    *(
+        Case(name, text, why, inputs={"pulse.csv": data},
+             error=f"config error: pulse: zero at every sample of the grid (t from {span})")
+        for name, text, data, span, why in (
+            ("csv-all-zero-sweep", CSV_SWEEP, b"t,f\n-1,0\n0,0\n1,0\n", "-172.7 to 646.4", "a pulse whose every row is 0"),
+            ("csv-off-grid-sweep", CSV_SWEEP + "[grid]\nn = 8192\ndt = 0.1\nt0 = -100\n", b"t,f\n1000,1\n1001,2\n",
+             "-100 to 719.1", "a pulse at t = 1000, past a given grid's end; an automatic grid holds the file's times"),
+            ("csv-all-zero-stochastic", CSV_STOCHASTIC, b"t,f\n-1,0\n0,0\n1,0\n", "-30 to 72.3", "a pulse whose every row is 0"),
+            ("csv-off-grid-stochastic", CSV_STOCHASTIC, b"t,f\n1000,1\n1001,2\n", "-30 to 72.3",
+             "a pulse at t = 1000, past a given grid's end"),
+        )
+    ),
+    Case("rect-between-samples",
+         GIVEN_GRID_STOCHASTIC.replace("kind = gaussian\nT = 1", "kind = rect\nT = 0.01").replace("t0 = -30", "t0 = -30.05"),
+         "samples sit at +-0.05 around a rect that spans +-0.005",
+         error="config error: pulse: zero at every sample of the grid (t from -30.05 to 72.25)"),
+    Case("empty-medium", PROPAGATE.replace("variant = quadratic\na = 1\nv = 1\n", "# no keys\n"),
+         "a section header without keys counts as given", error="config error: medium.variant: missing"),
 ]
 
 
@@ -846,6 +963,9 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="cases-") as tmp:
         outputs = digests(run_all(Path(tmp)))
+    recorded = json.loads(GOLDEN.read_text())["outputs"] if GOLDEN.exists() else {}
+    for line in mismatches(recorded, outputs):
+        print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"host": host(), "outputs": outputs}, indent=1) + "\n")
     print(f"{sum(map(len, outputs.values()))} digests of {len(outputs)} cases written to {GOLDEN.relative_to(ROOT)}")
