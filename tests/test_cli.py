@@ -991,10 +991,23 @@ class TestMainEntry:
         assert summary["decay_slope"] == "0"
         assert summary["decay_slope_stderr"] == "0"
 
+    @staticmethod
+    def _gaussian_rows():
+        """201 rows of a unit Gaussian at t = -1 ... 1, the peak on line 102 after the header."""
+        return [f"{t:.6f},{np.exp(-0.5 * t * t):.17g}" for t in np.linspace(-1.0, 1.0, 201)]
+
+    def test_csv_pulse_mistyped_row_exits_before_writing(self, tmp_path, capsys):
+        rows = self._gaussian_rows()
+        assert rows[100] == "0.000000,1"
+        rows[100] = "0.000000,1.0.0"
+        src = tmp_path / "wave.csv"
+        src.write_text("t,f\n" + "\n".join(rows) + "\n")
+        text = SWEEP.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
+        self._one_line_error(tmp_path, capsys, text, f"pulse.file: {src} line 102: not two numbers t, f")
+
     def test_csv_pulse_headers_and_blank_lines_are_skipped(self, tmp_path):
         src = tmp_path / "wave.csv"
-        rows = [f"{t:.6f},{np.exp(-0.5 * t * t):.17g}" for t in np.linspace(-1.0, 1.0, 201)]
-        src.write_text("# a unit Gaussian\nt,f,unused\n\n" + "\r\n".join(rows) + "\n\n \n")
+        src.write_text("# a unit Gaussian\nt,f,unused\n\n" + "\r\n".join(self._gaussian_rows()) + "\n\n \n")
         text = MINIMAL.replace("kind = gaussian\nT = 1\nomega0 = 2", f"kind = csv\nfile = {src}")
         rows = experiments.read_pulse_csv(parse_config(text))
         assert rows.shape == (201, 2) and rows[100].tolist() == [0.0, 1.0]
