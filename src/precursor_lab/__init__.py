@@ -13,7 +13,6 @@ from .analysis import (
     fit_decay_exponent,
     peak,
     rms_width,
-    shape_rms_diff,
 )
 from .grid import (
     SampledSignal,
@@ -26,23 +25,16 @@ from .media import (
     SPEED_OF_LIGHT,
     ExpKernelMedium,
     LayerStack,
-    LorentzParams,
     QuadraticMedium,
-    coupled_steady_state,
     effective_params,
     free_space,
-    lorentz_steady_state,
-    propagation_constant,
-    quadratic_approximation,
     transfer_between,
     transfer_function,
 )
 from .propagate import (
     ChirpDCContent,
     GridAdequacyWarning,
-    RegimeError,
     analytic_gaussian_output,
-    analytic_rect_output_largez,
     apply_transfer,
     chirp_dc_content,
     chirp_dc_exact,
@@ -51,7 +43,6 @@ from .propagate import (
     gaussian_impulse_response,
     impulse_response_fft,
     input_spectrum,
-    moment_expansion_output,
     propagate_fft,
     thin_slab_output,
     zero_dc_rect_output,
@@ -64,7 +55,6 @@ from .stochastic import (
     averaged_transfer_direct,
     averaged_transfer_quadrature,
     draw_std,
-    gaussian_draw_std,
     impulse_tail_coefficients,
     monte_carlo_output,
     observed_output,

@@ -15,7 +15,6 @@ __all__ = [
     "fit_decay_exponent",
     "energy_ratio",
     "causality_metric",
-    "shape_rms_diff",
 ]
 
 
@@ -124,20 +123,3 @@ def causality_metric(m: SampledSignal) -> float:
     if total <= 0.0:
         raise ValueError("response is identically zero")
     return float(mag[m.grid.times() < 0.0].sum() / total)
-
-
-def shape_rms_diff(f: SampledSignal, g: SampledSignal) -> float:
-    """Relative RMS difference of the peak-normalized signals.
-
-    ||f/max|f| - g/max|g||_2 / ||g/max|g||_2 on a shared grid; the metric for
-    "same shape up to amplitude" comparisons.
-    """
-    if f.grid != g.grid:
-        raise ValueError("signals must share a grid")
-    fp = np.abs(f.values).max()
-    gp = np.abs(g.values).max()
-    if fp == 0.0 or gp == 0.0:
-        raise ValueError("cannot normalize an identically zero signal")
-    a = f.values / fp
-    b = g.values / gp
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))

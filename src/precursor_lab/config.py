@@ -233,7 +233,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse configuration text into an :class:`ExperimentConfig`, checking its format and values.
 
     ``overrides`` maps top-level keys (experiment, output-dir, seed, threads)
-    to replacement values, taking precedence over the file contents.  A
+    to replacement values, taking precedence over the file contents; an
+    empty one is an error, as an empty value in the file is.  A
     ``threads`` value is checked (at least 1) and has no other effect.  The
     experiment's name and needs are checked by ``experiments.experiment``, and
     every rule that reads the grid by ``experiments.check_ranges``.
@@ -259,6 +260,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise ConfigParseError(line_no, f"duplicate key {key!r}{where}; first given on line {first}")
         given[section, name] = value
     for key, value in (overrides or {}).items():
+        if not str(value):
+            raise ConfigValidationError(key, "empty value")
         given["", key] = str(value)
 
     experiment = _read(given, "", "experiment")

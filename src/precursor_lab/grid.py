@@ -51,15 +51,6 @@ class TimeGrid:
             raise ValueError(f"grid origin must be finite, got t0={self.t0}")
 
     @property
-    def span(self) -> float:
-        return self.n * self.dt
-
-    @property
-    def domega(self) -> float:
-        """Angular-frequency bin spacing, 2*pi/(n*dt)."""
-        return 2.0 * np.pi / (self.n * self.dt)
-
-    @property
     def nyquist(self) -> float:
         """Largest resolvable angular frequency, pi/dt."""
         return np.pi / self.dt

@@ -20,15 +20,10 @@ __all__ = [
     "QuadraticMedium",
     "ExpKernelMedium",
     "LayerStack",
-    "LorentzParams",
     "free_space",
-    "propagation_constant",
     "transfer_function",
     "transfer_between",
-    "quadratic_approximation",
     "effective_params",
-    "lorentz_steady_state",
-    "coupled_steady_state",
 ]
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s; all units SI
@@ -168,17 +163,6 @@ class LayerStack:
         return acc
 
 
-def propagation_constant(medium, omega):
-    """Complex propagation constant per unit depth of a homogeneous medium.
-
-    Layered media have no single per-depth constant; use
-    :func:`transfer_function`, which integrates over depth.
-    """
-    if isinstance(medium, LayerStack):
-        raise ValueError("layered media have no pointwise propagation constant; use transfer_function")
-    return medium.propagation_constant(omega)
-
-
 def transfer_function(medium, z: float, omega):
     """Transfer function exp(-z * gamma(w)) after depth ``z >= 0``.
 
@@ -212,27 +196,6 @@ def transfer_between(medium, z_from: float, z_to: float, omega):
     return out if out.ndim else out[()]
 
 
-def quadratic_approximation(medium, omega_probe: float) -> QuadraticMedium:
-    """The quadratic model a homogeneous medium shows at ``omega_probe``, read numerically.
-
-    Reads the absorption curvature and phase slope at ``omega_probe``:
-    a = w^2 / (2*absorption), v = -w / phase_rate.  The exact reduction is
-    ``medium.quadratic_reduction()``; for an exponential kernel this gives its
-    a and v times 1 + (w/K)^2, a numerical check of that relation.
-    """
-    if omega_probe <= 0:
-        raise ValueError("probe frequency must be positive")
-    gamma = propagation_constant(medium, omega_probe)
-    absorption = float(np.real(gamma))
-    phase = float(np.imag(gamma))
-    gamma0 = float(np.real(propagation_constant(medium, 0.0)))
-    if absorption - gamma0 <= 0 or phase >= 0:
-        raise ValueError("medium has no quadratic absorption minimum at this probe")
-    a = omega_probe**2 / (2.0 * (absorption - gamma0))
-    v = -omega_probe / phase
-    return QuadraticMedium(a=a, v=v, ell_inv=gamma0)
-
-
 def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
     """Depth-harmonic-mean reduction of a stack lossless at DC down to ``ell``.
 
@@ -258,62 +221,3 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
         top += thickness
     reduced = QuadraticMedium(a=ell / inv_a if inv_a > 0 else math.inf, v=ell / inv_v if inv_v > 0 else math.inf)
     return reduced.a, reduced.v
-
-
-@dataclass(frozen=True)
-class LorentzParams:
-    """Damped driven oscillator: inertial, damping and restoring coefficients."""
-
-    m_inertial: float
-    b_damp: float
-    k_spring: float
-
-    def __post_init__(self):
-        if self.m_inertial <= 0:
-            raise ValueError("inertial coefficient must be positive")
-        if self.b_damp < 0:
-            raise ValueError("damping coefficient must be >= 0")
-        if self.k_spring <= 0:
-            raise ValueError("restoring coefficient must be positive")
-
-
-def lorentz_steady_state(p: LorentzParams, U: float, omega: float) -> tuple[float, float]:
-    """Steady-state response amplitudes (V, W) to a drive U*cos(omega*t).
-
-    The response is V*cos(omega*t) + W*sin(omega*t).  At omega = 0 this is
-    (U/k, 0) for any damping, which is why such media pass zero frequency
-    without loss.  The exactly undamped resonance is rejected as singular.
-    """
-    detune = p.k_spring - p.m_inertial * omega**2
-    damp = p.b_damp * omega
-    den = detune**2 + damp**2
-    if den == 0.0:
-        raise ValueError("undamped resonance: steady state is singular")
-    return detune * U / den, damp * U / den
-
-
-def coupled_steady_state(masses, dampings, stiffness, U: float, omega: float) -> np.ndarray:
-    """Phasor amplitudes of coupled damped oscillators under a common drive.
-
-    Solves (-omega^2 * diag(masses) + i*omega*diag(dampings) + stiffness) q = U * ones.
-    The drive is U*cos(omega*t); entry i of the result is the complex phasor
-    q_i with physical response Re(q_i)*cos(omega*t) - Im(q_i)*sin(omega*t).
-    At omega = 0 the damping term drops out exactly, so the solution is
-    independent of the dissipation coefficients.
-    """
-    masses = np.asarray(masses, dtype=np.float64)
-    dampings = np.asarray(dampings, dtype=np.float64)
-    stiffness = np.asarray(stiffness, dtype=np.float64)
-    J = masses.size
-    if J > 32:
-        raise ValueError(f"oscillator count {J} exceeds the supported maximum of 32")
-    if dampings.size != J or stiffness.shape != (J, J):
-        raise ValueError("masses, dampings and stiffness dimensions do not agree")
-    system = (
-        -(omega**2) * np.diag(masses)
-        + 1j * omega * np.diag(dampings)
-        + stiffness.astype(np.complex128)
-    )
-    if np.linalg.cond(system) > 1e12:
-        raise np.linalg.LinAlgError("oscillator system matrix is numerically singular")
-    return np.linalg.solve(system, U * np.ones(J, dtype=np.complex128))

@@ -7,8 +7,8 @@ depths calls the first once and the second per depth.  The ensemble outputs
 take that same input spectrum: ``stochastic.observed_output(spectrum, spec,
 z)``, ``draw_std(spectrum, spec, z)`` and ``monte_carlo_output(spectrum,
 spec, z, draws)``.  Everything else in this module is an analytic expression
-for special cases (Gaussian input, rectangular input at long range, thin
-slabs, chirped inputs), kept separate so the two routes can cross-validate
+for special cases (Gaussian input, zero-DC rectangular input at long range,
+thin slabs, chirped inputs), kept separate so the two routes can cross-validate
 each other.  Where a standard closed form disagrees with the
 value rebuilt from first principles, both are exposed and the batch runner
 reports the ratio; nothing is silently corrected.
@@ -25,11 +25,9 @@ import numpy as np
 
 from .grid import SampledSignal, Spectrum, forward_transform, inverse_transform
 from .media import SPEED_OF_LIGHT, transfer_function
-from .signals import moment
 
 __all__ = [
     "GridAdequacyWarning",
-    "RegimeError",
     "input_spectrum",
     "apply_transfer",
     "propagate_fft",
@@ -37,8 +35,6 @@ __all__ = [
     "gaussian_impulse_response",
     "gaussian_impulse_derivatives",
     "analytic_gaussian_output",
-    "analytic_rect_output_largez",
-    "moment_expansion_output",
     "zero_dc_rect_output",
     "zero_dc_rect_output_series",
     "thin_slab_output",
@@ -48,16 +44,8 @@ __all__ = [
     "ChirpDCContent",
 ]
 
-# Above this multiple of a*T^2 the long-range approximations are accepted.
-LARGE_Z_FACTOR = 100.0
-
-
 class GridAdequacyWarning(UserWarning):
     """The sampling grid looks too small or too coarse for the requested run."""
-
-
-class RegimeError(ValueError):
-    """A closed form was evaluated outside its validity regime."""
 
 
 def _edge_mass_ok(values: np.ndarray) -> bool:
@@ -176,48 +164,6 @@ def analytic_gaussian_output(T: float, omega0: float, a: float, v: float, z: flo
     return pre * np.exp(expo) * np.cos(omega0 * tau * aT2 / (aT2 + z))
 
 
-def _require_large_z(a: float, T: float, z: float):
-    if z <= LARGE_Z_FACTOR * a * T * T:
-        raise RegimeError(
-            f"long-range form needs z > {LARGE_Z_FACTOR:g}*a*T^2 = "
-            f"{LARGE_Z_FACTOR * a * T * T:g}, got z={z}"
-        )
-
-
-def analytic_rect_output_largez(T: float, omega0: float, a: float, v: float, z: float, t):
-    """Long-range output of a rectangular pulse: Gaussian times the DC sinc factor.
-
-    sqrt(aT^2/2pi z) * [sin(omega0 T/2)/(omega0 T/2)] * exp(-a (t-z/v)^2 / 2z).
-    Enforced regime z > 100*a*T^2; vanishes identically when omega0*T is a
-    multiple of 2*pi.
-    """
-    _require_large_z(a, T, z)
-    t = np.asarray(t, dtype=np.float64)
-    tau = t - z / v
-    sinc = np.sinc(omega0 * T / (2.0 * np.pi))  # sin(x)/x with x = omega0*T/2
-    return np.sqrt(a * T * T / (2.0 * np.pi * z)) * sinc * np.exp(-a * tau**2 / (2.0 * z))
-
-
-def moment_expansion_output(f0: SampledSignal, a: float, v: float, z: float, order: int, t):
-    """Narrow-input expansion of the propagated signal in impulse-response derivatives.
-
-    Sum over k <= order of (-1)^k/k! * m^(k)(t) * (k-th moment of f0).  Valid
-    when the input is much narrower than the response width sqrt(z/a); each
-    successive term is smaller by roughly that width ratio squared.
-    """
-    if order < 0 or order > 2:
-        raise ValueError(f"expansion order must be 0, 1 or 2, got {order}")
-    if z <= 0:
-        raise ValueError(f"depth must be positive, got z={z}")
-    m, m1, m2 = gaussian_impulse_derivatives(a, v, z, t)
-    out = m * moment(f0, 0)
-    if order >= 1:
-        out = out - m1 * moment(f0, 1)
-    if order >= 2:
-        out = out + 0.5 * m2 * moment(f0, 2)
-    return out
-
-
 def zero_dc_rect_output(n: int, T: float, a: float, v: float, z: float, t):
     """Closed-form long-range output of a zero-DC rectangular pulse (omega0*T = 2n*pi).
 
@@ -271,8 +217,8 @@ def thin_slab_output(ell: float, a_eff: float, v_eff: float, z: float, dc_moment
 
         sqrt(a_eff / 2pi ell) * exp(-a_eff (t - t_d)^2 / 2 ell) * dc_moment.
 
-    A zero DC moment gives a zero output; fall back to
-    :func:`moment_expansion_output` in that case.
+    A zero DC moment gives a zero output: the form keeps only the leading,
+    DC term of the moment expansion.
     """
     if z <= ell:
         raise ValueError(f"defined beyond the slab only: need z > ell, got z={z}, ell={ell}")

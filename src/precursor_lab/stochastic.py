@@ -54,7 +54,6 @@ __all__ = [
     "averaged_log_kernel_rule",
     "averaged_transfer_quadrature",
     "tail_decay_lengths",
-    "gaussian_draw_std",
     "draw_std",
     "sample_inverse_a",
     "largest_scaled_draw",
@@ -463,20 +462,3 @@ def draw_std(spectrum: Spectrum, spec: EnsembleSpec, z: float) -> np.ndarray:
     # a rule that fits one block keeps it for the spread; a longer one is formed again
     again = [first] if first[0].stop == x.size else _kernel_blocks(x, lam, _EXP_LIMIT)
     return np.sqrt(_spread(delayed, again, weights, mean))
-
-
-def gaussian_draw_std(spec: EnsembleSpec, T: float, z: float, t):
-    """Pointwise standard deviation over the ensemble of one draw's output.
-
-    A draw with inverse curvature x turns the unit Gaussian pulse
-    exp(-t^2 / 2T^2) into sqrt(T^2/(T^2+zx)) exp(-tau^2/(2(T^2+zx))), with
-    tau = t - z/v.  Its first two moments over x ~ Gamma(m+1, rate b) come
-    from the same rule as :func:`draw_std`, applied to this closed form
-    instead of to FFT outputs; it serves as that function's oracle.
-    """
-    y, weights = _gamma_rule(spec.m, RULE_STEP)
-    width2 = T * T + z * y / spec.b
-    tau = np.asarray(t, dtype=np.float64) - z / spec.v
-    draw = np.sqrt(T * T / width2) * np.exp(-(tau[..., None] ** 2) / (2.0 * width2))
-    dev = draw - (draw @ weights)[..., None]
-    return np.sqrt((dev * dev) @ weights)

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  Expected values come from closed forms evaluated
 independently of the code paths under test (direct quadrature, analytic
-formulas, exact power laws).  Criteria 1, 5, 6 and 12 call the checks of
+formulas, exact power laws).  Criteria 1, 5, 6, 10 and 12 call the checks of
 :mod:`precursor_lab.verify`, which the ``verify`` experiment runs, so each of
 those checks is written once, there.
 """
@@ -27,19 +27,17 @@ from precursor_lab import (
     fit_decay_exponent,
     gaussian_impulse_response,
     moment,
-    moment_expansion_output,
     peak,
     propagate_fft,
-    quadratic_approximation,
     rms_width,
     sample_pulse,
-    shape_rms_diff,
     stochastic_impulse,
     thin_slab_output,
 )
 from precursor_lab import experiments, verify
 from precursor_lab.cli import run
 from precursor_lab.config import ExperimentConfig, parse_config
+from reference import moment_expansion_output, quadratic_approximation, shape_rms_diff
 
 
 def _report(num, name, ok, detail):

@@ -23,10 +23,10 @@ from precursor_lab import (
     propagate_fft,
     rms_width,
     sample_pulse,
-    shape_rms_diff,
 )
 from precursor_lab import experiments
 from precursor_lab.config import ExperimentConfig
+from reference import shape_rms_diff
 
 
 def _grid(n=4096, dt=0.01, t0=None):

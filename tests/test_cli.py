@@ -739,7 +739,7 @@ class TestCsvPulseIngestion:
         cfg = parse_config(text)
         rows = experiments.read_pulse_csv(cfg)
         grid = experiments.plan_grid(cfg, rows)
-        assert grid.t0 < 0 and grid.t0 + grid.span > 1101
+        assert grid.t0 < 0 and grid.t0 + grid.n * grid.dt > 1101
         assert experiments.load_pulse(cfg, grid, rows).values.max() > 1.5
 
 

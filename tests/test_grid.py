@@ -15,12 +15,12 @@ from precursor_lab.grid import inverse_rows
 
 def test_grid_bin_spacing():
     g = TimeGrid(n=8, dt=1.0, t0=0.0)
-    assert g.domega == pytest.approx(2 * np.pi / 8, rel=1e-15)
+    assert np.diff(g.omegas()) == pytest.approx(2 * np.pi / 8, rel=1e-15)
 
 
 def test_grid_span_and_nyquist():
     g = TimeGrid(n=2, dt=0.5, t0=-0.5)
-    assert g.span == pytest.approx(1.0)
+    assert np.array_equal(g.times(), [-0.5, 0.0])
     assert g.nyquist == pytest.approx(2 * np.pi)
 
 
@@ -177,6 +177,6 @@ def test_parseval():
     # Nyquist (n is even) counts twice
     weights = np.full(F.values.size, 2.0)
     weights[[0, -1]] = 1.0
-    rhs = g.domega / (2 * np.pi) * np.sum(weights * np.abs(F.values) ** 2)
+    rhs = np.sum(weights * np.abs(F.values) ** 2) / (g.n * g.dt)
     assert rhs == pytest.approx(lhs, rel=1e-10)
 

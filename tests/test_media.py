@@ -6,29 +6,25 @@ from hypothesis import strategies as st
 from precursor_lab import (
     ExpKernelMedium,
     LayerStack,
-    LorentzParams,
     QuadraticMedium,
     SPEED_OF_LIGHT,
-    coupled_steady_state,
     effective_params,
     free_space,
-    lorentz_steady_state,
-    propagation_constant,
-    quadratic_approximation,
     transfer_between,
     transfer_function,
 )
+from reference import quadratic_approximation
 
 
 class TestPropagationConstant:
     def test_quadratic_value(self):
         med = QuadraticMedium(a=1.0, v=1.0)
-        assert propagation_constant(med, 2.0) == pytest.approx(2.0 - 2.0j, rel=1e-15)
+        assert med.propagation_constant(2.0) == pytest.approx(2.0 - 2.0j, rel=1e-15)
 
     def test_exp_kernel_low_frequency_limits(self):
         med = ExpKernelMedium(K=10.0, Kp=100.0)
         w = 1e-3
-        gamma = propagation_constant(med, w)
+        gamma = med.propagation_constant(w)
         # absorption/w^2 -> Kp/K^3 = 1/(2a) with a = 5; -phase/w -> Kp/K^2 = 1/v with v = 1
         assert gamma.real / w**2 == pytest.approx(0.1, rel=1e-5)
         assert -gamma.imag / w == pytest.approx(1.0, rel=1e-5)
@@ -43,12 +39,7 @@ class TestPropagationConstant:
     )
     def test_conjugate_symmetry(self, med):
         w = np.linspace(0.1, 40.0, 97)
-        assert np.array_equal(propagation_constant(med, -w), np.conj(propagation_constant(med, w)))
-
-    def test_layered_rejected(self):
-        stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))])
-        with pytest.raises(ValueError):
-            propagation_constant(stack, 1.0)
+        assert np.array_equal(med.propagation_constant(-w), np.conj(med.propagation_constant(w)))
 
     def test_exp_kernel_quadratic_match_inside_regime(self):
         # within |w| < K/10 the quadratic reduction tracks absorption to 1%
@@ -56,7 +47,7 @@ class TestPropagationConstant:
         quad = QuadraticMedium(a=10.0**3 / 200.0, v=1.0)
         w = np.linspace(1e-3, 10.0 / 10, 50)
         rel = np.abs(
-            propagation_constant(quad, w).real / propagation_constant(med, w).real - 1.0
+            quad.propagation_constant(w).real / med.propagation_constant(w).real - 1.0
         )
         assert rel.max() <= 0.0101
 
@@ -152,54 +143,6 @@ class TestTransferFunction:
         stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))], free_space_tail=False)
         with pytest.raises(ValueError):
             transfer_function(stack, 1.5, 1.0)
-
-
-class TestLorentz:
-    def test_static_response(self):
-        p = LorentzParams(m_inertial=2.0, b_damp=3.0, k_spring=4.0)
-        V, W = lorentz_steady_state(p, U=1.0, omega=0.0)
-        assert (V, W) == (0.25, 0.0)
-        # independent of damping
-        p0 = LorentzParams(m_inertial=2.0, b_damp=0.0, k_spring=4.0)
-        assert lorentz_steady_state(p0, 1.0, 0.0) == (0.25, 0.0)
-
-    def test_resonant_damped(self):
-        p = LorentzParams(m_inertial=1.0, b_damp=1.0, k_spring=1.0)
-        V, W = lorentz_steady_state(p, U=1.0, omega=1.0)
-        assert V == pytest.approx(0.0, abs=1e-15)
-        assert W == pytest.approx(1.0, rel=1e-15)
-
-    def test_undamped_resonance_singular(self):
-        p = LorentzParams(m_inertial=1.0, b_damp=0.0, k_spring=4.0)
-        with pytest.raises(ValueError):
-            lorentz_steady_state(p, 1.0, 2.0)
-
-
-class TestCoupled:
-    def test_static_solution_ignores_damping(self):
-        K = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        qa = coupled_steady_state([1.0, 1.0], [0.0, 0.0], K, 1.0, 0.0)
-        qb = coupled_steady_state([1.0, 1.0], [17.0, 0.3], K, 1.0, 0.0)
-        assert np.array_equal(qa, qb)
-        assert np.allclose(qa, [1.0, 1.0], rtol=1e-14)
-
-    def test_scalar_case_matches_lorentz(self):
-        p = LorentzParams(m_inertial=1.2, b_damp=0.7, k_spring=2.5)
-        for w in (0.0, 0.8, 1.9):
-            V, W = lorentz_steady_state(p, 1.0, w)
-            q = coupled_steady_state([1.2], [0.7], [[2.5]], 1.0, w)[0]
-            assert q.real == pytest.approx(V, rel=1e-12)
-            assert -q.imag == pytest.approx(W, rel=1e-12, abs=1e-15)
-
-    def test_singular_matrix_rejected(self):
-        K = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank deficient
-        with pytest.raises(np.linalg.LinAlgError):
-            coupled_steady_state([1.0, 1.0], [0.0, 0.0], K, 1.0, 0.0)
-
-    def test_size_cap(self):
-        J = 33
-        with pytest.raises(ValueError):
-            coupled_steady_state(np.ones(J), np.zeros(J), np.eye(J), 1.0, 0.0)
 
 
 class TestEffectiveParams:

@@ -91,7 +91,7 @@ def test_automatic_grid_leaves_clear_edges(family, data):
     assert grid.dt <= 0.1 * cfg.pulse.T
     if cfg.pulse.omega0 > 0:
         assert grid.dt <= 0.1 * np.pi / cfg.pulse.omega0
-    assert grid.t0 < 0 < grid.t0 + grid.span
+    assert grid.t0 < 0 < grid.t0 + grid.n * grid.dt
     assert abs(grid.t0 / grid.dt - round(grid.t0 / grid.dt)) < 1e-9
     with warnings.catch_warnings():
         warnings.simplefilter("error", GridAdequacyWarning)

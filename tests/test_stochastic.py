@@ -20,7 +20,6 @@ from precursor_lab import (
     averaged_transfer_quadrature,
     draw_std,
     forward_transform,
-    gaussian_draw_std,
     impulse_tail_coefficients,
     inverse_transform,
     moment,
@@ -35,6 +34,7 @@ from precursor_lab import stochastic
 from precursor_lab.config import ExperimentConfig
 from precursor_lab.experiments import plan_grid
 from precursor_lab.grid import inverse_rows
+from reference import gaussian_draw_std
 
 
 class TestCoefficientTable:

@@ -576,6 +576,8 @@ tail = free-space
     Case("empty-key", "= 5\n" + PROPAGATE, "a line with no key", error="config error: line 1: empty key"),
     Case("empty-value", "seed =\n" + PROPAGATE, "a key with no value",
          error="config error: line 1: empty value for key 'seed'"),
+    Case("empty-output-dir-option", PROPAGATE, "an empty --output-dir would write into the working directory",
+         ("--output-dir", ""), error="config error: output-dir: empty value"),
     Case("not-a-number", PROPAGATE.replace("z = 100", "z = deep"), "a depth that is not a number",
          error="config error: z: not a number: 'deep'"),
     Case("not-an-integer", "seed = 1.5\n" + PROPAGATE, "a seed that is not an integer",
