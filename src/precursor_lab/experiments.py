@@ -157,7 +157,7 @@ def check_ranges(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid | None):
     From scalars at the grid's extremes, in order: w^2 at Nyquist, w = pi/dt;
     the last time t0 + (n-1) dt; the pulse's phase omega0 t + alpha t^2/2 out
     to ``PulseSpec.reach``; then the delay phase and the absorption of z gamma(w)
-    at the deepest depth z, summed over a stack's layers and tail.
+    at the deepest depth z, summed over a stack's ``segments``.
     """
     if grid is None:
         return
@@ -179,13 +179,9 @@ def check_ranges(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid | None):
     if "ensemble" in needs:  # the delay w z/v, and the draws' z w^2/2 and z w^2/b
         phase, absorption = w * z / cfg.ensemble.v, z * (w * w) * max(0.5, 1.0 / cfg.ensemble.b)
     else:
-        layers = cfg.medium.layers if isinstance(cfg.medium, media.LayerStack) else [(math.inf, cfg.medium)]
-        paths, top = [], 0.0
-        for thickness, layer in [*layers, (math.inf, media.free_space())]:
-            paths.append((min(thickness, max(z - top, 0.0)), layer))
-            top += thickness
+        path = cfg.medium.segments(0.0, z) if isinstance(cfg.medium, media.LayerStack) else [(z, cfg.medium)]
         with np.errstate(all="ignore"):  # a part that overflows is inf or nan
-            gammas = [(seg, complex(m.propagation_constant(w))) for seg, m in paths if seg > 0.0]
+            gammas = [(seg, complex(m.propagation_constant(w))) for seg, m in path if seg > 0.0]
         phase, absorption = sum(seg * -g.imag for seg, g in gammas), sum(seg * g.real for seg, g in gammas)
     for part, value in (("delay phase z w/v", phase), ("absorption z Re gamma(w)", absorption)):
         if not math.isfinite(value):
@@ -264,12 +260,6 @@ def load_pulse(cfg: config.ExperimentConfig, grid, rows) -> timegrid.SampledSign
 
 def _propagate_over_z(f0, medium, z_values):
     """``(z, output)`` per depth from one checked forward transform of ``f0``."""
-    if isinstance(medium, media.LayerStack) and not medium.free_space_tail:
-        deepest, total = max(z_values), medium.total_thickness
-        if deepest > total:
-            raise config.ConfigValidationError(
-                "z", f"depth {deepest:g} lies past the stack thickness {total:g}, and tail = none"
-            )
     spectrum = propagate.input_spectrum(f0)
     omegas = f0.grid.omegas()
     return [(z, propagate.apply_transfer(spectrum, media.transfer_function(medium, z, omegas))) for z in z_values]
@@ -527,7 +517,8 @@ EXPERIMENTS = {
 
 
 def experiment(cfg: config.ExperimentConfig) -> Experiment:
-    """The entry of ``cfg.experiment``; an unknown name, a missing need or a failed check is a config error."""
+    """The entry of ``cfg.experiment``; an unknown name, a missing need, a depth past a stack
+    with no tail or a failed check is a config error."""
     entry = EXPERIMENTS.get(cfg.experiment)
     if entry is None:
         raise config.ConfigValidationError(
@@ -537,5 +528,10 @@ def experiment(cfg: config.ExperimentConfig) -> Experiment:
         what, missing = _NEEDS[need]
         if missing(cfg):
             raise config.ConfigValidationError(need, f"experiment {cfg.experiment!r} needs {what}")
+    if "medium" in entry.needs and isinstance(cfg.medium, media.LayerStack):
+        try:  # a depth past a stack with no tail
+            cfg.medium.segments(0.0, max(cfg.z_values))
+        except ValueError as exc:
+            raise config.ConfigValidationError("z", str(exc)) from None
     entry.check(cfg)
     return entry

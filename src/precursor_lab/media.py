@@ -124,8 +124,8 @@ class LayerStack:
     def __init__(self, layers, free_space_tail: bool = True):
         norm = []
         for thickness, medium in layers:
-            if thickness <= 0:
-                raise ValueError(f"layer thickness must be positive, got {thickness}")
+            if not 0 < thickness < math.inf:  # a nan thickness fails too
+                raise ValueError(f"layer thickness must be positive and finite, got {thickness}")
             if isinstance(medium, LayerStack):
                 raise ValueError("layer stacks cannot be nested")
             norm.append((float(thickness), medium))
@@ -138,29 +138,25 @@ class LayerStack:
     def total_thickness(self) -> float:
         return sum(l for l, _ in self.layers)
 
-    def _depth_exponent(self, z_from: float, z_to: float, omega) -> np.ndarray:
-        """Integral of the propagation constant over depths [z_from, z_to].
+    def segments(self, z_from: float, z_to: float) -> list:
+        """The ``(length, medium)`` pieces of the depths [z_from, z_to], in order.
 
-        Piecewise-constant in depth; a partial layer contributes pro rata.
+        A partial layer gives its share; the depths past the stack are one
+        piece of free space, and a ValueError without a free-space tail.
         """
-        omega = np.asarray(omega, dtype=np.float64)
-        acc = np.zeros(omega.shape, dtype=np.complex128)
-        lo = 0.0
+        pieces, lo = [], 0.0
         for thickness, medium in self.layers:
             hi = lo + thickness
             seg = min(hi, z_to) - max(lo, z_from)
             if seg > 0:
-                acc = acc + seg * medium.propagation_constant(omega)
+                pieces.append((seg, medium))
             lo = hi
-        if z_to > lo:
-            seg = z_to - max(lo, z_from)
-            if seg > 0:
-                if not self.free_space_tail:
-                    raise ValueError(
-                        f"depth {z_to} exceeds stack thickness {lo} and no free-space tail is defined"
-                    )
-                acc = acc + seg * free_space().propagation_constant(omega)
-        return acc
+        seg = z_to - max(lo, z_from)
+        if seg > 0:
+            if not self.free_space_tail:
+                raise ValueError(f"depth {z_to:g} lies past the stack thickness {lo:g}, and tail = none")
+            pieces.append((seg, free_space()))
+        return pieces
 
 
 def transfer_function(medium, z: float, omega):
@@ -169,8 +165,6 @@ def transfer_function(medium, z: float, omega):
     For a :class:`LayerStack` the exponent is the exact piecewise-constant
     depth integral, partial layers included pro rata.
     """
-    if z < 0:
-        raise ValueError(f"depth must be >= 0, got z={z}")
     return transfer_between(medium, 0.0, z, omega)
 
 
@@ -182,11 +176,12 @@ def transfer_between(medium, z_from: float, z_to: float, omega):
     Where the exponent's real part is below -746, exp rounds to 0, and those
     bins are an exact +0 without evaluating it.
     """
-    if z_from < 0 or z_to < z_from:
+    if not 0.0 <= z_from <= z_to:  # a nan depth fails too
         raise ValueError(f"need 0 <= z_from <= z_to, got [{z_from}, {z_to}]")
     omega = np.asarray(omega, dtype=np.float64)
     if isinstance(medium, LayerStack):
-        exponent = -medium._depth_exponent(float(z_from), float(z_to), omega)
+        pieces = medium.segments(float(z_from), float(z_to))
+        exponent = -sum((seg * m.propagation_constant(omega) for seg, m in pieces), np.zeros(omega.shape, complex))
     else:
         exponent = -(float(z_to) - float(z_from)) * medium.propagation_constant(omega)
     # exp is evaluated only where it does not round to 0; a nan exponent stays nan
@@ -210,14 +205,12 @@ def effective_params(stack: LayerStack, ell: float) -> tuple[float, float]:
     total = stack.total_thickness
     if ell <= 0 or (ell > total and not math.isclose(ell, total, rel_tol=1e-12, abs_tol=0.0)):
         raise ValueError(f"ell={ell} does not lie within the stack thickness {total}")
-    inv_a = inv_v = top = 0.0
-    for thickness, medium in stack.layers:
+    if any(medium.quadratic_reduction().ell_inv != 0.0 for _, medium in stack.layers):
+        raise ValueError("layers with DC absorption have no quadratic reduction")
+    inv_a = inv_v = 0.0
+    for seg, medium in stack.segments(0.0, min(ell, total)):
         reduced = medium.quadratic_reduction()
-        if reduced.ell_inv != 0.0:
-            raise ValueError("layers with DC absorption have no quadratic reduction")
-        seg = thickness if top + thickness <= ell else max(ell - top, 0.0)
         inv_a += seg / reduced.a
         inv_v += seg / reduced.v
-        top += thickness
     reduced = QuadraticMedium(a=ell / inv_a if inv_a > 0 else math.inf, v=ell / inv_v if inv_v > 0 else math.inf)
     return reduced.a, reduced.v

@@ -343,7 +343,7 @@ def _kernel_blocks(x, lam, limit=_EXP_LIMIT):
     neg_limit = -limit
     rows = max(1, _BLOCK_BYTES // (8 * cols))
     buf = np.empty(min(rows, x.size) * cols)
-    cut_buf = np.empty(buf.size, bool)  # per call: callers may form blocks in threads at once
+    cut_buf = np.empty(buf.size, bool)  # allocated per call, as buf is
     for i0 in range(0, x.size, rows):
         r = slice(i0, min(i0 + rows, x.size))
         top = x[r].max() * lam  # the largest product in each column, as rounded

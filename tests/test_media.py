@@ -127,7 +127,8 @@ class TestTransferFunction:
         w = np.append(np.linspace(0.0, 50.0, 20001), np.nan)
         with np.errstate(invalid="ignore"):  # the exp kernel's w / (w + iK) at w = nan
             if isinstance(medium, LayerStack):
-                exponent = -medium._depth_exponent(z_from, z_to, w)
+                pieces = medium.segments(z_from, z_to)
+                exponent = -sum((seg * m.propagation_constant(w) for seg, m in pieces), np.zeros(w.shape, complex))
             else:
                 exponent = -(z_to - z_from) * medium.propagation_constant(w)
             full = np.exp(exponent)
@@ -143,6 +144,62 @@ class TestTransferFunction:
         stack = LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))], free_space_tail=False)
         with pytest.raises(ValueError):
             transfer_function(stack, 1.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "medium", [QuadraticMedium(a=1.0, v=1.0), LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0))])],
+        ids=["quadratic", "layered"],
+    )
+    def test_nan_depth_rejected(self, medium):
+        w = np.linspace(0.0, 10.0, 11)
+        for z_from, z_to in ((0.0, np.nan), (np.nan, 2.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="need 0 <= z_from <= z_to"):
+                transfer_between(medium, z_from, z_to, w)
+        with pytest.raises(ValueError, match="need 0 <= z_from <= z_to"):
+            transfer_function(medium, np.nan, w)
+
+    @pytest.mark.parametrize("thickness", [np.nan, np.inf, 0.0, -1.0])
+    def test_thickness_out_of_range_rejected(self, thickness):
+        with pytest.raises(ValueError, match="layer thickness must be positive and finite"):
+            LayerStack([(1.0, QuadraticMedium(a=1.0, v=1.0)), (thickness, QuadraticMedium(a=2.0, v=1.0))])
+
+
+_A, _B, _C = QuadraticMedium(a=1.0, v=1.0), QuadraticMedium(a=3.0, v=0.5), ExpKernelMedium(K=10.0, Kp=100.0)
+
+
+class TestSegments:
+    stack = LayerStack([(1.0, _A), (2.0, _B), (1.0, _C)])
+
+    def test_partial_layers_pro_rata(self):
+        assert self.stack.segments(0.0, 2.0) == [(1.0, _A), (1.0, _B)]
+        assert self.stack.segments(0.0, 4.0) == [(1.0, _A), (2.0, _B), (1.0, _C)]
+
+    def test_start_below_the_top(self):
+        assert self.stack.segments(0.5, 3.5) == [(0.5, _A), (2.0, _B), (0.5, _C)]
+        assert self.stack.segments(1.5, 2.5) == [(1.0, _B)]
+        assert self.stack.segments(2.0, 2.0) == []
+
+    def test_free_space_tail(self):
+        assert self.stack.segments(3.0, 6.0) == [(1.0, _C), (2.0, free_space())]
+        assert self.stack.segments(5.0, 6.0) == [(1.0, free_space())]
+
+    def test_depth_past_a_stack_without_tail(self):
+        stack = LayerStack([(0.5, _A), (1.0, _B)], free_space_tail=False)
+        assert stack.segments(0.0, 1.5) == [(0.5, _A), (1.0, _B)]
+        with pytest.raises(ValueError) as exc:
+            stack.segments(0.0, 5.0)
+        assert str(exc.value) == "depth 5 lies past the stack thickness 1.5, and tail = none"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        thicknesses=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=5),
+        z_from=st.floats(0.0, 30.0), extra=st.floats(0.0, 30.0),
+    )
+    def test_lengths_sum_to_the_span(self, thicknesses, z_from, extra):
+        stack = LayerStack([(l, _A) for l in thicknesses])
+        z_to = z_from + extra
+        pieces = stack.segments(z_from, z_to)
+        assert all(seg > 0 for seg, _ in pieces)
+        assert sum(seg for seg, _ in pieces) == pytest.approx(z_to - z_from, rel=1e-12, abs=1e-12)
 
 
 class TestEffectiveParams:

@@ -785,6 +785,9 @@ tail = free-space
          .replace("tail = free-space", "tail = none"),
          "a sweep below a stack that has no tail names the deepest depth",
          error="config error: z: depth 5 lies past the stack thickness 1.5, and tail = none"),
+    Case("slab-without-tail", SLAB.replace("tail = free-space", "tail = none"),
+         "a slab with no tail fails at the experiment's check, before its closed forms are evaluated",
+         error="config error: z: depth 8 lies past the stack thickness 1.5, and tail = none"),
     Case("exp-kernel-auto-grid-reduction-underflows", MEDIUM.format("variant = exp-kernel\nK = 1e-300\nKp = 1"),
          "v = K (K/Kp) underflows to 0, and so does a = K v/2: the automatic grid has no reduction",
          error="config error: grid: automatic grid needs a quadratic reduction of the medium "
