@@ -157,7 +157,12 @@ def check_ranges(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid | None):
     From scalars at the grid's extremes, in order: w^2 at Nyquist, w = pi/dt;
     the last time t0 + (n-1) dt; the pulse's phase omega0 t + alpha t^2/2 out
     to ``PulseSpec.reach``; then the delay phase and the absorption of z gamma(w)
-    at the deepest depth z, summed over a stack's ``segments``.
+    at the deepest depth z, summed over a stack's ``segments``.  An ensemble's
+    are formed as its run forms them: the delay i w z / v in numpy's complex
+    arithmetic, which divides by v as a product with 1/v and so gives nan
+    where 1/v overflows; the averaged kernel's z w^2; and a kernel block's
+    largest exponent x lam, with x at most ``stochastic.largest_scaled_draw(m) / b``
+    and lam = 0.5 z w^2, which bounds the kernel's z w^2 / b as well.
     """
     if grid is None:
         return
@@ -176,8 +181,11 @@ def check_ranges(cfg: config.ExperimentConfig, grid: timegrid.TimeGrid | None):
             raise config.ConfigValidationError("pulse.omega0", f"carrier {pulse.omega0:g} too large: the phase omega0 t + "
                                                f"alpha t^2/2 overflows at |t| = {t:g}, where the pulse is not 0")
     z = max(cfg.z_values, default=0.0) if "z" in needs else 0.0  # 0 where nothing propagates
-    if "ensemble" in needs:  # the delay w z/v, and the draws' z w^2/2 and z w^2/b
-        phase, absorption = w * z / cfg.ensemble.v, z * (w * w) * max(0.5, 1.0 / cfg.ensemble.b)
+    if "ensemble" in needs:  # the delay i w z/v, the kernel's z w^2 and a block's largest x z w^2/2
+        ens = cfg.ensemble
+        with np.errstate(all="ignore"):  # |0 + i y| is |y|, and nan or inf where a part is
+            phase = abs(np.complex128(1j * w) * z / ens.v)
+        absorption = max(z * (w * w), stochastic.largest_scaled_draw(ens.m) / ens.b * (0.5 * z * (w * w)))
     else:
         path = cfg.medium.segments(0.0, z) if isinstance(cfg.medium, media.LayerStack) else [(z, cfg.medium)]
         with np.errstate(all="ignore"):  # a part that overflows is inf or nan

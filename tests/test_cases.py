@@ -36,7 +36,7 @@ def test_case_names_are_unique():
 
 
 def test_each_pair_gives_equal_digests():
-    # the recorded digests are a fresh run's (above): --threads, and sweep-z's seed, change no output
+    # the recorded digests are a fresh run's (above): sweep-z's seed changes no output
     recorded = _golden()["outputs"]
     pairs = [(case.name, case.same_as) for case in cases.CASES if case.same_as is not None]
     assert pairs

@@ -2,7 +2,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import threading
 import warnings
 from contextlib import nullcontext
@@ -11,8 +10,6 @@ from pathlib import Path
 import cases
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from precursor_lab import _csvfmt, cli, propagate, stochastic
 from precursor_lab import experiments, media, verify
@@ -188,17 +185,6 @@ class TestRunSweep:
         sweep = (tmp_path / "sweep.csv").read_text().splitlines()
         assert sweep[0] == "z,t_peak,peak_amp,rms_width,energy_ratio"
         assert len(sweep) == 6
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace(
-            "z = 100", "z-list = 100 200 400"
-        )
-        cfg1 = parse_config(text, {"output-dir": str(tmp_path / "a"), "threads": 1})
-        cfg2 = parse_config(text, {"output-dir": str(tmp_path / "b"), "threads": 4})
-        run(cfg1)
-        run(cfg2)
-        for name in ("sweep.csv", "summary.txt", "signal_200.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 STOCHASTIC = """
@@ -411,39 +397,6 @@ class TestStochasticAutoGrid:
             assert np.abs(f_old[k : k + t_new.size] - f_new).max() < 1e-12 * peak
             assert _edge_mass_ok(f_new)
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        path = tmp_path / "cfg.ini"
-        path.write_text(AUTO_STOCHASTIC.format(m=1))
-        for threads in ("1", "2"):
-            out = str(tmp_path / f"t{threads}")
-            assert main([str(path), "--output-dir", out, "--threads", threads]) == 0
-        for name in ("signal_0.5.csv", "signal_2.csv", "mc_signal_0.5.csv", "mc_signal_2.csv",
-                     "sweep.csv", "summary.txt"):
-            assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
-
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(
-        m=st.sampled_from([0, 1, 2, 5]),
-        b=st.floats(0.5, 8.0),
-        depths=st.lists(st.integers(5, 80), min_size=2, max_size=3, unique=True),
-        samples=st.integers(100, 400),
-    )
-    def test_threads_do_not_change_random_ensemble_runs(self, m, b, depths, samples):
-        # depths from 0.25 to 4 in steps of 0.05, on the automatic grid
-        text = (
-            AUTO_STOCHASTIC.format(m=m).replace("b = 2", f"b = {b!r}")
-            .replace("z-list = 0.5 2", "z-list = " + " ".join(f"{k / 20:g}" for k in depths))
-            .replace("mc-samples = 400", f"mc-samples = {samples}")
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            path, outputs = Path(tmp) / "cfg.ini", []
-            path.write_text(text)
-            for threads in ("1", "2"):
-                out = Path(tmp) / f"t{threads}"
-                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
-                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 2 * len(depths) + 2 and outputs[0] == outputs[1]
-
 
 class TestThreadsDeterministic:
     @pytest.mark.parametrize("experiment", ["sweep-z", "stochastic", "slab"])
@@ -458,76 +411,6 @@ class TestThreadsDeterministic:
         path = tmp_path / "cfg.ini"
         path.write_text(text)
         assert main([str(path), "--output-dir", str(tmp_path / "out"), "--threads", "8"]) == 0
-
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(
-        experiment=st.sampled_from(["propagate", "sweep-z"]),
-        medium=st.one_of(
-            st.builds("variant = quadratic\na = {!r}\nv = 1".format, st.floats(0.1, 8.0)),
-            st.builds("variant = exp-kernel\nK = {!r}\nKp = {!r}".format, st.floats(2.0, 10.0), st.floats(5.0, 50.0)),
-        ),
-        T=st.floats(0.5, 2.0),
-        omega0=st.sampled_from([0.0, 2.0]),
-        depths=st.lists(st.integers(1, 16), min_size=3, max_size=4, unique=True),
-        propagate_depths=st.integers(2, 4),
-    )
-    @example("sweep-z", "variant = quadratic\na = 0.1\nv = 1", 0.5, 2.0, [1, 8, 16], 2)  # n = 4,096
-    @example("propagate", "variant = exp-kernel\nK = 2.0\nKp = 50.0", 0.5, 2.0, [16, 4, 1], 2)  # n = 4,096
-    def test_threads_do_not_change_random_propagation_runs(
-        self, experiment, medium, T, omega0, depths, propagate_depths
-    ):
-        # depths from 0.25 to 4 in steps of 0.25, 2 to 4 of them (sweep-z needs
-        # 3), on the automatic grid, which stays at most 4,096 samples
-        if experiment == "propagate":
-            depths = depths[:propagate_depths]
-        text = (
-            f"experiment = {experiment}\nz-list = {' '.join(f'{k / 4:g}' for k in depths)}\n"
-            f"[pulse]\nkind = gaussian\nT = {T!r}\nomega0 = {omega0!r}\n[medium]\n{medium}\n"
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            path, outputs = Path(tmp) / "cfg.ini", []
-            path.write_text(text)
-            for threads in ("1", "2"):
-                out = Path(tmp) / f"t{threads}"
-                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
-                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            n = int(_summary(Path(tmp) / "t1")["grid"].split()[0].removeprefix("n="))
-        assert n <= 4096 and len(outputs[0]) == len(depths) + 2 and outputs[0] == outputs[1]
-
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(
-        layers=st.lists(
-            st.tuples(
-                st.floats(0.1, 1.0),
-                st.one_of(
-                    st.tuples(st.just("quadratic"), st.floats(0.5, 5.0), st.floats(0.5, 2.0)),
-                    # K and Kp = K^2/v, whose reduction has velocity v
-                    st.builds(lambda K, v: ("exp-kernel", K, K * K / v), st.floats(2.0, 10.0), st.floats(0.5, 2.0)),
-                ),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        T=st.floats(0.5, 2.0),
-        past=st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True),
-    )
-    def test_threads_do_not_change_random_slab_runs(self, layers, T, past):
-        # depths from 0.5 to 4 past the stack, in steps of 0.5, on the automatic grid
-        total = sum(thickness for thickness, _ in layers)
-        text = (
-            f"experiment = slab\nz-list = {' '.join(repr(total + k / 2) for k in past)}\n"
-            f"[pulse]\nkind = gaussian\nT = {T!r}\n[medium]\nvariant = layered\n"
-            + "".join(f"layer = {l!r} {kind} {p!r} {q!r}\n" for l, (kind, p, q) in layers)
-            + "tail = free-space\n"
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            path, outputs = Path(tmp) / "cfg.ini", []
-            path.write_text(text)
-            for threads in ("1", "2"):
-                out = Path(tmp) / f"t{threads}"
-                assert main([str(path), "--output-dir", str(out), "--threads", threads]) == 0
-                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == len(past) + 2 and outputs[0] == outputs[1]
 
 
 CHIRP = """
