@@ -10,6 +10,7 @@ from pathlib import Path
 import cases
 import numpy as np
 import pytest
+import test_fuzz as fuzz
 
 from precursor_lab import _csvfmt, cli, propagate, stochastic
 from precursor_lab import experiments, media, verify
@@ -185,6 +186,10 @@ class TestRunSweep:
         sweep = (tmp_path / "sweep.csv").read_text().splitlines()
         assert sweep[0] == "z,t_peak,peak_amp,rms_width,energy_ratio"
         assert len(sweep) == 6
+
+    def test_threads_do_not_change_output(self):
+        text = MINIMAL.replace("experiment = propagate", "experiment = sweep-z").replace("z = 100", "z-list = 100 200 400")
+        fuzz.check(cases.Case("sweep-z", text, "a sweep-z run on an automatic grid"))
 
 
 STOCHASTIC = """
@@ -397,8 +402,16 @@ class TestStochasticAutoGrid:
             assert np.abs(f_old[k : k + t_new.size] - f_new).max() < 1e-12 * peak
             assert _edge_mass_ok(f_new)
 
+    def test_threads_do_not_change_output(self):
+        fuzz.check(cases.Case("stochastic", AUTO_STOCHASTIC.format(m=1), "a stochastic run on the automatic grid"))
+
+    test_threads_do_not_change_random_ensemble_runs = fuzz.fuzz_slice(("stochastic",), extreme=False)
+
 
 class TestThreadsDeterministic:
+    test_threads_do_not_change_random_propagation_runs = fuzz.fuzz_slice(("propagate", "sweep-z"), extreme=False)
+    test_threads_do_not_change_random_slab_runs = fuzz.fuzz_slice(("slab",), extreme=False)
+
     @pytest.mark.parametrize("experiment", ["sweep-z", "stochastic", "slab"])
     def test_no_run_starts_a_thread(self, tmp_path, monkeypatch, experiment):
         # on a host of many CPUs, --threads 8 still computes every depth in the calling thread

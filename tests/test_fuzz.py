@@ -28,10 +28,11 @@ MAX_AUTO_N = 4096
 
 
 @st.composite
-def configs(draw):
-    """A ``cases.Case``: a config written in the order of ``config.KEYS``, its input files and its overrides."""
-    name = draw(st.sampled_from([entry for entry in EXPERIMENTS if entry != "verify"]))
-    needs, extreme = EXPERIMENTS[name].needs, draw(st.booleans())
+def configs(draw, names=tuple(entry for entry in EXPERIMENTS if entry != "verify"), extreme=None):
+    """A ``cases.Case``: a config written in the order of ``config.KEYS``, its input files and its overrides,
+    for one of the experiments ``names``, in the regime ``extreme`` (drawn if None)."""
+    name = draw(st.sampled_from(names))
+    needs, extreme = EXPERIMENTS[name].needs, draw(st.booleans()) if extreme is None else extreme
 
     def number(key):
         return draw(EXTREME if extreme else st.floats(*MODERATE[key]))
@@ -102,8 +103,14 @@ def _gaussian_on_4096(name, depths, medium):
 @example(case=_gaussian_on_4096("sweep-z", "0.25 2 4", "variant = quadratic\na = 0.1\nv = 1"))
 @example(case=_gaussian_on_4096("propagate", "4 1", "variant = exp-kernel\nK = 2.0\nKp = 50.0"))
 def test_any_config_runs_or_gives_one_line(case):
-    # exit 0 with finite summary values and no RuntimeWarning, or exit 1 with one line and no
-    # output directory; and --threads 2 gives every byte of --threads 1
+    files = check(case)  # and a drawn automatic grid stays within MAX_AUTO_N samples
+    rows = max((data.count(b"\n") - 1 for name, data in files.items() if name.startswith("signal_")), default=0)
+    assert "[grid]" in case.config or rows <= MAX_AUTO_N, rows
+
+
+def check(case):
+    """Exit 0 with finite summary values and no RuntimeWarning, or exit 1 with one line and no output
+    directory; and ``--threads 2`` gives every byte of ``--threads 1``, whose outputs it returns."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for threads in ("1", "2"):
@@ -120,6 +127,11 @@ def test_any_config_runs_or_gives_one_line(case):
         assert "RuntimeWarning" not in err, err
         values = [line.split(": ", 1)[1] for line in files["summary.txt"].decode().splitlines()]
         assert all(math.isfinite(x) for x in map(_number, values) if x is not None), values
-        rows = max(data.count(b"\n") - 1 for name, data in files.items() if name.startswith("signal_"))
-        assert "[grid]" in case.config or rows <= MAX_AUTO_N, rows
     assert again == runs[0]
+    return files
+
+
+def fuzz_slice(names, extreme):
+    """The fuzz, ten examples of it, on the experiments ``names`` in one regime, as a test of its own."""
+    test = given(case=configs(names, extreme))(test_any_config_runs_or_gives_one_line.hypothesis.inner_test)
+    return staticmethod(settings(max_examples=10, deadline=None, derandomize=True, database=None)(test))
